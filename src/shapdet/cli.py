@@ -47,15 +47,38 @@ def _default_degree() -> int:
     return value
 
 
-def _load_root_data(t, path) -> FiniteRootData:
+def _read_fixture(path) -> dict:
     """Root-data fixture: a JSON object whose "gram" replaces the Cartan
     matrix (testing hook for deliberately corrupted data)."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise SystemExit("cannot read --root-data %s: %s"
+                         % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise SystemExit("--root-data %s is not valid JSON: %s" % (path, exc))
+    if not isinstance(raw, dict):
+        raise SystemExit("--root-data %s must hold a JSON object" % path)
+    return raw
+
+
+def _root_data(t, fixture: dict) -> FiniteRootData:
+    """Built-in root data of t with the fixture's gram, if any, in place of
+    the Cartan matrix.  Only the gram's shape and entry types are checked:
+    mathematically wrong grams are the point of the hook."""
     base = finite_root_data(t)
-    gram = raw.get("gram")
+    gram = fixture.get("gram")
     if gram is None:
         return base
+    size = len(base.nodes)
+    if not (isinstance(gram, list) and len(gram) == size
+            and all(isinstance(row, list) and len(row) == size
+                    for row in gram)):
+        raise SystemExit("--root-data gram must be a %dx%d list of lists for %s"
+                         % (size, size, t))
+    if not all(type(x) is int for row in gram for x in row):
+        raise SystemExit("--root-data gram entries must be integers")
     return FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
                           base.orbits, base.d, base.c)
 
@@ -204,6 +227,8 @@ def _cmd_exponents(args, out) -> int:
 
 def _cmd_series(args, out) -> int:
     D = args.max_degree if args.max_degree is not None else _default_degree()
+    if D < 0:
+        raise SystemExit("--max-degree must be >= 0, got %d" % D)
     if (args.type is None) == (args.p is None):
         raise SystemExit("series needs exactly one of TYPE or -p")
     if args.type is not None:
@@ -247,12 +272,16 @@ def _cmd_gram(args, out) -> int:
         if args.type is None or args.d is None:
             raise SystemExit("gram needs a type and -d, or --roster")
         jobs = [(args.type, args.d)]
+    fixture = _read_fixture(args.root_data) if args.root_data else None
+    cases = []
+    for name, d in jobs:
+        t = parse_type(name)
+        data = None if fixture is None else _root_data(t, fixture)
+        cases.append((name, d, t, data))
     env = Envelope("gram", None if args.roster else args.type,
                    {"d": args.d, "roster": args.roster, "check": args.check})
     results = []
-    for name, d in jobs:
-        t = parse_type(name)
-        data = _load_root_data(t, args.root_data) if args.root_data else None
+    for name, d, t, data in cases:
         report = verify(t, d, data)
         payload = report.to_dict()
         if args.matrices:
@@ -372,7 +401,12 @@ def main(argv=None) -> int:
     out = sys.stdout
     close = None
     if getattr(args, "out", None):
-        out = close = open(args.out, "w")
+        try:
+            out = close = open(args.out, "w")
+        except OSError as exc:
+            print("error: cannot write --out %s: %s"
+                  % (args.out, exc.strerror or exc), file=sys.stderr)
+            return 2
     try:
         return args.func(args, out)
     except SystemExit as exc:

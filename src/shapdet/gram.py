@@ -13,6 +13,12 @@ determinants are unchanged); with those, (y_c, f)_S = (z_c, f)_K holds on
 the nose and the Gram matrix of the S-form factors exactly as
 M = P Q P^-1 N through the transition matrices to the y-basis.
 
+Both recursions pair y_n^(i) only with y_n^(j): on y-monomials the forms
+vanish unless the part sizes agree, so the y-Gram matrices are
+block-diagonal by the part-size shape lambda (the Heisenberg grading).
+gram_matrices evaluates the recursion only inside those blocks and
+assembles M = P G_y P^T and N = P K_y P^T from the x-expansions.
+
 Form values are memoized on canonical monomial pairs.  The memo is a
 grow-only dict with idempotent inserts: entries may be computed in any
 order (or concurrently) with bit-identical results.
@@ -23,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .exact import (ExactMatrix, InternalCheckError, as_integer, det_exact,
-                    invert, kron, sym_power)
+from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
+                    as_integer, det_exact, invert, kron, sym_power)
 from .partitions import (ColoredPartition, enumerate_basis,
                          enumerate_partitions, exponent_totals, _runs)
 from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data, index_set
@@ -252,6 +258,17 @@ def _remove_one(mono: Monomial, factor):
     return m, mono[:pos] + mono[pos + 1:]
 
 
+def _denominator(x) -> int:
+    # Q(zeta_3) values keep their CycNumber arithmetic, which is exact
+    # with or without a cleared denominator.
+    return 1 if isinstance(x, CycNumber) else x.denominator
+
+
+def _integral(x):
+    """An integral rational as an int; Q(zeta_3) values unchanged."""
+    return x.numerator if isinstance(x, Fraction) else x
+
+
 def _as_poly(f) -> BPolynomial:
     if isinstance(f, dict):
         return f
@@ -313,6 +330,16 @@ def gram_matrices(t: AffineType, d: int,
                   ) -> Tuple[ExactMatrix, ExactMatrix]:
     """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d.
 
+    Both forms pair y_n^(i) only with y_n^(j), so on y-monomials they vanish
+    unless the part-size shapes lambda agree: the y-Gram matrix G_y of the
+    S-form is block-diagonal by lambda and K_y is diagonal.  The recursion
+    evaluates G_y only inside the lambda-blocks and K_y only on its
+    diagonal; M = P G_y P^T and N = P K_y P^T are then contracted against
+    the x-expansions (the rows of P), row a of P G_y first, then its
+    pairing with every x_b, b >= a.  The contraction clears denominators
+    and runs on integers; each entry is divided back exactly before its
+    integrality check.
+
     M is asserted to have integer entries and be symmetric; N to have
     integer entries.  Violations raise InternalCheckError since they can
     only come from a recursion or root-data bug.
@@ -321,22 +348,50 @@ def gram_matrices(t: AffineType, d: int,
         engine = FormEngine(t, data)
     basis = enumerate_basis(t, d)
     expansions = [x_in_y(t, mono) for mono in basis]
+    blocks: Dict[Tuple[int, ...], List[Monomial]] = {}
+    for y in basis:
+        blocks.setdefault(tuple(n for n, _ in y), []).append(y)
+    g_rows = {}  # y -> the nonzero (z, (y, z)_S) of y's lambda-block
+    for block in blocks.values():
+        for y in block:
+            g_rows[y] = [(z, v) for z in block
+                         for v in (engine.form_s_mono(y, z),) if v]
+    k_diag = {y: engine.form_k_mono(y, y) for y in basis}
+    # Contract over the integers: row b of P is an integer vector over
+    # scale[b], and the form values are integral over den_s and den_k.
+    den_s = lcm(*(_denominator(v) for row in g_rows.values() for _, v in row))
+    den_k = lcm(*(_denominator(v) for v in k_diag.values()))
+    g_rows = {y: [(z, _integral(v * den_s)) for z, v in row]
+              for y, row in g_rows.items()}
+    k_diag = {y: _integral(v * den_k) for y, v in k_diag.items()}
+    scale = [lcm(*(c.denominator for c in x.values())) for x in expansions]
+    p_rows = [{z: _integral(c * scale[b]) for z, c in x.items()}
+              for b, x in enumerate(expansions)]
+    columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
+    for b, p_row in enumerate(p_rows):
+        for z, cb in p_row.items():
+            columns.setdefault(z, []).append((b, cb))
     size = len(basis)
     M = [[0] * size for _ in range(size)]
     N = [[0] * size for _ in range(size)]
     for a in range(size):
-        fa = expansions[a]
+        hs: BPolynomial = {}  # row a of P G_y
+        for y, ca in p_rows[a].items():
+            for z, v in g_rows[y]:
+                hs[z] = hs.get(z, 0) + ca * v
+        hk = {y: ca * k_diag[y] for y, ca in p_rows[a].items()}
+        s_row = [0] * size  # row a of P G_y P^T, columns b >= a
+        k_row = [0] * size  # row a of P K_y P^T, columns b >= a
+        for h_row, out in ((hs, s_row), (hk, k_row)):
+            for z, h in h_row.items():
+                for b, cb in columns[z]:
+                    if b >= a:
+                        out[b] = out[b] + h * cb
         for b in range(a, size):
-            fb = expansions[b]
-            s_val = engine.form_s(fa, fb)
-            k_val = 0
-            for mono, ca in fa.items():  # K is diagonal on monomials
-                cb = fb.get(mono)
-                if cb is not None:
-                    k_val = k_val + ca * cb * engine.form_k_mono(mono, mono)
+            den = scale[a] * scale[b]
             try:
-                M[a][b] = M[b][a] = as_integer(s_val)
-                N[a][b] = N[b][a] = as_integer(k_val)
+                M[a][b] = M[b][a] = as_integer(_field_div(s_row[b], den * den_s))
+                N[a][b] = N[b][a] = as_integer(_field_div(k_row[b], den * den_k))
             except InternalCheckError as exc:
                 raise InternalCheckError(
                     "non-integer Gram entry at %s degree %d (%s, %s): %s"

@@ -161,3 +161,29 @@ def test_missing_arguments(capsys):
     assert main(["gram", "A1^1"]) == 2
     assert main(["detA", "A1^1"]) == 2
     assert main(["gram", "A1^1", "--roster", "-d", "1"]) == 2
+
+
+
+GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
+
+
+@pytest.mark.parametrize("fixture, argv", [
+    (None, GRAM_A1),
+    ("[[2]]", GRAM_A1),
+    ("not json", GRAM_A1),
+    ('{"gram": [[2, -1], [-1, 2]]}', GRAM_A1),
+    ('{"gram": [[2, -1], [-1]]}', ["gram", "A2^1", "-d", "2",
+                                   "--root-data", "{fixture}"]),
+    ('{"gram": [["a"]]}', GRAM_A1),
+    ('{"gram": [[true]]}', GRAM_A1),
+    (None, ["info", "A1^1", "--out", "{tmp}/no/such/dir/x.json"]),
+    (None, ["series", "A1^1", "--max-degree", "-2"]),
+], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
+        "non-int", "bool", "unwritable-out", "negative-max-degree"])
+def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
+    path = tmp_path / "fixture.json"
+    if fixture is not None:
+        path.write_text(fixture)
+    assert main([a.format(tmp=tmp_path, fixture=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -4,7 +4,8 @@ from math import factorial
 
 import pytest
 
-from shapdet.exact import ExactMatrix, InternalCheckError, det_exact
+from shapdet.cli import ROSTER_DEGREES
+from shapdet.exact import ExactMatrix, InternalCheckError, as_integer, det_exact
 from shapdet.gram import (FormEngine, form_k, form_s, gram_matrices,
                           transition_matrices, verify, x_in_y)
 from shapdet.partitions import enumerate_basis, enumerate_partitions, exponents
@@ -149,6 +150,21 @@ def test_memoized_and_plain_engines_agree():
             assert fast.form_k_mono(f, g) == slow.form_k_mono(f, g)
 
 
+def test_forms_vanish_across_shapes():
+    # The shape-blocked Gram assembly evaluates only same-shape pairs; both
+    # forms must vanish on every pair of monomials with different shapes.
+    for t in ALL_TYPES:
+        e = FormEngine(t)
+        for d in range(5):
+            basis = enumerate_basis(t, d)
+            for f in basis:
+                shape = sorted(n for n, _ in f)
+                for g in basis:
+                    if sorted(n for n, _ in g) != shape:
+                        assert e.form_s_mono(f, g) == 0
+                        assert e.form_k_mono(f, g) == 0
+
+
 def test_lemma_f2_small():
     for name in ("A1^1", "A2^2", "A5^2", "D4^3"):
         t = parse_type(name)
@@ -199,6 +215,74 @@ def test_q_lambda_determinants():
                     continue
                 a_l, b_l = exponents(t, lam)
                 assert det_exact(block) == t.alpha ** a_l * t.beta ** b_l
+
+
+def _brute_gram(t, d, data=None):
+    """Reference assembly: every (x_a, x_b), a <= b, paired term by term."""
+    engine = FormEngine(t, data)
+    basis = enumerate_basis(t, d)
+    expansions = [x_in_y(t, mono) for mono in basis]
+    size = len(basis)
+    M = [[0] * size for _ in range(size)]
+    N = [[0] * size for _ in range(size)]
+    for a in range(size):
+        fa = expansions[a]
+        for b in range(a, size):
+            fb = expansions[b]
+            s_val = engine.form_s(fa, fb)
+            k_val = 0
+            for mono, ca in fa.items():  # K is diagonal on monomials
+                cb = fb.get(mono)
+                if cb is not None:
+                    k_val = k_val + ca * cb * engine.form_k_mono(mono, mono)
+            try:
+                M[a][b] = M[b][a] = as_integer(s_val)
+                N[a][b] = N[b][a] = as_integer(k_val)
+            except InternalCheckError as exc:
+                raise InternalCheckError(
+                    "non-integer Gram entry at %s degree %d (%s, %s): %s"
+                    % (t, d, basis[a], basis[b], exc)) from exc
+    return ExactMatrix(M), ExactMatrix(N)
+
+
+def _outcome(assemble, t, d, data=None):
+    try:
+        M, N = assemble(t, d, data)
+    except InternalCheckError as exc:
+        return str(exc)
+    assert all(type(x) is int for m in (M, N) for row in m.rows for x in row)
+    return M.rows, N.rows
+
+
+def test_gram_matches_brute_force_at_roster_degrees():
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        for d in range(dmax + 1):
+            assert _outcome(gram_matrices, t, d) == _outcome(_brute_gram, t, d)
+
+
+def test_gram_matches_brute_force_on_corrupted_data():
+    # Non-integer and non-symmetric grams, the last one on a twisted type
+    # whose form values lie in Q(zeta_3): both assemblies must stop at the
+    # same first non-integer entry with the same message, or agree exactly.
+    half = Fraction(-1, 2)
+    cases = [("A1^1", [[Fraction(5, 2)]]),
+             ("A2^1", [[2, half], [-1, 2]]),
+             ("A2^1", [[2, -1], [half, 2]]),
+             ("A2^1", [[2, -1], [-1, 3]]),
+             ("D4^3", [[2, -1, half, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                       [0, -1, 0, 2]])]
+    failures = 0
+    for name, gram in cases:
+        t = parse_type(name)
+        base = finite_root_data(t)
+        bad = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
+                             base.orbits, base.d, base.c)
+        for d in range(1, 5):
+            got = _outcome(gram_matrices, t, d, bad)
+            assert got == _outcome(_brute_gram, t, d, bad)
+            failures += isinstance(got, str)
+    assert failures == 15  # the failure path is really exercised
 
 
 def test_gram_a1_degree2():
