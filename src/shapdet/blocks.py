@@ -1,17 +1,23 @@
 """Symmetric-group block explorer: p-cores, block enumeration and Cartan
-determinants of weight-d blocks (plain and spin) via the closed formulas.
+determinants of weight-d blocks (plain and spin).
+
+The Cartan determinants are the paper's corollary of its Shapovalov
+determinant: a weight-d p-block has Cartan determinant p^N(d) with N(d) =
+a(d) of A_{p-1}^(1), and a spin block of the double cover has N(d) = b(d)
+of A_{p-1}^(2) (p odd).  Both are read from the exponent sums and series
+of those types; p need not be prime (Hecke algebras).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 from typing import List, Tuple
 
 from .exact import InternalCheckError
-from .partitions import Partition, enumerate_partitions, _runs
-from .series import cartan_series, spin_cartan_series
+from .partitions import Partition, enumerate_partitions, exponent_totals
+from .roots import AffineType
+from .series import ab_series, cartan_family
 
 
 def p_core(lam: Partition, p: int) -> Tuple[Partition, int]:
@@ -59,32 +65,13 @@ class BlockRecord:
 def cartan_exponent(p: int, d: int, spin: bool = False) -> int:
     """N(d): the Cartan matrix of a weight-d block has determinant p^N(d).
 
-    Evaluates the partition-sum closed form and cross-checks it against
-    the coefficient of q^d in the matching generating function.
+    Reads a(d) of A_{p-1}^(1), or b(d) of A_{p-1}^(2) for spin, from the
+    exponent sums and cross-checks it against the coefficient of q^d in
+    the matching generating function.
     """
-    if spin:
-        if p < 3 or p % 2 == 0:
-            raise ValueError("spin blocks require odd p >= 3")
-    elif p < 2:
-        raise ValueError("p must be >= 2")
-    total = 0
-    for lam in enumerate_partitions(d):
-        if spin:
-            s = 2 * sum(m for size, m in _runs(lam) if size % 2 == 1)
-            c = (p - 3) // 2
-        else:
-            s = sum(m for _, m in _runs(lam))
-            c = p - 2
-        if not s:
-            continue
-        prod = 1
-        for _, m in _runs(lam):
-            prod *= comb(c + m, m)
-        num = prod * s
-        if num % (p - 1):
-            raise InternalCheckError("Cartan exponent is not integral")
-        total += num // (p - 1)
-    if total != _series_coefficient(p, d, spin):
+    t, which = cartan_family(p, spin)
+    total = exponent_totals(t, d)[which]
+    if total != _series_coefficient(t, which, d):
         raise InternalCheckError(
             "closed-form Cartan exponent disagrees with the series at "
             "p=%d d=%d spin=%s" % (p, d, spin))
@@ -92,9 +79,8 @@ def cartan_exponent(p: int, d: int, spin: bool = False) -> int:
 
 
 @lru_cache(maxsize=None)
-def _series_coefficient(p: int, d: int, spin: bool) -> int:
-    series = spin_cartan_series(p, d) if spin else cartan_series(p, d)
-    return series[d]
+def _series_coefficient(t: AffineType, which: int, d: int) -> int:
+    return ab_series(t, d)[which][d]
 
 
 def enumerate_blocks(n: int, p: int) -> List[BlockRecord]:

@@ -12,6 +12,7 @@ SHAPDET_MAX_DEGREE overrides the default series truncation degree (20).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -22,7 +23,8 @@ from .blocks import cartan_exponent, enumerate_blocks
 from .exact import ExactMatrix, InternalCheckError
 from .gram import verify
 from .partitions import enumerate_partitions, exponent_totals, exponents
-from .roots import ROSTER, FiniteRootData, det_a, finite_root_data, parse_type
+from .roots import (ROSTER, FiniteRootData, det_a, det_a_expected,
+                    finite_root_data, parse_type)
 from .series import ab_series, cartan_series, spin_cartan_series
 
 #: Degrees at which `gram --roster` verifies each built-in type.
@@ -184,7 +186,7 @@ def _cmd_deta(args, out) -> int:
     rows = [["type", "n", "det", "expected"]]
     for name, n in pairs:
         t = parse_type(name)
-        expected = t.alpha if (n if n else t.r) % t.r == 0 else t.beta
+        expected = det_a_expected(t, n)
         try:
             value = det_a(t, n)
         except InternalCheckError:
@@ -398,17 +400,11 @@ def main(argv=None) -> int:
         print("error: --roster and an explicit type are mutually exclusive",
               file=sys.stderr)
         return 2
-    out = sys.stdout
-    close = None
-    if getattr(args, "out", None):
-        try:
-            out = close = open(args.out, "w")
-        except OSError as exc:
-            print("error: cannot write --out %s: %s"
-                  % (args.out, exc.strerror or exc), file=sys.stderr)
-            return 2
+    # The output is rendered into a buffer so that a command refused with
+    # exit 2 leaves an existing --out file untouched.
+    out = io.StringIO() if args.out else sys.stdout
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print("error: %s" % exc.code, file=sys.stderr)
@@ -417,9 +413,15 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        if close is not None:
-            close.close()
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(out.getvalue())
+        except OSError as exc:
+            print("error: cannot write --out %s: %s"
+                  % (args.out, exc.strerror or exc), file=sys.stderr)
+            return 2
+    return code
 
 
 def entry() -> None:

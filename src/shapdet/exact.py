@@ -144,15 +144,6 @@ class CycNumber:
             return self.a
         return self.a * self.a - self.a * self.b + self.b * self.b
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.b
-
-    def as_fraction(self) -> Fraction:
-        if self.b:
-            raise ValueError("%s is not rational" % (self,))
-        return self.a
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 
@@ -252,13 +243,6 @@ class ExactMatrix:
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix([[self.rows[i][j] for i in range(self.nrows)]
-                            for j in range(self.ncols)])
 
     def is_symmetric(self) -> bool:
         return self.is_square and all(

@@ -1,23 +1,24 @@
 """The polynomial algebra in the y-generators and its two contravariant forms.
 
 Monomials are colored partitions (shared with the partitions module), so
-one global basis order serves the x-, y- and z-bases alike.  The S-form
-is evaluated by the operator recursion
+one global basis order serves the x-, y- and z-bases alike.  Both forms
+are evaluated by one operator recursion
 
-    (y_n^(i) * rest, f)_S = (d_i / n) * sum_j a^(n)_{ij} (rest, df/dy_n^(j))_S
+    (y_n^(i) * rest, f) = (d_i / n) * sum_j c_{ij} (rest, df/dy_n^(j))
 
-and the K-form by the same recursion with the pairing matrix replaced by
-the identity.  The z-generators use the column-normalized coefficients
-a^(n)_{ij} d_i / d_j (a diagonal conjugation of A^(n), so all block
-determinants are unchanged); with those, (y_c, f)_S = (z_c, f)_K holds on
-the nose and the Gram matrix of the S-form factors exactly as
-M = P Q P^-1 N through the transition matrices to the y-basis.
+with c = A^(n) for the S-form and c = the identity for the K-form.  The
+z-generators use the column-normalized coefficients a^(n)_{ij} d_i / d_j,
+i.e. D A^(n) D^-1, which leaves every block determinant unchanged; with
+those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
+the S-form factors exactly as M = P Q P^-1 N through the transition
+matrices to the y-basis.  A FormEngine builds A^(n) once per n through
+roots.a_matrix and derives all of these views from it.
 
-Both recursions pair y_n^(i) only with y_n^(j): on y-monomials the forms
-vanish unless the part sizes agree, so the y-Gram matrices are
-block-diagonal by the part-size shape lambda (the Heisenberg grading).
-gram_matrices evaluates the recursion only inside those blocks and
-assembles M = P G_y P^T and N = P K_y P^T from the x-expansions.
+Both forms pair y_n^(i) only with y_n^(j): on y-monomials they vanish
+unless the part sizes agree, so the y-Gram matrices are block-diagonal
+by the part-size shape lambda (the Heisenberg grading).  gram_matrices
+evaluates the recursion only inside those blocks and assembles
+M = P G_y P^T and N = P K_y P^T from the x-expansions.
 
 Form values are memoized on canonical monomial pairs.  The memo is a
 grow-only dict with idempotent inserts: entries may be computed in any
@@ -30,13 +31,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
                     as_integer, det_exact, invert, kron, sym_power)
 from .partitions import (ColoredPartition, enumerate_basis,
                          enumerate_partitions, exponent_totals, _runs)
-from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data, index_set
+from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data
 
 Monomial = ColoredPartition
 BPolynomial = Dict[Monomial, object]
@@ -44,10 +45,6 @@ BPolynomial = Dict[Monomial, object]
 
 def _mono_sorted(factors) -> Monomial:
     return tuple(sorted(factors, key=lambda f: (-f[0], f[1])))
-
-
-def mono_degree(mono: Monomial) -> int:
-    return sum(n for n, _ in mono)
 
 
 def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
@@ -99,8 +96,27 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
     return poly
 
 
+class _Pairing(NamedTuple):
+    """A^(n) and the views of it that the forms and the z-basis use."""
+
+    s_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # nonzero a^(n)_{ij}
+    k_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # the identity
+    z_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # of D A^(n) D^-1
+    z_block: ExactMatrix                                # D A^(n) D^-1
+
+
+def _sparse_rows(index, matrix: ExactMatrix):
+    return {i: tuple((j, v) for j, v in zip(index, row) if v)
+            for i, row in zip(index, matrix.rows)}
+
+
 class FormEngine:
     """Evaluates the S- and K-forms for one type with shared memo tables.
+
+    Both forms run one recursion over a row table per part size n: the
+    nonzero entries of A^(n) for S, the identity for K.  Every view of
+    A^(n) (those row tables, and D A^(n) D^-1 as rows and as a matrix) is
+    derived from roots.a_matrix once per n and cached on the engine.
 
     ``data`` may override the built-in root data (used by the CLI fixture
     hook); ``memoize=False`` recomputes every pair from scratch, which the
@@ -112,129 +128,75 @@ class FormEngine:
         self.type = t
         self.data = data if data is not None else finite_root_data(t)
         self.memoize = memoize
-        self._ops: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
-        self._zops: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
+        self._pairings: Dict[int, _Pairing] = {}
         self._memo_s: Dict[Tuple[Monomial, Monomial], object] = {}
         self._memo_k: Dict[Tuple[Monomial, Monomial], object] = {}
 
-    def a_matrix(self, n: int):
-        return a_matrix(self.type, n, None if self.data is finite_root_data(self.type)
-                        else self.data)
-
-    def _operator_rows(self, n: int):
-        """Per color i in I(n): the nonzero (j, a^(n)_{ij}) pairs."""
-        rows = self._ops.get(n)
-        if rows is None:
-            am = self.a_matrix(n)
-            rows = {}
-            for pi, i in enumerate(am.index_set):
-                rows[i] = tuple((j, am.matrix.rows[pi][pj])
-                                for pj, j in enumerate(am.index_set)
-                                if am.matrix.rows[pi][pj])
-            self._ops[n] = rows
-        return rows
+    def _pairing(self, n: int) -> _Pairing:
+        pairing = self._pairings.get(n)
+        if pairing is None:
+            am = a_matrix(self.type, n, self.data)
+            d = self.data.d
+            z = ExactMatrix([[v * Fraction(d[i], d[j]) if v and d[i] != d[j] else v
+                              for j, v in zip(am.index_set, row)]
+                             for i, row in zip(am.index_set, am.matrix.rows)])
+            pairing = _Pairing(_sparse_rows(am.index_set, am.matrix),
+                               {i: ((i, 1),) for i in am.index_set},
+                               _sparse_rows(am.index_set, z), z)
+            self._pairings[n] = pairing
+        return pairing
 
     def z_rows(self, n: int):
         """Per color i: the nonzero (j, a^(n)_{ij} d_i / d_j) pairs."""
-        rows = self._zops.get(n)
-        if rows is None:
-            am = self.a_matrix(n)
-            d = self.data.d
-            rows = {}
-            for pi, i in enumerate(am.index_set):
-                entries = []
-                for pj, j in enumerate(am.index_set):
-                    v = am.matrix.rows[pi][pj]
-                    if v:
-                        if d[i] != d[j]:
-                            v = v * Fraction(d[i], d[j])
-                        entries.append((j, v))
-                rows[i] = tuple(entries)
-            self._zops[n] = rows
-        return rows
+        return self._pairing(n).z_rows
 
     def z_block(self, n: int) -> ExactMatrix:
         """The column-normalized pairing matrix D A^(n) D^-1 over I(n)."""
-        am = self.a_matrix(n)
-        d = self.data.d
-        rows = []
-        for pi, i in enumerate(am.index_set):
-            row = []
-            for pj, j in enumerate(am.index_set):
-                v = am.matrix.rows[pi][pj]
-                if v and d[i] != d[j]:
-                    v = v * Fraction(d[i], d[j])
-                row.append(v)
-            rows.append(row)
-        return ExactMatrix(rows)
+        return self._pairing(n).z_block
 
-    # -- monomial-pair recursions ------------------------------------------
+    # -- the monomial-pair recursion ---------------------------------------
 
     def form_s_mono(self, left: Monomial, right: Monomial):
+        return self._form_mono("s_rows", self._memo_s, left, right)
+
+    def form_k_mono(self, left: Monomial, right: Monomial):
+        return self._form_mono("k_rows", self._memo_k, left, right)
+
+    def _form_mono(self, rows, memo, left: Monomial, right: Monomial):
+        """(left, right) for the form whose row table is the _Pairing
+        field ``rows``, memoized in ``memo``.
+
+        A pair of different part shapes always reaches an empty side or a
+        factor of left with no partner in right, so it evaluates to 0.
+        """
         if not left:
             return 1 if not right else 0
-        if mono_degree(left) != mono_degree(right):
-            return 0
         key = (left, right)
         if self.memoize:
-            hit = self._memo_s.get(key)
+            hit = memo.get(key)
             if hit is not None:
                 return hit
         n, i = left[0]
         rest = left[1:]
         total = 0
-        for j, aij in self._operator_rows(n)[i]:
+        for j, aij in getattr(self._pairing(n), rows)[i]:
             mult, reduced = _remove_one(right, (n, j))
             if mult:
-                child = self.form_s_mono(rest, reduced)
+                child = self._form_mono(rows, memo, rest, reduced)
                 if child:
                     total = total + aij * (mult * child)
         value = total * Fraction(self.data.d[i], n) if total else 0
         if self.memoize:
-            self._memo_s[key] = value
-        return value
-
-    def form_k_mono(self, left: Monomial, right: Monomial):
-        if not left:
-            return 1 if not right else 0
-        if mono_degree(left) != mono_degree(right):
-            return 0
-        key = (left, right)
-        if self.memoize:
-            hit = self._memo_k.get(key)
-            if hit is not None:
-                return hit
-        n, i = left[0]
-        mult, reduced = _remove_one(right, (n, i))
-        if mult:
-            value = Fraction(self.data.d[i] * mult, n) * self.form_k_mono(left[1:], reduced)
-        else:
-            value = 0
-        if self.memoize:
-            self._memo_k[key] = value
+            memo[key] = value
         return value
 
     # -- bilinear extensions -----------------------------------------------
 
     def form_s(self, f, g):
-        f, g = _as_poly(f), _as_poly(g)
-        total = 0
-        for mf, cf in f.items():
-            for mg, cg in g.items():
-                v = self.form_s_mono(mf, mg)
-                if v:
-                    total = total + cf * cg * v
-        return total
+        return _bilinear(self.form_s_mono, f, g)
 
     def form_k(self, f, g):
-        f, g = _as_poly(f), _as_poly(g)
-        total = 0
-        for mf, cf in f.items():
-            for mg, cg in g.items():
-                v = self.form_k_mono(mf, mg)
-                if v:
-                    total = total + cf * cg * v
-        return total
+        return _bilinear(self.form_k_mono, f, g)
 
     def z_in_y(self, mono: Monomial) -> BPolynomial:
         """Expansion of a z-monomial in the y-basis."""
@@ -242,6 +204,19 @@ class FormEngine:
         for n, i in mono:
             poly = poly_mul(poly, {((n, j),): v for j, v in self.z_rows(n)[i]})
         return poly
+
+
+def _bilinear(form_mono, f, g):
+    """Extend a monomial-pair form bilinearly; a monomial stands for {mono: 1}."""
+    f = f if isinstance(f, dict) else {f: 1}
+    g = g if isinstance(g, dict) else {g: 1}
+    total = 0
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            v = form_mono(mf, mg)
+            if v:
+                total = total + cf * cg * v
+    return total
 
 
 def _remove_one(mono: Monomial, factor):
@@ -269,19 +244,13 @@ def _integral(x):
     return x.numerator if isinstance(x, Fraction) else x
 
 
-def _as_poly(f) -> BPolynomial:
-    if isinstance(f, dict):
-        return f
-    return {f: 1}
-
-
-def form_s(t: AffineType, f, g, data=None, memoize=True):
+def form_s(t: AffineType, f, g):
     """(f, g)_S via a fresh engine; for bulk work construct a FormEngine."""
-    return FormEngine(t, data, memoize).form_s(f, g)
+    return FormEngine(t).form_s(f, g)
 
 
-def form_k(t: AffineType, f, g, data=None, memoize=True):
-    return FormEngine(t, data, memoize).form_k(f, g)
+def form_k(t: AffineType, f, g):
+    return FormEngine(t).form_k(f, g)
 
 
 def transition_matrices(t: AffineType, d: int,

@@ -55,10 +55,7 @@ def partition_from_multiplicities(mult: Dict[int, int]) -> Partition:
 @lru_cache(maxsize=None)
 def _runs(lam: Partition):
     """Multiplicity runs of a partition in part-descending order."""
-    out = []
-    for n in sorted(set(lam), reverse=True):
-        out.append((n, sum(1 for p in lam if p == n)))
-    return tuple(out)
+    return tuple(sorted(multiplicities(lam).items(), reverse=True))
 
 
 def exponents(t: AffineType, lam: Partition) -> Tuple[int, int]:

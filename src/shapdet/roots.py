@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from .exact import CycNumber, ExactMatrix, InternalCheckError, as_integer, det_exact
+from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
+                    as_integer, det_exact)
 
 #: The built-in verification roster (one size per family plus extremes).
 ROSTER = ("A1^1", "A2^1", "A4^1", "D4^1", "E6^1",
@@ -256,23 +256,15 @@ def _zeta_powers(t: AffineType):
     return [CycNumber(3, 1), z, z * z]
 
 
-_A_CACHE: Dict[Tuple[AffineType, int], AMatrix] = {}
-
-
 def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatrix:
     """The matrix A^(n) with entries (1/d_i) (alpha_i' | sum_k zeta^{nk} mu^k(alpha_j'))'.
 
-    Entries are plain rationals for r <= 2 and CycNumber for r = 3.
+    Entries are plain rationals for r <= 2 and CycNumber for r = 3.  This
+    is the only builder of A^(n); FormEngine caches its views per n.
     """
     if n < 1:
         raise ValueError("A^(n) needs n >= 1")
-    use_cache = data is None
-    if use_cache:
-        key = (t, n)
-        cached = _A_CACHE.get(key)
-        if cached is not None:
-            return cached
-        data = finite_root_data(t)
+    data = data or finite_root_data(t)
     idx = index_set(t, n, data)
     zp = _zeta_powers(t)
     mu_pow = [{i: i for i in data.nodes}]
@@ -289,31 +281,26 @@ def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatr
                     total = total + zp[(n * kk) % t.r] * g
             di = data.d[i]
             if di != 1:
-                total = _div_scalar(total, di)
+                total = _field_div(total, di)
             row.append(total)
         rows.append(row)
-    result = AMatrix(n, idx, ExactMatrix(rows))
-    if use_cache:
-        _A_CACHE[(t, n)] = result
-    return result
+    return AMatrix(n, idx, ExactMatrix(rows))
 
 
-def _div_scalar(x, k: int):
-    if isinstance(x, int):
-        return Fraction(x, k)
-    return x / k
+def det_a_expected(t: AffineType, n: int) -> int:
+    """The value det A^(n) must take: alpha if r | n, else beta.
+
+    n = 0 is read through the periodicity A^(0) = A^(r), which r divides.
+    """
+    return t.alpha if n % t.r == 0 else t.beta
 
 
 def det_a(t: AffineType, n: int, data: FiniteRootData | None = None) -> int:
-    """det A^(n), asserted to equal alpha (r | n) or beta (r does not divide n).
-
-    n = 0 is read through the periodicity A^(0) = A^(r).
-    """
+    """det A^(n), asserted to equal det_a_expected(t, n)."""
     if n < 0:
         raise ValueError("A^(n) index must be >= 0")
-    nn = n if n >= 1 else t.r
-    value = as_integer(det_exact(a_matrix(t, nn, data).matrix))
-    expected = t.alpha if nn % t.r == 0 else t.beta
+    value = as_integer(det_exact(a_matrix(t, n if n >= 1 else t.r, data).matrix))
+    expected = det_a_expected(t, n)
     if value != expected:
         raise InternalCheckError(
             "det A^(%d) for %s is %d, expected %d" % (n, t, value, expected))

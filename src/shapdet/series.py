@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from .roots import AffineType
+from .roots import AffineType, parse_type
 
 Monomial = Tuple[int, int]  # (t-exponent, u-exponent)
 
@@ -140,26 +140,37 @@ def dimension_series(t: AffineType, D: int) -> TruncSeries:
 
 def ab_series(t: AffineType, D: int) -> Tuple[TruncSeries, TruncSeries]:
     """The exponent generating functions a(q) and b(q) of the given type."""
-    P = partition_series(D)
     T = divisor_series(D)
-    dim = P.power(t.k) * P.substitute(t.r).power(t.ell - t.k)
+    dim = dimension_series(t, D)
     Tr = T.substitute(t.r)
     return Tr * dim, (T - Tr) * dim
 
 
-def cartan_series(p: int, D: int) -> TruncSeries:
-    """N(q) = T(q) P(q)^(p-1): Cartan exponents of weight-d blocks."""
+def cartan_family(p: int, spin: bool = False) -> Tuple[AffineType, int]:
+    """The type and the ab_series position (0: a, 1: b) whose series is
+    N(q) for weight-d p-blocks: a(q) of A_{p-1}^(1), or for spin blocks
+    b(q) of A_{p-1}^(2).  The p checks are explicit: for even p,
+    parse_type would accept A_{p-1}^(2) as the wrong family A_{2l-1}^(2).
+    """
+    if spin:
+        if p < 3 or p % 2 == 0:
+            raise ValueError("spin requires odd p >= 3")
+        return parse_type("A%d^2" % (p - 1)), 1
     if p < 2:
         raise ValueError("p must be >= 2")
-    return divisor_series(D) * partition_series(D).power(p - 1)
+    return parse_type("A%d^1" % (p - 1)), 0
+
+
+def cartan_series(p: int, D: int) -> TruncSeries:
+    """N(q) = T(q) P(q)^(p-1): Cartan exponents of weight-d blocks."""
+    t, which = cartan_family(p)
+    return ab_series(t, D)[which]
 
 
 def spin_cartan_series(p: int, D: int) -> TruncSeries:
     """N(q) = (T(q) - T(q^2)) P(q)^((p-1)/2) for spin superblocks."""
-    if p < 3 or p % 2 == 0:
-        raise ValueError("spin requires odd p >= 3")
-    T = divisor_series(D)
-    return (T - T.substitute(2)) * partition_series(D).power((p - 1) // 2)
+    t, which = cartan_family(p, spin=True)
+    return ab_series(t, D)[which]
 
 
 class TwoVarSeries:

@@ -1,9 +1,10 @@
 import random
+from math import comb
 
 import pytest
 
 from shapdet.blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core
-from shapdet.partitions import enumerate_partitions
+from shapdet.partitions import _runs, enumerate_partitions
 from shapdet.series import cartan_series, spin_cartan_series
 
 
@@ -125,17 +126,44 @@ def test_cartan_exponent_examples():
         cartan_exponent(4, 3, spin=True)
     with pytest.raises(ValueError):
         cartan_exponent(2, 3, spin=True)
+    # A5^2 parses, but it is A_{2l-1}^(2), not the spin family A_{p-1}^(2).
+    with pytest.raises(ValueError):
+        cartan_exponent(6, 2, spin=True)
+    with pytest.raises(ValueError):
+        spin_cartan_series(6, 4)
+
+
+def _closed_form_exponent(p, d, spin=False):
+    """Oracle: N(d) as the partition sum of prod_m C(c + m, m) * s / (p - 1),
+    with c = p - 2 and s = #parts, or, for spin, c = (p - 3)/2 and
+    s = 2 * #odd parts."""
+    total = 0
+    for lam in enumerate_partitions(d):
+        if spin:
+            s = 2 * sum(m for size, m in _runs(lam) if size % 2 == 1)
+            c = (p - 3) // 2
+        else:
+            s = sum(m for _, m in _runs(lam))
+            c = p - 2
+        prod = 1
+        for _, m in _runs(lam):
+            prod *= comb(c + m, m)
+        assert prod * s % (p - 1) == 0
+        total += prod * s // (p - 1)
+    return total
 
 
 def test_cartan_exponent_matches_series():
-    for p in (2, 3, 5, 7):
-        N = cartan_series(p, 12)
-        for d in range(13):
-            assert cartan_exponent(p, d) == N[d]
-    for p in (3, 5, 7):
-        N = spin_cartan_series(p, 12)
-        for d in range(13):
-            assert cartan_exponent(p, d, spin=True) == N[d]
+    # p = 2..11 includes the non-prime (Hecke) p = 4, 6, 8, 9, 10.
+    for p in range(2, 12):
+        N = cartan_series(p, 18)
+        for d in range(19):
+            assert cartan_exponent(p, d) == N[d] == _closed_form_exponent(p, d)
+    for p in range(3, 12, 2):
+        N = spin_cartan_series(p, 18)
+        for d in range(19):
+            assert (cartan_exponent(p, d, spin=True) == N[d]
+                    == _closed_form_exponent(p, d, spin=True))
 
 
 def test_nonprime_p_is_allowed():

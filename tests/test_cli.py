@@ -187,3 +187,15 @@ def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     assert main([a.format(tmp=tmp_path, fixture=path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "A1^1", "--format", "csv"],
+    ["gram", "A1^1", "-d", "2", "--root-data", "{tmp}/missing.json"],
+], ids=["csv-rejected", "missing-root-data"])
+def test_refused_command_leaves_out_file_unchanged(capsys, tmp_path, argv):
+    target = tmp_path / "keep.json"
+    target.write_text('{"kept": true}\n')
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert main(argv + ["--out", str(target)]) == 2
+    assert target.read_text() == '{"kept": true}\n'
