@@ -97,7 +97,7 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
 
 
 class _Pairing(NamedTuple):
-    """A^(n) and the views of it that the forms and the z-basis use."""
+    """The views of A^(n) that the forms and the z-basis use."""
 
     s_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # nonzero a^(n)_{ij}
     k_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # the identity
@@ -106,6 +106,7 @@ class _Pairing(NamedTuple):
 
 
 def _sparse_rows(index, matrix: ExactMatrix):
+    """Per label i of index: the nonzero (j, m_ij) pairs."""
     return {i: tuple((j, v) for j, v in zip(index, row) if v)
             for i, row in zip(index, matrix.rows)}
 
