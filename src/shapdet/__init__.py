@@ -4,7 +4,7 @@ blocks.  Everything is computed in exact arithmetic.
 """
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, as_integer,
-                    det_exact, invert, kron, sym_power)
+                    det_exact, invert)
 from .roots import (ROSTER, AffineType, AMatrix, FiniteRootData, a_matrix,
                     det_a, finite_root_data, index_set, parse_type)
 from .partitions import (enumerate_basis, enumerate_partitions, exponents,
@@ -13,8 +13,8 @@ from .partitions import (enumerate_basis, enumerate_partitions, exponents,
 from .series import (TruncSeries, TwoVarSeries, ab_series, cartan_series,
                      coloring_series, dimension_series, divisor_series,
                      partition_series, spin_cartan_series)
-from .gram import (FormEngine, GramReport, form_k, form_s, gram_matrices,
-                   transition_matrices, verify, x_in_y)
+from .gram import (FormEngine, GramReport, gram_matrices, transition_matrices,
+                   verify, x_in_y)
 from .blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core
 
 __version__ = "0.1.0"

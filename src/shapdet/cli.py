@@ -5,8 +5,6 @@ parameters, a result payload, a list of expected-vs-computed checks and
 the elapsed time.  Formats: plain (default), json, csv (series and
 exponent tables only).  Exit codes: 0 success, 1 verification mismatch,
 2 invalid input.
-
-SHAPDET_MAX_DEGREE overrides the default series truncation degree (20).
 """
 
 from __future__ import annotations
@@ -14,7 +12,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -34,19 +31,6 @@ ROSTER_DEGREES = {
     "D4^3": 4,
     "D4^1": 3, "E6^1": 3, "A4^1": 3,
 }
-
-
-def _default_degree() -> int:
-    raw = os.environ.get("SHAPDET_MAX_DEGREE")
-    if raw is None:
-        return 20
-    try:
-        value = int(raw)
-        if value < 0:
-            raise ValueError
-    except ValueError:
-        raise SystemExit("invalid SHAPDET_MAX_DEGREE: %r" % raw)
-    return value
 
 
 def _read_fixture(path) -> dict:
@@ -228,7 +212,7 @@ def _cmd_exponents(args, out) -> int:
 
 
 def _cmd_series(args, out) -> int:
-    D = args.max_degree if args.max_degree is not None else _default_degree()
+    D = args.max_degree
     if D < 0:
         raise SystemExit("--max-degree must be >= 0, got %d" % D)
     if (args.type is None) == (args.p is None):
@@ -264,6 +248,8 @@ def _cmd_series(args, out) -> int:
 
 
 def _cmd_gram(args, out) -> int:
+    if args.d is not None and args.d < 0:
+        raise SystemExit("-d must be >= 0, got %d" % args.d)
     if args.roster:
         cap = args.d
         jobs = []
@@ -366,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int, help="block parameter p (Cartan series)")
     p.add_argument("--spin", action="store_true",
                    help="spin (double cover) Cartan series")
-    p.add_argument("--max-degree", type=int, default=None)
+    p.add_argument("--max-degree", type=int, default=20)
     p.set_defaults(func=_cmd_series, needs_type=False)
 
     p = sub.add_parser("gram", help="Gram matrices and the determinant check")

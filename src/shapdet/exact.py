@@ -13,7 +13,6 @@ everything in this module is safe to call from concurrent code.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
 from typing import List, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -346,60 +345,3 @@ def invert(m: ExactMatrix) -> ExactMatrix:
                 if prow[j]:
                     row[j] = row[j] - f * prow[j]
     return ExactMatrix([row[n:] for row in aug])
-
-
-def sym_power(m: ExactMatrix, k: int) -> ExactMatrix:
-    """Matrix of the induced map on degree-k monomials v_{j1}...v_{jk}.
-
-    Basis: weakly increasing index tuples in lexicographic order.  Row I,
-    column J holds the coefficient of the monomial J in the image of the
-    monomial I under the substitution v_i -> sum_j m[i][j] v_j.  This is
-    the same convention in which a product of z-generators expands into
-    y-monomials, so the gram module can use these blocks verbatim.
-    """
-    if not m.is_square:
-        raise ValueError("symmetric power of a non-square matrix")
-    if k < 0:
-        raise ValueError("symmetric power exponent must be >= 0")
-    n = m.nrows
-    basis = list(combinations_with_replacement(range(n), k))
-    index = {mono: pos for pos, mono in enumerate(basis)}
-    out = []
-    for mono in basis:
-        # Expand prod_t (sum_j m[mono_t][j] v_j), collapsing to sorted tuples.
-        acc = {(): 1}
-        for t in mono:
-            row = m.rows[t]
-            nxt: dict = {}
-            for partial, coeff in acc.items():
-                for j in range(n):
-                    v = row[j]
-                    if not v:
-                        continue
-                    key = tuple(sorted(partial + (j,)))
-                    cur = nxt.get(key)
-                    nxt[key] = coeff * v if cur is None else cur + coeff * v
-            acc = nxt
-        line = [0] * len(basis)
-        for key, coeff in acc.items():
-            line[index[key]] = coeff
-        out.append(line)
-    return ExactMatrix(out)
-
-
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    """Kronecker product with row/column index (i_a * b.nrows + i_b)."""
-    out = []
-    for ia in range(a.nrows):
-        for ib in range(b.nrows):
-            row = []
-            arow = a.rows[ia]
-            brow = b.rows[ib]
-            for ja in range(a.ncols):
-                x = arow[ja]
-                if x:
-                    row.extend(x * y for y in brow)
-                else:
-                    row.extend([0] * b.ncols)
-            out.append(row)
-    return ExactMatrix(out)

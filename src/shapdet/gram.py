@@ -11,8 +11,10 @@ z-generators use the column-normalized coefficients a^(n)_{ij} d_i / d_j,
 i.e. D A^(n) D^-1, which leaves every block determinant unchanged; with
 those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
 the S-form factors exactly as M = P Q P^-1 N through the transition
-matrices to the y-basis.  A FormEngine builds A^(n) once per n through
-roots.a_matrix and derives all of these views from it.
+matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
+(z-) monomial basis[a], so enumerate_basis alone owns the order.  A
+FormEngine builds A^(n) once per n through roots.a_matrix and derives all
+of these views from it as sparse rows; verify shares one engine.
 
 Both forms pair y_n^(i) only with y_n^(j): on y-monomials they vanish
 unless the part sizes agree, so the y-Gram matrices are block-diagonal
@@ -34,7 +36,7 @@ from math import factorial, lcm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
-                    as_integer, det_exact, invert, kron, sym_power)
+                    as_integer, det_exact, invert)
 from .partitions import (ColoredPartition, enumerate_basis,
                          enumerate_partitions, exponent_totals, _runs)
 from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data
@@ -101,23 +103,16 @@ class _Pairing(NamedTuple):
 
     s_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # nonzero a^(n)_{ij}
     k_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # the identity
-    z_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # of D A^(n) D^-1
-    z_block: ExactMatrix                                # D A^(n) D^-1
-
-
-def _sparse_rows(index, matrix: ExactMatrix):
-    """Per label i of index: the nonzero (j, m_ij) pairs."""
-    return {i: tuple((j, v) for j, v in zip(index, row) if v)
-            for i, row in zip(index, matrix.rows)}
+    z_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # a^(n)_{ij} d_i / d_j
 
 
 class FormEngine:
     """Evaluates the S- and K-forms for one type with shared memo tables.
 
     Both forms run one recursion over a row table per part size n: the
-    nonzero entries of A^(n) for S, the identity for K.  Every view of
-    A^(n) (those row tables, and D A^(n) D^-1 as rows and as a matrix) is
-    derived from roots.a_matrix once per n and cached on the engine.
+    nonzero entries of A^(n) for S, the identity for K; the z-expansions
+    (the rows of Q) use those of D A^(n) D^-1.  All three sparse row tables
+    are derived from roots.a_matrix once per n and cached on the engine.
 
     ``data`` may override the built-in root data (used by the CLI fixture
     hook); ``memoize=False`` recomputes every pair from scratch, which the
@@ -138,22 +133,15 @@ class FormEngine:
         if pairing is None:
             am = a_matrix(self.type, n, self.data)
             d = self.data.d
-            z = ExactMatrix([[v * Fraction(d[i], d[j]) if v and d[i] != d[j] else v
-                              for j, v in zip(am.index_set, row)]
-                             for i, row in zip(am.index_set, am.matrix.rows)])
-            pairing = _Pairing(_sparse_rows(am.index_set, am.matrix),
-                               {i: ((i, 1),) for i in am.index_set},
-                               _sparse_rows(am.index_set, z), z)
+            s_rows = {i: tuple((j, v) for j, v in zip(am.index_set, row) if v)
+                      for i, row in zip(am.index_set, am.matrix.rows)}
+            z_rows = {i: tuple((j, v * Fraction(d[i], d[j]) if d[i] != d[j]
+                                else v) for j, v in row)
+                      for i, row in s_rows.items()}
+            pairing = _Pairing(s_rows, {i: ((i, 1),) for i in am.index_set},
+                               z_rows)
             self._pairings[n] = pairing
         return pairing
-
-    def z_rows(self, n: int):
-        """Per color i: the nonzero (j, a^(n)_{ij} d_i / d_j) pairs."""
-        return self._pairing(n).z_rows
-
-    def z_block(self, n: int) -> ExactMatrix:
-        """The column-normalized pairing matrix D A^(n) D^-1 over I(n)."""
-        return self._pairing(n).z_block
 
     # -- the monomial-pair recursion ---------------------------------------
 
@@ -203,7 +191,8 @@ class FormEngine:
         """Expansion of a z-monomial in the y-basis."""
         poly: BPolynomial = {(): 1}
         for n, i in mono:
-            poly = poly_mul(poly, {((n, j),): v for j, v in self.z_rows(n)[i]})
+            poly = poly_mul(poly, {((n, j),): v
+                                   for j, v in self._pairing(n).z_rows[i]})
         return poly
 
 
@@ -245,53 +234,28 @@ def _integral(x):
     return x.numerator if isinstance(x, Fraction) else x
 
 
-def form_s(t: AffineType, f, g):
-    """(f, g)_S via a fresh engine; for bulk work construct a FormEngine."""
-    return FormEngine(t).form_s(f, g)
-
-
-def form_k(t: AffineType, f, g):
-    return FormEngine(t).form_k(f, g)
-
-
 def transition_matrices(t: AffineType, d: int,
-                        data: Optional[FiniteRootData] = None
+                        engine: Optional[FormEngine] = None
                         ) -> Tuple[ExactMatrix, ExactMatrix]:
     """The x-to-y matrix P and the block-diagonal z-to-y matrix Q at degree d.
 
-    Rows are labeled by the expanded basis element, columns by the target
-    y-monomial, both in the global basis order; Q's lambda-block is the
-    kron (largest part leftmost) of symmetric powers of the z-coefficient
-    matrices, which reproduces exactly the coloring enumeration order.
+    Row a of P is x_in_y(basis[a]) and row a of Q is engine.z_in_y(basis[a]),
+    each written into the columns of its target y-monomials; rows and
+    columns both follow the global basis order.  ``engine`` supplies the
+    z-coefficients (and with them any overriding root data); a fresh
+    engine on the built-in data is used when it is omitted.
     """
-    engine = FormEngine(t, data)
+    if engine is None:
+        engine = FormEngine(t)
     basis = enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
-    size = len(basis)
-
-    p_rows = []
-    for mono in basis:
-        row = [0] * size
-        for target, coeff in x_in_y(t, mono).items():
-            row[index[target]] = coeff
-        p_rows.append(row)
-    P = ExactMatrix(p_rows)
-
-    q_rows = [[0] * size for _ in range(size)]
-    offset = 0
-    for lam in enumerate_partitions(d):
-        block = None
-        for n, m in _runs(lam):
-            factor = sym_power(engine.z_block(n), m)
-            block = factor if block is None else kron(block, factor)
-        if block is None:  # empty partition: 1x1 identity block
-            block = ExactMatrix([[1]])
-        for bi in range(block.nrows):
-            q_rows[offset + bi][offset:offset + block.ncols] = block.rows[bi]
-        offset += block.nrows
-    if offset != size:
-        raise InternalCheckError("Q blocks do not tile the basis")
-    return P, ExactMatrix(q_rows)
+    P = [[0] * len(basis) for _ in basis]
+    Q = [[0] * len(basis) for _ in basis]
+    for a, mono in enumerate(basis):
+        for rows, expansion in ((P, x_in_y(t, mono)), (Q, engine.z_in_y(mono))):
+            for target, coeff in expansion.items():
+                rows[a][index[target]] = coeff
+    return ExactMatrix(P), ExactMatrix(Q)
 
 
 def gram_matrices(t: AffineType, d: int,
@@ -422,7 +386,8 @@ def verify(t: AffineType, d: int,
     Failed checks (wrong determinant, broken factorization identity,
     non-integer Gram entries) are recorded in the report rather than
     raised, so a deliberately corrupted fixture yields a clean failing
-    report.
+    report.  The Gram and transition matrices share one FormEngine, so each
+    A^(n) is built once.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
@@ -434,7 +399,7 @@ def verify(t: AffineType, d: int,
         report.failures.append(str(exc))
         return report
     report.M, report.N = M, N
-    P, Q = transition_matrices(t, d, data)
+    P, Q = transition_matrices(t, d, engine)
     report.P_mat, report.Q_mat = P, Q
 
     if not M.is_symmetric():

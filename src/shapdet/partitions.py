@@ -23,21 +23,35 @@ Partition = Tuple[int, ...]
 ColoredPartition = Tuple[Tuple[int, int], ...]
 
 
-def _gen_partitions(remaining: int, maxpart: int):
-    if remaining == 0:
+def _gen_runs(d: int):
+    """The partitions of d, lazily and in reverse lexicographic order, as
+    multiplicity runs ((n, m), ...) with n descending.  Knuth's Algorithm P
+    in multiplicity form: each step needs no recursion."""
+    if d < 0:
+        raise ValueError("cannot partition a negative integer")
+    if d == 0:
         yield ()
         return
-    for first in range(min(remaining, maxpart), 0, -1):
-        for rest in _gen_partitions(remaining - first, first):
-            yield (first,) + rest
+    runs = [(d, 1)]
+    while True:
+        yield tuple(runs)
+        ones = runs.pop()[1] if runs[-1][0] == 1 else 0
+        if not runs:
+            return
+        n, m = runs.pop()
+        if m > 1:
+            runs.append((n, m - 1))
+        q, rest = divmod(n + ones, n - 1)
+        runs.append((n - 1, q))
+        if rest:
+            runs.append((rest, 1))
 
 
 @lru_cache(maxsize=None)
 def enumerate_partitions(d: int) -> Tuple[Partition, ...]:
     """All partitions of d in reverse lexicographic order, (d) first."""
-    if d < 0:
-        raise ValueError("cannot partition a negative integer")
-    return tuple(_gen_partitions(d, d)) if d else ((),)
+    return tuple(tuple(n for n, m in runs for _ in range(m))
+                 for runs in _gen_runs(d))
 
 
 def multiplicities(lam: Partition) -> Dict[int, int]:
@@ -52,14 +66,18 @@ def partition_from_multiplicities(mult: Dict[int, int]) -> Partition:
     return tuple(parts)
 
 
-@lru_cache(maxsize=None)
 def _runs(lam: Partition):
     """Multiplicity runs of a partition in part-descending order."""
     return tuple(sorted(multiplicities(lam).items(), reverse=True))
 
 
 def exponents(t: AffineType, lam: Partition) -> Tuple[int, int]:
-    """The determinant exponents (a_lam, b_lam) for one partition.
+    """The determinant exponents (a_lam, b_lam) for one partition."""
+    return _run_exponents(t, _runs(lam))
+
+
+def _run_exponents(t: AffineType, runs) -> Tuple[int, int]:
+    """exponents() of the partition with multiplicity runs ``runs``.
 
     a_lam multiplies binomial coefficients over all part sizes by the sum
     of r_i / ell over part sizes divisible by r; b_lam uses the sum of
@@ -71,7 +89,7 @@ def exponents(t: AffineType, lam: Partition) -> Tuple[int, int]:
     prod = 1
     s_div = 0
     s_ndiv = 0
-    for n, m in _runs(lam):
+    for n, m in runs:
         if n % t.r == 0:
             prod *= comb(t.ell + m - 1, m)
             s_div += m
@@ -81,14 +99,14 @@ def exponents(t: AffineType, lam: Partition) -> Tuple[int, int]:
     if s_div:
         num = prod * s_div
         if num % t.ell:
-            raise InternalCheckError("a_lam is not integral for %s, %s" % (t, lam))
+            raise InternalCheckError("a_lam is not integral for %s, %s" % (t, runs))
         a = num // t.ell
     else:
         a = 0
     if s_ndiv:
         num = prod * s_ndiv
         if num % t.k:
-            raise InternalCheckError("b_lam is not integral for %s, %s" % (t, lam))
+            raise InternalCheckError("b_lam is not integral for %s, %s" % (t, runs))
         b = num // t.k
     else:
         b = 0
@@ -96,10 +114,11 @@ def exponents(t: AffineType, lam: Partition) -> Tuple[int, int]:
 
 
 def exponent_totals(t: AffineType, d: int) -> Tuple[int, int]:
-    """(a(d), b(d)): the exponent sums over all partitions of d."""
+    """(a(d), b(d)): the exponent sums over all partitions of d, which
+    are generated lazily and not cached, so that none of them stays alive."""
     a = b = 0
-    for lam in enumerate_partitions(d):
-        al, bl = exponents(t, lam)
+    for runs in _gen_runs(d):
+        al, bl = _run_exponents(t, runs)
         a += al
         b += bl
     return a, b
@@ -112,8 +131,7 @@ def enumerate_basis(t: AffineType, d: int) -> Tuple[ColoredPartition, ...]:
     For each partition (reverse-lex order) the colorings run through the
     product, over part-size runs in descending part order, of weakly
     increasing color tuples drawn from I(part); the leftmost (largest)
-    run varies slowest.  This matches the row order of the block-diagonal
-    z-to-y transition matrix built from symmetric powers via kron.
+    run varies slowest.
     """
     data = finite_root_data(t)
     out = []

@@ -166,6 +166,15 @@ def test_cartan_exponent_matches_series():
                     == _closed_form_exponent(p, d, spin=True))
 
 
+def test_cartan_exponent_caches_no_partitions():
+    # series -p P --max-degree D walks every d <= D; holding the partitions
+    # of each d in a cache made its memory grow with p(D).
+    enumerate_partitions.cache_clear()
+    for d in range(31):
+        cartan_exponent(2, d)
+    assert enumerate_partitions.cache_info().currsize == 0
+
+
 def test_nonprime_p_is_allowed():
     # Hecke-algebra case: p need not be prime
     blocks = enumerate_blocks(6, 4)

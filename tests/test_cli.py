@@ -79,13 +79,11 @@ def test_csv_rejected_elsewhere(capsys):
     assert main(["info", "A1^1", "--format", "csv"]) == 2
 
 
-def test_env_default_degree(capsys, monkeypatch):
+def test_default_degree_ignores_environment(capsys, monkeypatch):
     monkeypatch.setenv("SHAPDET_MAX_DEGREE", "3")
     code, payload = run_json(capsys, "series", "-p", "2")
     assert code == 0
-    assert len(payload["result"]["N"]) == 4
-    monkeypatch.setenv("SHAPDET_MAX_DEGREE", "zebra")
-    assert main(["series", "-p", "2"]) == 2
+    assert len(payload["result"]["N"]) == 21
 
 
 def test_gram_check(capsys):
@@ -178,8 +176,10 @@ GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
     ('{"gram": [[true]]}', GRAM_A1),
     (None, ["info", "A1^1", "--out", "{tmp}/no/such/dir/x.json"]),
     (None, ["series", "A1^1", "--max-degree", "-2"]),
+    (None, ["gram", "--roster", "-d", "-1"]),
 ], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
-        "non-int", "bool", "unwritable-out", "negative-max-degree"])
+        "non-int", "bool", "unwritable-out", "negative-max-degree",
+        "roster-negative-degree"])
 def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     path = tmp_path / "fixture.json"
     if fixture is not None:

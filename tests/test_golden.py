@@ -19,8 +19,7 @@ MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
-def test_envelope_matches_golden(capsys, monkeypatch, name):
-    monkeypatch.delenv("SHAPDET_MAX_DEGREE", raising=False)
+def test_envelope_matches_golden(capsys, name):
     case = MANIFEST[name]
     code = main(case["argv"] + ["--format", "json"])
     envelope = json.loads(capsys.readouterr().out)

@@ -5,11 +5,15 @@ from math import factorial
 import pytest
 
 from shapdet.cli import ROSTER_DEGREES
-from shapdet.exact import ExactMatrix, InternalCheckError, as_integer, det_exact
-from shapdet.gram import (FormEngine, form_k, form_s, gram_matrices,
-                          transition_matrices, verify, x_in_y)
+from shapdet import gram
+from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
+                           as_integer, det_exact)
+from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
+                          verify, x_in_y)
 from shapdet.partitions import enumerate_basis, enumerate_partitions, exponents
 from shapdet.roots import ROSTER, FiniteRootData, finite_root_data, parse_type
+
+from oracles import q_block, tiled_q
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -92,19 +96,21 @@ def test_x_monomial_products_collect():
 # ---------------------------------------------------------------------------
 
 def test_form_s_hand_values():
-    assert form_s(A1, y1(1), y1(1)) == 2
-    assert form_s(A1, y1(2), y1(2)) == 1
+    form_s = FormEngine(A1).form_s
+    assert form_s(y1(1), y1(1)) == 2
+    assert form_s(y1(2), y1(2)) == 1
     sq = ((1, 1), (1, 1))
-    assert form_s(A1, sq, sq) == 8
-    assert form_s(A1, y1(2), sq) == 0
+    assert form_s(sq, sq) == 8
+    assert form_s(y1(2), sq) == 0
 
 
 def test_form_k_hand_values():
-    assert form_k(A1, y1(1), y1(1)) == 1
-    assert form_k(A1, y1(2), y1(2)) == Fraction(1, 2)
+    form_k = FormEngine(A1).form_k
+    assert form_k(y1(1), y1(1)) == 1
+    assert form_k(y1(2), y1(2)) == Fraction(1, 2)
     sq = ((1, 1), (1, 1))
-    assert form_k(A1, sq, sq) == 2
-    assert form_k(A1, y1(2), sq) == 0
+    assert form_k(sq, sq) == 2
+    assert form_k(y1(2), sq) == 0
 
 
 def test_form_k_scaled_periods():
@@ -201,20 +207,49 @@ def test_p_is_unitriangular():
 
 
 def test_q_lambda_determinants():
-    from shapdet.exact import kron, sym_power
-    from shapdet.partitions import _runs
     for t in ALL_TYPES:
         e = FormEngine(t)
-        for d in range(5):
+        for d in range(1, 5):
             for lam in enumerate_partitions(d):
-                block = None
-                for n, m in _runs(lam):
-                    f = sym_power(e.z_block(n), m)
-                    block = f if block is None else kron(block, f)
-                if block is None:
-                    continue
                 a_l, b_l = exponents(t, lam)
-                assert det_exact(block) == t.alpha ** a_l * t.beta ** b_l
+                assert det_exact(q_block(e, lam)) == t.alpha ** a_l * t.beta ** b_l
+
+
+def _same_q(t, d, engine):
+    """Q from transition_matrices equals the tiled Sym^m / kron oracle bit
+    for bit: in value and in the printed form of every entry."""
+    _, Q = transition_matrices(t, d, engine)
+    want = tiled_q(engine, d)
+    assert Q == want
+    assert [[str(x) for x in row] for row in Q.rows] == \
+        [[str(x) for x in row] for row in want.rows]
+    return Q
+
+
+def test_q_matches_tiled_oracle_at_roster_degrees():
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        for d in range(dmax + 1):
+            _same_q(t, d, FormEngine(t))
+
+
+def test_q_matches_tiled_oracle_on_corrupted_d4_3():
+    # The -1/2 gram of the corrupted-data test, and an integer gram whose
+    # z-coefficients leave Q: Q(zeta_3) entries with a genuine zeta_3 part.
+    t = parse_type("D4^3")
+    base = finite_root_data(t)
+    genuine = 0
+    for gram in ([[2, -1, Fraction(-1, 2), 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                  [0, -1, 0, 2]],
+                 [[2, -1, -1, 0], [-1, 2, -1, -1], [-1, -1, 2, 0],
+                  [0, -1, 0, 2]]):
+        bad = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
+                             base.orbits, base.d, base.c)
+        for d in range(6):
+            Q = _same_q(t, d, FormEngine(t, bad))
+            genuine += any(isinstance(x, CycNumber) and x.b
+                           for row in Q.rows for x in row)
+    assert genuine == 10  # d = 1..5 for both grams
 
 
 def _brute_gram(t, d, data=None):
@@ -313,6 +348,19 @@ def test_verify_examples():
         rep = verify(t, d)
         assert rep.ok
         assert rep.det_M == 2 ** rep.predicted_b  # alpha = 1 here
+
+
+def test_verify_builds_each_a_matrix_once(monkeypatch):
+    built = []
+    a_matrix = gram.a_matrix
+
+    def counting(t, n, data=None):
+        built.append(n)
+        return a_matrix(t, n, data)
+
+    monkeypatch.setattr(gram, "a_matrix", counting)
+    assert verify(parse_type("E6^1"), 3).ok
+    assert sorted(built) == [1, 2, 3]
 
 
 def test_verify_catches_corrupted_gram():

@@ -19,6 +19,21 @@ def test_enumeration_counts_and_order():
         enumerate_partitions(-1)
 
 
+def _recursive_partitions(remaining, maxpart):
+    """Oracle: the partitions with parts <= maxpart, largest part first."""
+    if remaining == 0:
+        yield ()
+        return
+    for first in range(min(remaining, maxpart), 0, -1):
+        for rest in _recursive_partitions(remaining - first, first):
+            yield (first,) + rest
+
+
+def test_enumeration_matches_recursive_oracle():
+    for d in range(23):
+        assert enumerate_partitions(d) == tuple(_recursive_partitions(d, d))
+
+
 def test_multiplicity_round_trip():
     for d in range(13):
         for lam in enumerate_partitions(d):
@@ -40,6 +55,8 @@ def test_exponent_totals_examples():
     assert exponent_totals(parse_type("A2^2"), 2) == (1, 2)
     for t in ALL_TYPES:
         assert exponent_totals(t, 0) == (0, 0)
+    with pytest.raises(ValueError):
+        exponent_totals(parse_type("A1^1"), -1)
 
 
 def test_untwisted_b_vanishes():
