@@ -399,6 +399,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except InternalCheckError as exc:  # a failed check outside verify's report
+        print("error: internal check failed: %s" % exc, file=sys.stderr)
+        return 1
     if args.out:
         try:
             with open(args.out, "w") as fh:

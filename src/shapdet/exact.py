@@ -279,15 +279,17 @@ class ExactMatrix:
 def det_exact(m: ExactMatrix) -> Scalar:
     """Exact determinant by fraction-free (Bareiss) elimination.
 
-    Works over int entries without ever leaving the integers; over Fraction
-    or CycNumber entries the divisions are field divisions.  Row pivoting
-    only; the value is independent of pivot choice.
+    Works over int entries without ever leaving the integers, with every
+    division checked for a zero remainder; over Fraction or CycNumber
+    entries the divisions are field divisions.  Row pivoting only; the
+    value is independent of pivot choice.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square %dx%d matrix"
                          % (m.nrows, m.ncols))
     n = m.nrows
     a = [row[:] for row in m.rows]
+    ints = all(type(x) is int for row in a for x in row)
     sign = 1
     prev: Scalar = 1
     for k in range(n - 1):
@@ -304,8 +306,16 @@ def det_exact(m: ExactMatrix) -> Scalar:
             aik = a[i][k]
             row_i = a[i]
             row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(row_i[j] * pivot - aik * row_k[j], prev)
+            if ints:  # _exact_div inlined: the hot loop of every int det
+                for j in range(k + 1, n):
+                    q, rem = divmod(row_i[j] * pivot - aik * row_k[j], prev)
+                    if rem:
+                        raise InternalCheckError("inexact division by %s" % prev)
+                    row_i[j] = q
+            else:
+                for j in range(k + 1, n):
+                    row_i[j] = _exact_div(row_i[j] * pivot - aik * row_k[j],
+                                          prev)
             row_i[k] = 0
         prev = pivot
     val = a[n - 1][n - 1]

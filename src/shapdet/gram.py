@@ -20,7 +20,10 @@ Both forms pair y_n^(i) only with y_n^(j): on y-monomials they vanish
 unless the part sizes agree, so the y-Gram matrices are block-diagonal
 by the part-size shape lambda (the Heisenberg grading).  gram_matrices
 evaluates the recursion only inside those blocks and assembles
-M = P G_y P^T and N = P K_y P^T from the x-expansions.
+M = P G_y P^T and N = P K_y P^T from the x-expansions.  P is upper
+unitriangular, so verify certifies det M = prod_lambda det G_lambda and
+det N = prod_y K_y(y, y) from the same values; the Bareiss determinants of
+the full M and N are left to the tests, as the oracle.
 
 Form values are memoized on canonical monomial pairs.  The memo is a
 grow-only dict with idempotent inserts: entries may be computed in any
@@ -32,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
@@ -53,7 +56,10 @@ def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
     out: BPolynomial = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
-            key = _mono_sorted(m1 + m2)
+            # Canonical unless m2 starts before m1 ends in the order (-n, i).
+            key = m1 + m2
+            if m1 and m2 and (m2[0][0], -m2[0][1]) > (m1[-1][0], -m1[-1][1]):
+                key = _mono_sorted(key)
             c = c1 * c2
             cur = out.get(key)
             val = c if cur is None else cur + c
@@ -258,6 +264,18 @@ def transition_matrices(t: AffineType, d: int,
     return ExactMatrix(P), ExactMatrix(Q)
 
 
+def _y_gram(engine: FormEngine, basis):
+    """([(ys, G_lambda)], {y: (y, y)_K}): the lambda-blocks ys of the basis,
+    in basis order, with their blocks of G_y, and the diagonal of K_y.  The
+    recursion evaluates each pair once."""
+    members: Dict[Tuple[int, ...], List[Monomial]] = {}
+    for y in basis:
+        members.setdefault(tuple(n for n, _ in y), []).append(y)
+    return ([(ys, [[engine.form_s_mono(y, z) for z in ys] for y in ys])
+             for ys in members.values()],
+            {y: engine.form_k_mono(y, y) for y in basis})
+
+
 def gram_matrices(t: AffineType, d: int,
                   data: Optional[FiniteRootData] = None,
                   engine: Optional[FormEngine] = None
@@ -268,36 +286,31 @@ def gram_matrices(t: AffineType, d: int,
     unless the part-size shapes lambda agree: the y-Gram matrix G_y of the
     S-form is block-diagonal by lambda and K_y is diagonal.  The recursion
     evaluates G_y only inside the lambda-blocks and K_y only on its
-    diagonal; M = P G_y P^T and N = P K_y P^T are then contracted against
-    the x-expansions (the rows of P), row a of P G_y first, then its
-    pairing with every x_b, b >= a.  The contraction clears denominators
-    and runs on integers; each entry is divided back exactly before its
-    integrality check.
+    diagonal (_y_gram); M = P G_y P^T and N = P K_y P^T are then contracted
+    against the x-expansions (the rows of P), row a of P G_y first, then
+    its pairing with every x_b, b >= a.  The contraction clears
+    denominators and runs on integers; each entry is divided back exactly
+    before its integrality check.
 
     M is asserted to have integer entries and be symmetric; N to have
     integer entries.  Violations raise InternalCheckError since they can
     only come from a recursion or root-data bug.
     """
-    if engine is None:
-        engine = FormEngine(t, data)
+    return _gram(t, d, engine or FormEngine(t, data))[:2]
+
+
+def _gram(t: AffineType, d: int, engine: FormEngine):
+    """gram_matrices' M and N, and the _y_gram values they came from."""
     basis = enumerate_basis(t, d)
+    blocks, k_values = y_gram = _y_gram(engine, basis)
     expansions = [x_in_y(t, mono) for mono in basis]
-    blocks: Dict[Tuple[int, ...], List[Monomial]] = {}
-    for y in basis:
-        blocks.setdefault(tuple(n for n, _ in y), []).append(y)
-    g_rows = {}  # y -> the nonzero (z, (y, z)_S) of y's lambda-block
-    for block in blocks.values():
-        for y in block:
-            g_rows[y] = [(z, v) for z in block
-                         for v in (engine.form_s_mono(y, z),) if v]
-    k_diag = {y: engine.form_k_mono(y, y) for y in basis}
     # Contract over the integers: row b of P is an integer vector over
     # scale[b], and the form values are integral over den_s and den_k.
-    den_s = lcm(*(_denominator(v) for row in g_rows.values() for _, v in row))
-    den_k = lcm(*(_denominator(v) for v in k_diag.values()))
-    g_rows = {y: [(z, _integral(v * den_s)) for z, v in row]
-              for y, row in g_rows.items()}
-    k_diag = {y: _integral(v * den_k) for y, v in k_diag.items()}
+    den_s = lcm(*(_denominator(v) for _, g in blocks for row in g for v in row))
+    den_k = lcm(*(_denominator(v) for v in k_values.values()))
+    g_rows = {y: [(z, _integral(v * den_s)) for z, v in zip(ys, row) if v]
+              for ys, g in blocks for y, row in zip(ys, g)}  # nonzero (y, z)_S
+    k_diag = {y: _integral(v * den_k) for y, v in k_values.items()}
     scale = [lcm(*(c.denominator for c in x.values())) for x in expansions]
     p_rows = [{z: _integral(c * scale[b]) for z, c in x.items()}
               for b, x in enumerate(expansions)]
@@ -330,7 +343,20 @@ def gram_matrices(t: AffineType, d: int,
                 raise InternalCheckError(
                     "non-integer Gram entry at %s degree %d (%s, %s): %s"
                     % (t, d, basis[a], basis[b], exc)) from exc
-    return ExactMatrix(M), ExactMatrix(N)
+    return ExactMatrix(M), ExactMatrix(N), y_gram
+
+
+def _certified_dets(y_gram) -> Tuple[int, int]:
+    """det M = prod_lambda det G_lambda and det N = prod_y K_y(y, y), valid
+    when P is unitriangular.  Each block is cleared of its own denominator
+    for det_exact and divided back exactly."""
+    blocks, k_values = y_gram
+    det_m = 1
+    for _, g in blocks:
+        den = lcm(*(_denominator(v) for row in g for v in row))
+        cleared = ExactMatrix([[_integral(v * den) for v in row] for row in g])
+        det_m = det_m * _field_div(det_exact(cleared), den ** len(g))
+    return as_integer(det_m), as_integer(prod(k_values.values()))
 
 
 @dataclass
@@ -383,18 +409,20 @@ def verify(t: AffineType, d: int,
            data: Optional[FiniteRootData] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    Failed checks (wrong determinant, broken factorization identity,
-    non-integer Gram entries) are recorded in the report rather than
-    raised, so a deliberately corrupted fixture yields a clean failing
-    report.  The Gram and transition matrices share one FormEngine, so each
-    A^(n) is built once.
+    det M and det N are certified from the lambda-blocks of G_y and the
+    diagonal of K_y, once P is checked to be upper unitriangular; det_exact
+    never sees the full M or N.  Failed checks (wrong determinant, broken
+    factorization identity, non-integer Gram entries, a non-unitriangular
+    P) are recorded in the report rather than raised, so a deliberately
+    corrupted fixture yields a clean failing report.  The Gram and
+    transition matrices share one FormEngine, so each A^(n) is built once.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
     engine = FormEngine(t, data)
     try:
-        M, N = gram_matrices(t, d, engine=engine)
+        M, N, y_gram = _gram(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
@@ -404,15 +432,25 @@ def verify(t: AffineType, d: int,
 
     if not M.is_symmetric():
         report.failures.append("M is not symmetric")
-    report.det_M = as_integer(det_exact(M))
-    report.det_N = as_integer(det_exact(N))
-    if report.det_N != 1:
-        report.failures.append("det N = %d, expected 1" % report.det_N)
-    rhs = P @ Q @ invert(P) @ N
-    report.identity_ok = (M == rhs)
-    if not report.identity_ok:
-        report.failures.append("M != P Q P^-1 N")
-    if report.det_M != predicted:
+    off = next(((a, b) for a, row in enumerate(P.rows) for b in range(a + 1)
+                if row[b] != int(a == b)), None)
+    if off is not None:
+        # Both the certificate and P^-1 rest on a unitriangular P.
+        a, b = off
+        report.failures.append(
+            "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
+            % (a, b, P.rows[a][b], report.basis[a], report.basis[b]))
+    else:
+        try:
+            report.det_M, report.det_N = _certified_dets(y_gram)
+        except InternalCheckError as exc:
+            report.failures.append("det M, det N certificate: %s" % exc)
+        if report.det_N not in (None, 1):
+            report.failures.append("det N = %d, expected 1" % report.det_N)
+        report.identity_ok = (M == P @ Q @ invert(P) @ N)
+        if not report.identity_ok:
+            report.failures.append("M != P Q P^-1 N")
+    if report.det_M not in (None, predicted):
         report.failures.append("det M = %d, predicted %d (= %d^%d * %d^%d)"
                                % (report.det_M, predicted, t.alpha, a_d,
                                   t.beta, b_d))

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from shapdet import gram
 from shapdet.cli import main
+from shapdet.exact import InternalCheckError
 
 
 def run(capsys, *argv):
@@ -199,3 +201,15 @@ def test_refused_command_leaves_out_file_unchanged(capsys, tmp_path, argv):
     argv = [a.format(tmp=tmp_path) for a in argv]
     assert main(argv + ["--out", str(target)]) == 2
     assert target.read_text() == '{"kept": true}\n'
+
+
+def test_stray_internal_check_error_exits_1_with_one_line(capsys, monkeypatch):
+    # An InternalCheckError raised outside verify's recorded checks.
+    def failing(t, d, engine=None):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(gram, "transition_matrices", failing)
+    assert main(["gram", "A1^1", "-d", "2", "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal check failed: planted\n"
+    assert captured.out == ""

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
                            as_integer, det_exact, invert)
@@ -116,6 +117,80 @@ def test_det_matches_cofactor_oracle():
         else:
             rows = [[random_cyc(rng, 3) for _ in range(n)] for _ in range(n)]
         assert det_exact(ExactMatrix(rows)) == cofactor_det(rows)
+
+
+def gauss_det(rows):
+    """Independent oracle: Gaussian elimination over Fraction."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+SMALL_INTS = st.integers(-6, 6)
+SMALL_FRACS = st.builds(Fraction, SMALL_INTS, st.integers(1, 4))
+HYPOTHESIS = settings(max_examples=60, deadline=None, derandomize=True,
+                      database=None)
+
+
+@st.composite
+def square_matrices(draw, entries):
+    n = draw(st.integers(1, 6))
+    return [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(n)]
+
+
+@HYPOTHESIS
+@given(st.one_of(square_matrices(SMALL_INTS), square_matrices(SMALL_FRACS),
+                 square_matrices(st.one_of(SMALL_INTS, SMALL_FRACS)),
+                 square_matrices(st.integers(-1, 1))))
+def test_det_matches_gauss_oracle(rows):
+    # Int, Fraction and mixed entries; the {-1, 0, 1} matrices hit singular
+    # matrices and zero pivots often.
+    det = det_exact(ExactMatrix(rows))
+    assert det == gauss_det(rows)
+    if all(type(x) is int for row in rows for x in row):
+        assert type(det) is int
+
+
+@st.composite
+def congruent_block_diagonal(draw):
+    """(U, B, blocks): U upper unitriangular, B block-diagonal up to a
+    simultaneous permutation (index i lies in block label[i]), as G_y is
+    by the part-size shape in basis order."""
+    n = draw(st.integers(1, 7))
+    label = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    entry = st.one_of(SMALL_INTS, SMALL_FRACS)
+    B = [[draw(entry) if label[i] == label[j] else 0 for j in range(n)]
+         for i in range(n)]
+    U = [[1 if i == j else draw(entry) if j > i else 0 for j in range(n)]
+         for i in range(n)]
+    blocks = [[[B[i][j] for j in range(n) if label[j] == lam]
+               for i in range(n) if label[i] == lam] for lam in set(label)]
+    return U, B, blocks
+
+
+@HYPOTHESIS
+@given(congruent_block_diagonal())
+def test_congruence_by_unitriangular_keeps_block_determinants(case):
+    # det(U B U^T) = prod_lambda det B_lambda: the identity behind verify's
+    # determinant certificate.
+    U, B, blocks = case
+    Ut = [list(col) for col in zip(*U)]
+    full = ExactMatrix(U) @ ExactMatrix(B) @ ExactMatrix(Ut)
+    want = Fraction(1)
+    for block in blocks:
+        want *= det_exact(ExactMatrix(block))
+    assert det_exact(full) == want == gauss_det(full.rows)
 
 
 def test_det_zero_pivot_path():

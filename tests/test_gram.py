@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 from math import factorial
@@ -7,7 +9,7 @@ import pytest
 from shapdet.cli import ROSTER_DEGREES
 from shapdet import gram
 from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
-                           as_integer, det_exact)
+                           as_integer, det_exact, invert)
 from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
                           verify, x_in_y)
 from shapdet.partitions import enumerate_basis, enumerate_partitions, exponents
@@ -361,6 +363,82 @@ def test_verify_builds_each_a_matrix_once(monkeypatch):
     monkeypatch.setattr(gram, "a_matrix", counting)
     assert verify(parse_type("E6^1"), 3).ok
     assert sorted(built) == [1, 2, 3]
+
+
+def _brute_dets_agree(report):
+    """The full-matrix Bareiss determinants, the oracle of verify's
+    lambda-block certificate."""
+    assert report.det_M == as_integer(det_exact(report.M))
+    assert report.det_N == as_integer(det_exact(report.N))
+
+
+def test_certificate_matches_full_bareiss_at_roster_degrees():
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        for d in range(dmax + 1):
+            rep = verify(t, d)
+            assert rep.ok
+            _brute_dets_agree(rep)
+
+
+def test_certificate_matches_full_bareiss_on_corrupted_fixture():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "shapbench",
+                        "fixtures", "corrupt-a2.json")
+    with open(path) as fh:
+        fixture = json.load(fh)["gram"]
+    t = parse_type("A2^1")
+    base = finite_root_data(t)
+    bad = FiniteRootData(base.nodes, ExactMatrix(fixture), base.mu,
+                         base.orbits, base.d, base.c)
+    for d in range(1, 5):
+        rep = verify(t, d, bad)
+        assert not rep.ok and rep.det_M != rep.predicted_det
+        _brute_dets_agree(rep)
+
+
+def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
+    t = parse_type("E6^1")
+    sizes = []
+
+    def counting(m):
+        sizes.append(m.nrows)
+        return det_exact(m)
+
+    monkeypatch.setattr(gram, "det_exact", counting)
+    assert verify(t, 3).ok
+    basis = enumerate_basis(t, 3)
+    shapes = [tuple(n for n, _ in y) for y in basis]
+    largest = max(shapes.count(shape) for shape in shapes)
+    assert largest == 56 < len(basis)
+    assert max(sizes) == largest
+
+
+@pytest.mark.parametrize("a, b", [(2, 2), (3, 0)])
+def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
+    # Row a of P becomes 2 x_a, or x_a + x_0: M stays integral, and with
+    # row a doubled even M = P Q P^-1 N holds while det M is 4x the value a
+    # certificate that trusted P would report.
+    basis = enumerate_basis(A1, 4)
+    x_in_y = gram.x_in_y
+
+    def broken(t, mono):
+        poly = x_in_y(t, mono)
+        if mono == basis[a]:
+            extra = x_in_y(t, basis[b])
+            poly = {m: poly.get(m, 0) + extra.get(m, 0)
+                    for m in {**poly, **extra}}
+        return poly
+
+    monkeypatch.setattr(gram, "x_in_y", broken)
+    rep = verify(A1, 4)
+    assert not rep.ok and rep.det_M is None and not rep.identity_ok
+    assert rep.failures == ["P is not upper unitriangular: P[%d][%d] = %s at "
+                            "(%s, %s)" % (a, b, 2 if a == b else 1,
+                                          basis[a], basis[b])]
+    if a == b:
+        P, Q = rep.P_mat, rep.Q_mat
+        assert rep.M == P @ Q @ invert(P) @ rep.N
+        assert det_exact(rep.M) == 4 * rep.predicted_det
 
 
 def test_verify_catches_corrupted_gram():
