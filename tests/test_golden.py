@@ -3,7 +3,9 @@
 `golden/manifest.json` lists each command with its exit code.  Small
 envelopes are stored whole as `golden/<name>.json`; the large `gram
 --matrices` envelope is pinned by the sha256 of its canonical JSON.  The
-`elapsed_seconds` key is removed before comparing.
+`elapsed_seconds` key is removed before comparing.  Commands run from
+`golden/`, so a fixture path in `argv` names a file stored beside the
+envelopes, whatever the working directory of the test run.
 """
 
 import hashlib
@@ -19,8 +21,9 @@ MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(MANIFEST))
-def test_envelope_matches_golden(capsys, name):
+def test_envelope_matches_golden(capsys, monkeypatch, name):
     case = MANIFEST[name]
+    monkeypatch.chdir(GOLDEN)
     code = main(case["argv"] + ["--format", "json"])
     envelope = json.loads(capsys.readouterr().out)
     del envelope["elapsed_seconds"]
