@@ -22,8 +22,9 @@ by the part-size shape lambda (the Heisenberg grading).  gram_matrices
 evaluates the recursion only inside those blocks and assembles
 M = P G_y P^T and N = P K_y P^T from the x-expansions.  P is upper
 unitriangular, so verify certifies det M = prod_lambda det G_lambda and
-det N = prod_y K_y(y, y) from the same values; the Bareiss determinants of
-the full M and N are left to the tests, as the oracle.
+det N = prod_y K_y(y, y) from the same values and checks M = P Q P^-1 N
+as G_y = Q K_y; the full-matrix Bareiss determinants and the dense
+P Q P^-1 N are left to the tests, as the oracles.
 
 Form values are memoized on canonical monomial pairs.  The memo is a
 grow-only dict with idempotent inserts: entries may be computed in any
@@ -39,7 +40,7 @@ from math import factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
-                    as_integer, det_exact, invert)
+                    as_integer, det_exact)
 from .partitions import (ColoredPartition, enumerate_basis,
                          enumerate_partitions, exponent_totals, _runs)
 from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data
@@ -185,14 +186,6 @@ class FormEngine:
             memo[key] = value
         return value
 
-    # -- bilinear extensions -----------------------------------------------
-
-    def form_s(self, f, g):
-        return _bilinear(self.form_s_mono, f, g)
-
-    def form_k(self, f, g):
-        return _bilinear(self.form_k_mono, f, g)
-
     def z_in_y(self, mono: Monomial) -> BPolynomial:
         """Expansion of a z-monomial in the y-basis."""
         poly: BPolynomial = {(): 1}
@@ -200,19 +193,6 @@ class FormEngine:
             poly = poly_mul(poly, {((n, j),): v
                                    for j, v in self._pairing(n).z_rows[i]})
         return poly
-
-
-def _bilinear(form_mono, f, g):
-    """Extend a monomial-pair form bilinearly; a monomial stands for {mono: 1}."""
-    f = f if isinstance(f, dict) else {f: 1}
-    g = g if isinstance(g, dict) else {g: 1}
-    total = 0
-    for mf, cf in f.items():
-        for mg, cg in g.items():
-            v = form_mono(mf, mg)
-            if v:
-                total = total + cf * cg * v
-    return total
 
 
 def _remove_one(mono: Monomial, factor):
@@ -346,17 +326,33 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
     return ExactMatrix(M), ExactMatrix(N), y_gram
 
 
-def _certified_dets(y_gram) -> Tuple[int, int]:
-    """det M = prod_lambda det G_lambda and det N = prod_y K_y(y, y), valid
-    when P is unitriangular.  Each block is cleared of its own denominator
-    for det_exact and divided back exactly."""
+def _certificate(y_gram, Q: ExactMatrix, basis):
+    """(witness, det M, det N) from one pass over the lambda-blocks, valid
+    when P is unitriangular.  M mirrors the upper triangle of P G_y P^T and
+    N = P K_y P^T, so M = P Q P^-1 N holds when G_y = Q K_y = G_y^T (with
+    Q = 0 outside the blocks) and fails when only G_y = Q K_y holds.  The
+    witness is the first (a, c) in basis order where G_y[a][c] differs from
+    Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a].  det M = prod_lambda
+    det G_lambda (blocks cleared of their own denominators) and
+    det N = prod_y K_y(y, y) are not yet checked to be integers."""
     blocks, k_values = y_gram
+    index = {y: a for a, y in enumerate(basis)}
+    found = []
     det_m = 1
-    for _, g in blocks:
+    for ys, g in blocks:
+        cols = [index[z] for z in ys]
+        for r, (a, g_row) in enumerate(zip(cols, g)):  # rows in basis order
+            g_at = dict(zip(cols, g_row))
+            bad = [c for c, q in enumerate(Q.rows[a]) if (q or g_at.get(c))
+                   and g_at.get(c, 0) != q * k_values[basis[c]]]
+            bad += [cols[s] for s in range(r) if g_row[s] != g[s][r]]
+            if bad:
+                found.append((a, min(bad)))
+                break
         den = lcm(*(_denominator(v) for row in g for v in row))
         cleared = ExactMatrix([[_integral(v * den) for v in row] for row in g])
         det_m = det_m * _field_div(det_exact(cleared), den ** len(g))
-    return as_integer(det_m), as_integer(prod(k_values.values()))
+    return min(found, default=None), det_m, prod(k_values.values())
 
 
 @dataclass
@@ -409,13 +405,13 @@ def verify(t: AffineType, d: int,
            data: Optional[FiniteRootData] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    det M and det N are certified from the lambda-blocks of G_y and the
-    diagonal of K_y, once P is checked to be upper unitriangular; det_exact
-    never sees the full M or N.  Failed checks (wrong determinant, broken
-    factorization identity, non-integer Gram entries, a non-unitriangular
-    P) are recorded in the report rather than raised, so a deliberately
-    corrupted fixture yields a clean failing report.  The Gram and
-    transition matrices share one FormEngine, so each A^(n) is built once.
+    Once P is checked to be upper unitriangular, one pass over the
+    lambda-blocks of G_y and the diagonal of K_y certifies det M and det N
+    and checks M = P Q P^-1 N as G_y = Q K_y = G_y^T.  Failed checks (wrong
+    determinant, the identity with its witness entry, non-integer Gram
+    entries, a non-unitriangular P) are recorded in the report rather than
+    raised, so a corrupted fixture yields a clean failing report.  The Gram
+    and transition matrices share one FormEngine, so each A^(n) is built once.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
@@ -435,21 +431,25 @@ def verify(t: AffineType, d: int,
     off = next(((a, b) for a, row in enumerate(P.rows) for b in range(a + 1)
                 if row[b] != int(a == b)), None)
     if off is not None:
-        # Both the certificate and P^-1 rest on a unitriangular P.
+        # The certificate and G_y = Q K_y both rest on a unitriangular P.
         a, b = off
         report.failures.append(
             "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
             % (a, b, P.rows[a][b], report.basis[a], report.basis[b]))
     else:
+        witness, det_m, det_n = _certificate(y_gram, Q, report.basis)
         try:
-            report.det_M, report.det_N = _certified_dets(y_gram)
+            report.det_M, report.det_N = as_integer(det_m), as_integer(det_n)
         except InternalCheckError as exc:
             report.failures.append("det M, det N certificate: %s" % exc)
         if report.det_N not in (None, 1):
             report.failures.append("det N = %d, expected 1" % report.det_N)
-        report.identity_ok = (M == P @ Q @ invert(P) @ N)
-        if not report.identity_ok:
-            report.failures.append("M != P Q P^-1 N")
+        report.identity_ok = witness is None
+        if witness is not None:
+            y, z = (report.basis[a] for a in witness)
+            report.failures.append(
+                "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
+                "lambda-block %s" % (y, z, tuple(n for n, _ in y)))
     if report.det_M not in (None, predicted):
         report.failures.append("det M = %d, predicted %d (= %d^%d * %d^%d)"
                                % (report.det_M, predicted, t.alpha, a_d,

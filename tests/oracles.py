@@ -3,6 +3,8 @@
 gram.transition_matrices builds Q row by row from the z-expansions.
 tiled_q builds it independently, from dense D A^(n) D^-1 matrices, as
 block-diagonal tiles Q_lambda = kron of Sym^m blocks in partition order.
+bilinear extends FormEngine's monomial-pair forms to polynomials, which
+the brute-force Gram assembly and the hand-value tests pair term by term.
 """
 
 from fractions import Fraction
@@ -102,3 +104,17 @@ def tiled_q(engine, d: int) -> ExactMatrix:
         offset += block.nrows
     assert offset == size, "Q blocks do not tile the basis"
     return ExactMatrix(rows)
+
+
+def bilinear(form_mono, f, g):
+    """Extend a monomial-pair form bilinearly; a monomial stands for
+    {mono: 1}."""
+    f = f if isinstance(f, dict) else {f: 1}
+    g = g if isinstance(g, dict) else {g: 1}
+    total = 0
+    for mf, cf in f.items():
+        for mg, cg in g.items():
+            v = form_mono(mf, mg)
+            if v:
+                total = total + cf * cg * v
+    return total

@@ -2,12 +2,14 @@ import json
 import os
 import random
 from fractions import Fraction
+from functools import lru_cache, partial
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapdet.cli import ROSTER_DEGREES
-from shapdet import gram
+from shapdet import exact, gram
 from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
                            as_integer, det_exact, invert)
 from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
@@ -15,7 +17,7 @@ from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
 from shapdet.partitions import enumerate_basis, enumerate_partitions, exponents
 from shapdet.roots import ROSTER, FiniteRootData, finite_root_data, parse_type
 
-from oracles import q_block, tiled_q
+from oracles import bilinear, q_block, tiled_q
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -98,7 +100,7 @@ def test_x_monomial_products_collect():
 # ---------------------------------------------------------------------------
 
 def test_form_s_hand_values():
-    form_s = FormEngine(A1).form_s
+    form_s = partial(bilinear, FormEngine(A1).form_s_mono)
     assert form_s(y1(1), y1(1)) == 2
     assert form_s(y1(2), y1(2)) == 1
     sq = ((1, 1), (1, 1))
@@ -107,7 +109,7 @@ def test_form_s_hand_values():
 
 
 def test_form_k_hand_values():
-    form_k = FormEngine(A1).form_k
+    form_k = partial(bilinear, FormEngine(A1).form_k_mono)
     assert form_k(y1(1), y1(1)) == 1
     assert form_k(y1(2), y1(2)) == Fraction(1, 2)
     sq = ((1, 1), (1, 1))
@@ -140,8 +142,9 @@ def test_forms_bilinear_over_polynomials():
     e = FormEngine(A1)
     f = {y1(2): Fraction(2), ((1, 1), (1, 1)): Fraction(1, 3)}
     g = {y1(2): 1}
-    assert e.form_s(f, g) == 2 * 1  # (y2,y2)=1, cross term orthogonal
-    assert e.form_k(f, g) == 2 * Fraction(1, 2)
+    # (y2,y2)=1, cross term orthogonal
+    assert bilinear(e.form_s_mono, f, g) == 2 * 1
+    assert bilinear(e.form_k_mono, f, g) == 2 * Fraction(1, 2)
 
 
 def test_memoized_and_plain_engines_agree():
@@ -182,7 +185,8 @@ def test_lemma_f2_small():
             for left in basis:
                 z = e.z_in_y(left)
                 for f in basis:
-                    assert e.form_s_mono(left, f) == e.form_k(z, {f: 1})
+                    assert e.form_s_mono(left, f) == \
+                        bilinear(e.form_k_mono, z, f)
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,7 @@ def _brute_gram(t, d, data=None):
         fa = expansions[a]
         for b in range(a, size):
             fb = expansions[b]
-            s_val = engine.form_s(fa, fb)
+            s_val = bilinear(engine.form_s_mono, fa, fb)
             k_val = 0
             for mono, ca in fa.items():  # K is diagonal on monomials
                 cb = fb.get(mono)
@@ -298,23 +302,32 @@ def test_gram_matches_brute_force_at_roster_degrees():
             assert _outcome(gram_matrices, t, d) == _outcome(_brute_gram, t, d)
 
 
-def test_gram_matches_brute_force_on_corrupted_data():
-    # Non-integer and non-symmetric grams, the last one on a twisted type
-    # whose form values lie in Q(zeta_3): both assemblies must stop at the
-    # same first non-integer entry with the same message, or agree exactly.
-    half = Fraction(-1, 2)
-    cases = [("A1^1", [[Fraction(5, 2)]]),
-             ("A2^1", [[2, half], [-1, 2]]),
-             ("A2^1", [[2, -1], [half, 2]]),
-             ("A2^1", [[2, -1], [-1, 3]]),
-             ("D4^3", [[2, -1, half, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
-                       [0, -1, 0, 2]])]
-    failures = 0
-    for name, gram in cases:
-        t = parse_type(name)
-        base = finite_root_data(t)
-        bad = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
+# Non-integer and non-symmetric grams, the last one on a twisted type whose
+# form values lie in Q(zeta_3).
+HALF = Fraction(-1, 2)
+CORRUPTED_GRAMS = [("A1^1", [[Fraction(5, 2)]]),
+                   ("A2^1", [[2, HALF], [-1, 2]]),
+                   ("A2^1", [[2, -1], [HALF, 2]]),
+                   ("A2^1", [[2, -1], [-1, 3]]),
+                   ("A2^1", [[2, -1], [-2, 2]]),
+                   ("D4^3", [[2, -1, HALF, 0], [-1, 2, -1, -1], [0, -1, 2, 0],
+                             [0, -1, 0, 2]])]
+
+
+def _corrupted(name, gram):
+    """The type and its built-in root data with gram in place of its own."""
+    t = parse_type(name)
+    base = finite_root_data(t)
+    return t, FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
                              base.orbits, base.d, base.c)
+
+
+def test_gram_matches_brute_force_on_corrupted_data():
+    # Both assemblies must stop at the same first non-integer entry with the
+    # same message, or agree exactly.
+    failures = 0
+    for name, gram in CORRUPTED_GRAMS:
+        t, bad = _corrupted(name, gram)
         for d in range(1, 5):
             got = _outcome(gram_matrices, t, d, bad)
             assert got == _outcome(_brute_gram, t, d, bad)
@@ -365,11 +378,15 @@ def test_verify_builds_each_a_matrix_once(monkeypatch):
     assert sorted(built) == [1, 2, 3]
 
 
-def _brute_dets_agree(report):
-    """The full-matrix Bareiss determinants, the oracle of verify's
-    lambda-block certificate."""
-    assert report.det_M == as_integer(det_exact(report.M))
-    assert report.det_N == as_integer(det_exact(report.N))
+def _agrees_with_oracles(report):
+    """verify's lambda-block certificate against its oracles: the dense
+    M == P Q P^-1 N and, where that holds, the Bareiss determinants of the
+    full M and N."""
+    P, Q = report.P_mat, report.Q_mat
+    assert report.identity_ok == (report.M == P @ Q @ invert(P) @ report.N)
+    if report.identity_ok:  # then M = P G_y P^T, as the certificate needs
+        assert report.det_M == as_integer(det_exact(report.M))
+        assert report.det_N == as_integer(det_exact(report.N))
 
 
 def test_certificate_matches_full_bareiss_at_roster_degrees():
@@ -378,22 +395,132 @@ def test_certificate_matches_full_bareiss_at_roster_degrees():
         for d in range(dmax + 1):
             rep = verify(t, d)
             assert rep.ok
-            _brute_dets_agree(rep)
+            _agrees_with_oracles(rep)
 
 
 def test_certificate_matches_full_bareiss_on_corrupted_fixture():
     path = os.path.join(os.path.dirname(__file__), os.pardir, "shapbench",
                         "fixtures", "corrupt-a2.json")
     with open(path) as fh:
-        fixture = json.load(fh)["gram"]
-    t = parse_type("A2^1")
-    base = finite_root_data(t)
-    bad = FiniteRootData(base.nodes, ExactMatrix(fixture), base.mu,
-                         base.orbits, base.d, base.c)
+        t, bad = _corrupted("A2^1", json.load(fh)["gram"])
     for d in range(1, 5):
         rep = verify(t, d, bad)
         assert not rep.ok and rep.det_M != rep.predicted_det
-        _brute_dets_agree(rep)
+        assert rep.identity_ok
+        _agrees_with_oracles(rep)
+
+
+def test_identity_matches_dense_oracle_on_corrupted_grams():
+    # The asymmetric grams give an asymmetric G_y = Q K_y, which the mirrored
+    # M cannot match; the symmetric [[2, -1], [-1, 3]] keeps the identity.
+    held = []
+    for name, gram in CORRUPTED_GRAMS:
+        t, bad = _corrupted(name, gram)
+        for d in range(1, 5):
+            rep = verify(t, d, bad)
+            if rep.M is None:  # a non-integer Gram entry stopped verify
+                assert not rep.identity_ok
+                assert rep.failures[0].startswith("non-integer Gram entry")
+            else:
+                _agrees_with_oracles(rep)
+                held.append(rep.identity_ok)
+    assert held == [False] + [True] * 4 + [False] * 4
+
+
+def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
+    # Scaling the z rows by (d_j / d_i)^2 turns D A^(n) D^-1 into the
+    # similar D^-1 A^(n) D: det Q_lambda and M stay, and only the identity
+    # can fail, wherever colors with different d_i pair.
+    pairing = FormEngine._pairing
+
+    def mutated(self, n):
+        views, d = pairing(self, n), self.data.d
+        return views._replace(z_rows={
+            i: tuple((j, v * Fraction(d[j], d[i]) ** 2) for j, v in row)
+            for i, row in views.z_rows.items()})
+
+    monkeypatch.setattr(FormEngine, "_pairing", mutated)
+    failing = []
+    for t in ALL_TYPES:
+        for d in range(1, 4):
+            rep = verify(t, d)
+            _agrees_with_oracles(rep)
+            assert rep.det_M == rep.predicted_det
+            if not rep.identity_ok:
+                failing.append((t.name, d))
+                assert len(rep.failures) == 1
+    assert failing == [(name, d) for name in ("A5^2", "D3^2", "D5^2", "E6^2")
+                       for d in (2, 3)] + [("D4^3", 3)]
+    assert rep.failures == ["M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at "
+                            "(((3, 1),), ((3, 2),)) in lambda-block (3,)"]
+
+
+@lru_cache(maxsize=None)
+def _certificate_case():
+    """y_gram, Q and the basis of E6^2 at degree 3: 14 monomials in
+    lambda-blocks of 2, 8 and 4, with fractional entries in Q."""
+    t = parse_type("E6^2")
+    engine = FormEngine(t)
+    y_gram = gram._gram(t, 3, engine)[2]
+    return y_gram, transition_matrices(t, 3, engine)[1], enumerate_basis(t, 3)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_certificate_names_first_perturbed_entry(data):
+    (blocks, k_values), Q, basis = _certificate_case()
+    assert gram._certificate((blocks, k_values), Q, basis)[0] is None
+    index = {y: a for a, y in enumerate(basis)}
+    where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
+             for r, y in enumerate(ys)}
+    in_g = st.sampled_from([(index[y], index[z], "G") for ys, _ in blocks
+                            for y in ys for z in ys])
+    size = len(basis)
+    in_q = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
+                     st.just("Q"))
+    spots = data.draw(st.lists(st.one_of(in_g, in_q), min_size=1, max_size=3,
+                               unique_by=lambda spot: spot[:2]))
+    g_blocks = [(ys, [row[:] for row in g]) for ys, g in blocks]
+    q_rows = [row[:] for row in Q.rows]
+    for a, c, target in spots:
+        delta = data.draw(st.sampled_from([1, -1, 3, Fraction(1, 2)]))
+        if target == "G":
+            (b, r), (_, s) = where[basis[a]], where[basis[c]]
+            g_blocks[b][1][r][s] += delta
+        else:
+            q_rows[a][c] += delta
+    witness = gram._certificate((g_blocks, k_values), ExactMatrix(q_rows),
+                                basis)[0]
+    assert witness == min(spot[:2] for spot in spots)
+
+
+def test_verify_runs_no_dense_inverse_or_product(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(exact, "invert", counting("invert", exact.invert))
+    # and under the name gram would hold, had it imported invert
+    monkeypatch.setattr(gram, "invert", exact.invert, raising=False)
+    monkeypatch.setattr(ExactMatrix, "__matmul__",
+                        counting("@", ExactMatrix.__matmul__))
+    rep = verify(parse_type("E6^1"), 3)
+    assert rep.ok and rep.identity_ok and calls == []
+    exact.invert(rep.P_mat) @ rep.Q_mat  # the wrappers do count
+    assert calls == ["invert", "@"]
+
+
+@pytest.mark.parametrize("name", ["E7^1", "E8^1"])
+def test_verify_e7_e8_up_to_degree_3(name):
+    # Beyond ROSTER, whose envelopes the goldens pin.
+    t = parse_type(name)
+    for d in range(4):
+        rep = verify(t, d)
+        assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
 
 
 def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
