@@ -335,6 +335,34 @@ def test_gram_matches_brute_force_on_corrupted_data():
     assert failures == 15  # the failure path is really exercised
 
 
+@pytest.mark.parametrize("name, gram, d, value", [
+    # an int contraction with a remainder, on M's diagonal and off it
+    ("A1^1", [[Fraction(5, 2)]], 2, "(((2, 1),), ((2, 1),)): expected an "
+     "integer, got 35/8"),
+    ("A2^1", [[2, HALF], [-1, 2]], 3, "(((3, 1),), ((3, 2),)): expected an "
+     "integer, got -1/16"),
+    # a CycNumber contraction
+    ("D4^3", CORRUPTED_GRAMS[-1][1], 2, "(((2, 1),), ((2, 1),)): expected an "
+     "integer, got 25/8-7/8*z3")])
+def test_non_integer_gram_entry_failure_text(name, gram, d, value):
+    t, bad = _corrupted(name, gram)
+    rep = verify(t, d, bad)
+    assert rep.M is None and not rep.identity_ok and rep.det_M is None
+    assert rep.failures == ["non-integer Gram entry at %s degree %d %s"
+                            % (name, d, value)]
+
+
+def test_non_integer_k_value_failure_text(monkeypatch):
+    # An integral M with a planted (y, y)_K = 1/2: N's entry stops verify.
+    monkeypatch.setattr(FormEngine, "form_k_mono",
+                        lambda self, left, right: Fraction(1, 2))
+    rep = verify(A1, 1)
+    assert rep.M is None and rep.det_N is None
+    assert rep.failures == ["non-integer Gram entry at A1^1 degree 1 "
+                            "(((1, 1),), ((1, 1),)): expected an integer, "
+                            "got 1/2"]
+
+
 def test_gram_a1_degree2():
     M, N = gram_matrices(A1, 2)
     assert M == ExactMatrix([[3, 4], [4, 8]])
