@@ -10,9 +10,8 @@ from .roots import (ROSTER, AffineType, AMatrix, FiniteRootData, a_matrix,
 from .partitions import (enumerate_basis, enumerate_partitions, exponents,
                          exponent_totals, multiplicities,
                          partition_from_multiplicities)
-from .series import (TruncSeries, TwoVarSeries, ab_series, cartan_series,
-                     coloring_series, dimension_series, divisor_series,
-                     partition_series, spin_cartan_series)
+from .series import (TruncSeries, ab_series, cartan_series, dimension_series,
+                     divisor_series, partition_series, spin_cartan_series)
 from .gram import (FormEngine, GramReport, gram_matrices, transition_matrices,
                    verify, x_in_y)
 from .blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core

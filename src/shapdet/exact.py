@@ -282,7 +282,10 @@ def det_exact(m: ExactMatrix) -> Scalar:
     Works over int entries without ever leaving the integers, with every
     division checked for a zero remainder; over Fraction or CycNumber
     entries the divisions are field divisions.  Row pivoting only; the
-    value is independent of pivot choice.
+    value is independent of pivot choice.  A row whose multiplier a_ik is 0
+    only scales by pivot / prev, so it waits until it is needed and then
+    catches up in one exact division: the skipped factors telescope to a
+    ratio of two pivots.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square %dx%d matrix"
@@ -291,21 +294,34 @@ def det_exact(m: ExactMatrix) -> Scalar:
     a = [row[:] for row in m.rows]
     ints = all(type(x) is int for row in a for x in row)
     sign = 1
-    prev: Scalar = 1
+    prevs: List[Scalar] = [1]  # prevs[k]: the divisor of step k
+    since = [0] * n  # row i holds its entries as of step since[i]
+
+    def catch_up(i, k):  # row i from step since[i] to step k
+        if since[i] < k:
+            p, q = prevs[k], prevs[since[i]]
+            a[i][k:] = [_exact_div(x * p, q) if x else 0 for x in a[i][k:]]
+            since[i] = k
+
     for k in range(n - 1):
         if not a[k][k]:
             for i in range(k + 1, n):
-                if a[i][k]:
+                if a[i][k]:  # lazy scaling leaves zero and nonzero apart
                     a[k], a[i] = a[i], a[k]
+                    since[k], since[i] = since[i], since[k]
                     sign = -sign
                     break
             else:
                 return 0
-        pivot = a[k][k]
+        catch_up(k, k)
+        row_k = a[k]
+        pivot, prev = row_k[k], prevs[k]
         for i in range(k + 1, n):
-            aik = a[i][k]
             row_i = a[i]
-            row_k = a[k]
+            if not row_i[k]:
+                continue
+            catch_up(i, k)
+            aik = row_i[k]
             if ints:  # _exact_div inlined: the hot loop of every int det
                 for j in range(k + 1, n):
                     q, rem = divmod(row_i[j] * pivot - aik * row_k[j], prev)
@@ -317,7 +333,9 @@ def det_exact(m: ExactMatrix) -> Scalar:
                     row_i[j] = _exact_div(row_i[j] * pivot - aik * row_k[j],
                                           prev)
             row_i[k] = 0
-        prev = pivot
+            since[i] = k + 1
+        prevs.append(pivot)
+    catch_up(n - 1, n - 1)
     val = a[n - 1][n - 1]
     return val if sign == 1 else -val
 

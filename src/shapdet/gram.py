@@ -23,8 +23,12 @@ evaluates the recursion only inside those blocks and assembles
 M = P G_y P^T and N = P K_y P^T from the x-expansions.  P is upper
 unitriangular, so verify certifies det M = prod_lambda det G_lambda and
 det N = prod_y K_y(y, y) from the same values and checks M = P Q P^-1 N
-as G_y = Q K_y; the full-matrix Bareiss determinants and the dense
-P Q P^-1 N are left to the tests, as the oracles.
+as G_y = Q K_y.  The recursion differentiates within one part size, so a
+block with several part sizes is the Kronecker product of pure blocks,
+G_lambda = kron_n G_(n^m_n), up to the order of its monomials: verify
+checks that entry by entry and runs Bareiss on the pure blocks only.  The
+full-matrix Bareiss determinants and the dense P Q P^-1 N are left to
+the tests, as the oracles.
 
 Form values are memoized on canonical monomial pairs.  The memo is a
 grow-only dict with idempotent inserts: entries may be computed in any
@@ -36,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, product
 from math import factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -220,6 +225,16 @@ def _integral(x):
     return x.numerator if isinstance(x, Fraction) else x
 
 
+def _divide(x, den: int) -> int:
+    """x / den as an int: by divmod when den divides an int x, otherwise by
+    the field division, which as_integer then rejects with its value."""
+    if type(x) is int:
+        q, rem = divmod(x, den)
+        if not rem:
+            return q
+    return as_integer(_field_div(x, den))
+
+
 def transition_matrices(t: AffineType, d: int,
                         engine: Optional[FormEngine] = None
                         ) -> Tuple[ExactMatrix, ExactMatrix]:
@@ -245,15 +260,24 @@ def transition_matrices(t: AffineType, d: int,
 
 
 def _y_gram(engine: FormEngine, basis):
-    """([(ys, G_lambda)], {y: (y, y)_K}): the lambda-blocks ys of the basis,
-    in basis order, with their blocks of G_y, and the diagonal of K_y.  The
-    recursion evaluates each pair once."""
+    """([(ys, G_lambda)], {y: (y, y)_K}, {(n, m): (ys, G_(n^m))}): the
+    lambda-blocks ys of the basis in basis order with their blocks of G_y,
+    the diagonal of K_y, and the pure block (n^m), in basis order, of each
+    run of a lambda with several part sizes.  Each pair is evaluated once."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
-    return ([(ys, [[engine.form_s_mono(y, z) for z in ys] for y in ys])
-             for ys in members.values()],
-            {y: engine.form_k_mono(y, y) for y in basis})
+    runs = {run for shape in members if len(set(shape)) > 1
+            for run in _runs(shape)}
+
+    def block(ys):
+        return ys, [[engine.form_s_mono(y, z) for z in ys] for y in ys]
+
+    return ([block(ys) for ys in members.values()],
+            {y: engine.form_k_mono(y, y) for y in basis},
+            {(n, m): block([y for y in enumerate_basis(engine.type, n * m)
+                            if len(y) == m and y[0][0] == n])
+             for n, m in runs})
 
 
 def gram_matrices(t: AffineType, d: int,
@@ -272,9 +296,9 @@ def gram_matrices(t: AffineType, d: int,
     denominators and runs on integers; each entry is divided back exactly
     before its integrality check.
 
-    M is asserted to have integer entries and be symmetric; N to have
-    integer entries.  Violations raise InternalCheckError since they can
-    only come from a recursion or root-data bug.
+    M and N are asserted to have integer entries; a violation raises
+    InternalCheckError, since it can only come from a recursion or
+    root-data bug.
     """
     return _gram(t, d, engine or FormEngine(t, data))[:2]
 
@@ -282,7 +306,7 @@ def gram_matrices(t: AffineType, d: int,
 def _gram(t: AffineType, d: int, engine: FormEngine):
     """gram_matrices' M and N, and the _y_gram values they came from."""
     basis = enumerate_basis(t, d)
-    blocks, k_values = y_gram = _y_gram(engine, basis)
+    blocks, k_values, _ = y_gram = _y_gram(engine, basis)
     expansions = [x_in_y(t, mono) for mono in basis]
     # Contract over the integers: row b of P is an integer vector over
     # scale[b], and the form values are integral over den_s and den_k.
@@ -317,8 +341,8 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
         for b in range(a, size):
             den = scale[a] * scale[b]
             try:
-                M[a][b] = M[b][a] = as_integer(_field_div(s_row[b], den * den_s))
-                N[a][b] = N[b][a] = as_integer(_field_div(k_row[b], den * den_k))
+                M[a][b] = M[b][a] = _divide(s_row[b], den * den_s)
+                N[a][b] = N[b][a] = _divide(k_row[b], den * den_k)
             except InternalCheckError as exc:
                 raise InternalCheckError(
                     "non-integer Gram entry at %s degree %d (%s, %s): %s"
@@ -326,19 +350,60 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
     return ExactMatrix(M), ExactMatrix(N), y_gram
 
 
+def _det(g):
+    """det of a block of form values, by Bareiss on the block cleared of its
+    own denominators."""
+    den = lcm(*(_denominator(v) for row in g for v in row))
+    cleared = ExactMatrix([[_integral(v * den) for v in row] for row in g])
+    return _field_div(det_exact(cleared), den ** len(g))
+
+
+def _kron_det(ys, g, factors):
+    """(mismatch, det g) for the block g on the monomials ys from its pure
+    factors, (members, G_(n^m), det G_(n^m)) per run n^m of ys, largest part
+    first.  Checks entry by entry, in the order of ys, that g is their
+    Kronecker product g[y][z] = prod_n G_(n^m)[y_n][z_n] on all products
+    of their monomials; then det g = prod_n det(G_(n^m))^(dim g / dim
+    G_(n^m)).  mismatch names the first failure, with det None, or is None."""
+    dims = [len(members) for members, _, _ in factors]
+    cuts = list(accumulate((len(members[0]) for members, _, _ in factors),
+                           initial=0))
+    index = [{y: p for p, y in enumerate(members)} for members, _, _ in factors]
+    pos = [tuple(ix.get(y[lo:hi]) for ix, lo, hi in zip(index, cuts, cuts[1:]))
+           for y in ys]  # the rows y_n of y in the factors
+    at = {p: c for c, p in enumerate(product(*map(range, dims)))}
+    order = [at.get(p) for p in pos]  # and its row in their Kronecker product
+    if len(ys) != len(at) or None in order:
+        return ("%d monomials, not the %s products of pure-block monomials"
+                % (len(ys), " * ".join(map(str, dims)))), None
+    for y, g_row, p in zip(ys, g, pos):
+        want = factors[0][1][p[0]]
+        for (_, G, _), q in zip(factors[1:], p[1:]):
+            want = [u * v if u and v else 0 for u in want for v in G[q]]
+        want = [want[c] for c in order]
+        if g_row != want:
+            z = next(z for z, v, w in zip(ys, g_row, want) if v != w)
+            return ("G_lambda != kron of its pure blocks at (%s, %s)" % (y, z),
+                    None)
+    return None, prod(det ** (len(ys) // dim)
+                      for (_, _, det), dim in zip(factors, dims))
+
+
 def _certificate(y_gram, Q: ExactMatrix, basis):
-    """(witness, det M, det N) from one pass over the lambda-blocks, valid
-    when P is unitriangular.  M mirrors the upper triangle of P G_y P^T and
-    N = P K_y P^T, so M = P Q P^-1 N holds when G_y = Q K_y = G_y^T (with
-    Q = 0 outside the blocks) and fails when only G_y = Q K_y holds.  The
-    witness is the first (a, c) in basis order where G_y[a][c] differs from
-    Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a].  det M = prod_lambda
-    det G_lambda (blocks cleared of their own denominators) and
-    det N = prod_y K_y(y, y) are not yet checked to be integers."""
-    blocks, k_values = y_gram
+    """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
+    valid when P is unitriangular.  M mirrors the upper triangle of P G_y P^T
+    and N = P K_y P^T, so M = P Q P^-1 N holds when G_y = Q K_y = G_y^T
+    (with Q = 0 outside the blocks) and fails when only G_y = Q K_y holds.
+    The witness is the first (a, c) in basis order where G_y[a][c] differs
+    from Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a].  A symmetric G_y
+    gives M = P G_y P^T and det M = prod_lambda det G_lambda, by Bareiss on
+    the pure blocks only (_kron_det); else doubt says why and det M is None.
+    det N = prod_y K_y(y, y).  Neither is yet checked to be an integer."""
+    blocks, k_values, pure = y_gram
     index = {y: a for a, y in enumerate(basis)}
+    factors = {run: (ys, G, _det(G)) for run, (ys, G) in pure.items()}
     found = []
-    det_m = 1
+    det_m, doubt = 1, None
     for ys, g in blocks:
         cols = [index[z] for z in ys]
         for r, (a, g_row) in enumerate(zip(cols, g)):  # rows in basis order
@@ -349,10 +414,21 @@ def _certificate(y_gram, Q: ExactMatrix, basis):
             if bad:
                 found.append((a, min(bad)))
                 break
-        den = lcm(*(_denominator(v) for row in g for v in row))
-        cleared = ExactMatrix([[_integral(v * den) for v in row] for row in g])
-        det_m = det_m * _field_div(det_exact(cleared), den ** len(g))
-    return min(found, default=None), det_m, prod(k_values.values())
+        if doubt is not None:
+            continue
+        shape = tuple(n for n, _ in ys[0])
+        runs = _runs(shape)
+        if g != [list(col) for col in zip(*g)]:
+            doubt = "G_y is not symmetric, so M != P G_y P^T"
+            continue
+        mismatch, det = (_kron_det(ys, g, [factors[run] for run in runs])
+                         if len(runs) > 1 else (None, _det(g)))
+        if mismatch:
+            doubt = "%s in lambda-block %s" % (mismatch, shape)
+        else:
+            det_m = det_m * det
+    return (min(found, default=None), None if doubt else det_m,
+            prod(k_values.values()), doubt)
 
 
 @dataclass
@@ -406,12 +482,13 @@ def verify(t: AffineType, d: int,
     """Run the full degree-d verification and report every check's outcome.
 
     Once P is checked to be upper unitriangular, one pass over the
-    lambda-blocks of G_y and the diagonal of K_y certifies det M and det N
-    and checks M = P Q P^-1 N as G_y = Q K_y = G_y^T.  Failed checks (wrong
-    determinant, the identity with its witness entry, non-integer Gram
-    entries, a non-unitriangular P) are recorded in the report rather than
-    raised, so a corrupted fixture yields a clean failing report.  The Gram
-    and transition matrices share one FormEngine, so each A^(n) is built once.
+    lambda-blocks of G_y and the diagonal of K_y (_certificate) certifies
+    det M and det N and checks M = P Q P^-1 N as G_y = Q K_y = G_y^T.
+    Failed checks (wrong determinant, an uncertified det M, which stays
+    None, the identity with its witness entry, non-integer Gram entries, a
+    non-unitriangular P) are recorded in the report rather than raised, so
+    a corrupted fixture yields a clean failing report.  The Gram and
+    transition matrices share one FormEngine, so each A^(n) is built once.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
@@ -426,8 +503,6 @@ def verify(t: AffineType, d: int,
     P, Q = transition_matrices(t, d, engine)
     report.P_mat, report.Q_mat = P, Q
 
-    if not M.is_symmetric():
-        report.failures.append("M is not symmetric")
     off = next(((a, b) for a, row in enumerate(P.rows) for b in range(a + 1)
                 if row[b] != int(a == b)), None)
     if off is not None:
@@ -437,9 +512,10 @@ def verify(t: AffineType, d: int,
             "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
             % (a, b, P.rows[a][b], report.basis[a], report.basis[b]))
     else:
-        witness, det_m, det_n = _certificate(y_gram, Q, report.basis)
+        witness, det_m, det_n, doubt = _certificate(y_gram, Q, report.basis)
         try:
-            report.det_M, report.det_N = as_integer(det_m), as_integer(det_n)
+            report.det_M, report.det_N = (None if doubt else as_integer(det_m),
+                                          as_integer(det_n))
         except InternalCheckError as exc:
             report.failures.append("det M, det N certificate: %s" % exc)
         if report.det_N not in (None, 1):
@@ -450,6 +526,8 @@ def verify(t: AffineType, d: int,
             report.failures.append(
                 "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
                 "lambda-block %s" % (y, z, tuple(n for n, _ in y)))
+        if doubt:
+            report.failures.append("det M not certified: %s" % doubt)
     if report.det_M not in (None, predicted):
         report.failures.append("det M = %d, predicted %d (= %d^%d * %d^%d)"
                                % (report.det_M, predicted, t.alpha, a_d,

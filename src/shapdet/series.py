@@ -7,12 +7,9 @@ provenance stays auditable; nothing is ever silently re-truncated.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .roots import AffineType, parse_type
-
-Monomial = Tuple[int, int]  # (t-exponent, u-exponent)
 
 
 class TruncSeries:
@@ -171,95 +168,3 @@ def spin_cartan_series(p: int, D: int) -> TruncSeries:
     """N(q) = (T(q) - T(q^2)) P(q)^((p-1)/2) for spin superblocks."""
     t, which = cartan_family(p, spin=True)
     return ab_series(t, D)[which]
-
-
-class TwoVarSeries:
-    """Series in q with polynomial coefficients in the two markers t, u.
-
-    Coefficient d is a sparse map (t-exponent, u-exponent) -> int.  The
-    marker degrees are bounded by the q degree (one marker per part), so
-    no second truncation knob is needed.
-    """
-
-    __slots__ = ("max_degree", "coeffs")
-
-    def __init__(self, max_degree: int, coeffs=None):
-        self.max_degree = max_degree
-        self.coeffs: List[Dict[Monomial, int]] = (
-            [dict() for _ in range(max_degree + 1)] if coeffs is None else coeffs)
-
-    @classmethod
-    def one(cls, max_degree: int) -> "TwoVarSeries":
-        s = cls(max_degree)
-        s.coeffs[0][(0, 0)] = 1
-        return s
-
-    def __mul__(self, other: "TwoVarSeries") -> "TwoVarSeries":
-        if self.max_degree != other.max_degree:
-            raise ValueError("truncation degree mismatch")
-        D = self.max_degree
-        out = TwoVarSeries(D)
-        for i, poly_a in enumerate(self.coeffs):
-            if not poly_a:
-                continue
-            for j in range(D + 1 - i):
-                poly_b = other.coeffs[j]
-                if not poly_b:
-                    continue
-                target = out.coeffs[i + j]
-                for (ta, ua), ca in poly_a.items():
-                    for (tb, ub), cb in poly_b.items():
-                        key = (ta + tb, ua + ub)
-                        target[key] = target.get(key, 0) + ca * cb
-        return out
-
-    def at_ones(self) -> TruncSeries:
-        """Substitute t = u = 1."""
-        return TruncSeries(self.max_degree,
-                           [sum(poly.values()) for poly in self.coeffs])
-
-    def marker_derivative(self, which: str) -> TruncSeries:
-        """d/dt or d/du followed by t = u = 1."""
-        if which not in ("t", "u"):
-            raise ValueError("marker must be 't' or 'u'")
-        pos = 0 if which == "t" else 1
-        return TruncSeries(self.max_degree,
-                           [sum(c * key[pos] for key, c in poly.items())
-                            for poly in self.coeffs])
-
-    def coefficient(self, d: int, te: int, ue: int) -> int:
-        return self.coeffs[d].get((te, ue), 0)
-
-
-def _geometric(D: int, step: int, marker: int) -> TwoVarSeries:
-    """1 / (1 - q^step * marker) with marker = t (0) or u (1)."""
-    s = TwoVarSeries(D)
-    j = 0
-    while j * step <= D:
-        key = (j, 0) if marker == 0 else (0, j)
-        s.coeffs[j * step][key] = 1
-        j += 1
-    return s
-
-
-def coloring_series(t: AffineType, D: int) -> TwoVarSeries:
-    """G(q, t, u): colorings of partitions with marked part counts.
-
-    The coefficient of q^d t^h u^i counts partitions of d having h parts
-    divisible by r, each colored with one of ell colors, and i parts not
-    divisible by r, each colored with one of k colors.
-    """
-    G = TwoVarSeries.one(D)
-    for n in range(1, D + 1):
-        if n * t.r <= D:
-            factor = _geometric(D, n * t.r, 0)
-            for _ in range(t.ell):
-                G = G * factor
-        if t.k:
-            factor = _geometric(D, n, 1)
-            numer = TwoVarSeries.one(D)
-            if n * t.r <= D:
-                numer.coeffs[n * t.r][(0, 1)] = -1
-            for _ in range(t.k):
-                G = G * factor * numer
-    return G

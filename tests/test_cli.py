@@ -137,6 +137,19 @@ def test_gram_corrupted_fixture_exits_1(capsys, tmp_path):
                  "--root-data", str(fixture2)]) == 1
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_gram_asymmetric_fixture_reports_no_det_m(capsys, tmp_path, d):
+    fixture = tmp_path / "asym.json"
+    fixture.write_text(json.dumps({"gram": [[2, -1], [-2, 2]]}))
+    code, payload = run_json(capsys, "gram", "A2^1", "-d", str(d), "--check",
+                             "--root-data", str(fixture))
+    assert code == 1 and payload["pass"] is False
+    result = payload["result"]
+    assert result["det_M"] is None and result["identity_ok"] is False
+    assert result["failures"][1] == ("det M not certified: G_y is not "
+                                     "symmetric, so M != P G_y P^T")
+
+
 def test_blocks(capsys):
     code, payload = run_json(capsys, "blocks", "--n", "4", "--p", "2")
     assert code == 0

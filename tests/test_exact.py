@@ -163,6 +163,37 @@ def test_det_matches_gauss_oracle(rows):
 
 
 @st.composite
+def sparse_int_matrices(draw):
+    """Square int matrices with at most a fifth of their entries nonzero: a
+    scaled permutation matrix, which keeps many of them invertible, plus
+    scattered entries.  The leading columns of the leading rows are zeroed,
+    so the first pivots have to come from row swaps."""
+    n = draw(st.integers(5, 14))
+    nonzero = st.integers(-9, 9).filter(bool)
+    rows = [[0] * n for _ in range(n)]
+    for i, j in enumerate(draw(st.permutations(range(n)))):
+        rows[i][j] = draw(nonzero)
+    cell = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    for i, j in draw(st.lists(cell, max_size=n * n // 5 - n)):
+        rows[i][j] = draw(nonzero)
+    lead = draw(st.integers(1, n // 2))
+    for row in rows[:lead]:
+        row[:lead] = [0] * lead
+    return rows
+
+
+@HYPOTHESIS
+@given(sparse_int_matrices())
+def test_det_of_sparse_int_matrices_matches_gauss_oracle(rows):
+    # Most Bareiss multipliers a_ik are 0 here, the rows that det_exact
+    # only rescales.
+    n = len(rows)
+    assert sum(map(bool, sum(rows, []))) <= n * n / 5
+    det = det_exact(ExactMatrix(rows))
+    assert type(det) is int and det == gauss_det(rows)
+
+
+@st.composite
 def congruent_block_diagonal(draw):
     """(U, B, blocks): U upper unitriangular, B block-diagonal up to a
     simultaneous permutation (index i lies in block label[i]), as G_y is

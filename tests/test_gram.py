@@ -3,7 +3,8 @@ import os
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import factorial
+from itertools import combinations_with_replacement, product
+from math import factorial, lcm, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,8 @@ from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
                            as_integer, det_exact, invert)
 from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
                           verify, x_in_y)
-from shapdet.partitions import enumerate_basis, enumerate_partitions, exponents
+from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
+                                exponents)
 from shapdet.roots import ROSTER, FiniteRootData, finite_root_data, parse_type
 
 from oracles import bilinear, q_block, tiled_q
@@ -496,8 +498,8 @@ def _certificate_case():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    (blocks, k_values), Q, basis = _certificate_case()
-    assert gram._certificate((blocks, k_values), Q, basis)[0] is None
+    (blocks, k_values, pure), Q, basis = _certificate_case()
+    assert gram._certificate((blocks, k_values, pure), Q, basis)[0] is None
     index = {y: a for a, y in enumerate(basis)}
     where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
              for r, y in enumerate(ys)}
@@ -517,8 +519,8 @@ def test_certificate_names_first_perturbed_entry(data):
             g_blocks[b][1][r][s] += delta
         else:
             q_rows[a][c] += delta
-    witness = gram._certificate((g_blocks, k_values), ExactMatrix(q_rows),
-                                basis)[0]
+    witness = gram._certificate((g_blocks, k_values, pure),
+                                ExactMatrix(q_rows), basis)[0]
     assert witness == min(spot[:2] for spot in spots)
 
 
@@ -566,6 +568,139 @@ def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
     largest = max(shapes.count(shape) for shape in shapes)
     assert largest == 56 < len(basis)
     assert max(sizes) == largest
+
+
+def _cleared(g):
+    """A block of rational form values times the lcm of its denominators."""
+    den = lcm(*(v.denominator for row in g for v in row if v))
+    return ExactMatrix([[v * den for v in row] for row in g])
+
+
+def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
+    # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
+    # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
+    t = parse_type("E6^1")
+    passed = []
+
+    def recording(m):
+        passed.append(m)
+        return det_exact(m)
+
+    monkeypatch.setattr(gram, "det_exact", recording)
+    assert verify(t, 4).ok
+    blocks = {tuple(n for n, _ in ys[0]): _cleared(g) for ys, g in
+              gram._y_gram(FormEngine(t), enumerate_basis(t, 4))[0]}
+    assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
+    assert [m for m in passed if m.nrows == 126] == [blocks[(1, 1, 1, 1)]]
+    assert blocks[(1, 1, 1, 1)] != blocks[(2, 1, 1)]
+    mixed = [shape for shape in blocks if len(set(shape)) > 1]
+    assert len(mixed) == 2
+    assert not any(m == blocks[shape] for m in passed for shape in mixed)
+
+
+def test_block_determinants_match_full_bareiss_at_roster_degrees():
+    # Each lambda-block's det as the certificate takes it (pure blocks by
+    # Bareiss on the cleared block, the others from their pure factors)
+    # against the field Bareiss of the whole block.
+    mixed = 0
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        engine = FormEngine(t)
+        for d in range(dmax + 1):
+            blocks, _, pure = gram._y_gram(engine, enumerate_basis(t, d))
+            for ys, g in blocks:
+                runs = _runs(tuple(n for n, _ in ys[0]))
+                if len(runs) > 1:
+                    factors = [(*pure[run], gram._det(pure[run][1]))
+                               for run in runs]
+                    mismatch, det = gram._kron_det(ys, g, factors)
+                    assert mismatch is None
+                    mixed += 1
+                else:
+                    det = gram._det(g)
+                assert det == det_exact(ExactMatrix(g))
+    assert mixed > 40
+
+
+@st.composite
+def kron_blocks(draw):
+    """(ys, g, factors): g is the Kronecker product of two or three random
+    pure blocks factors = [(members, G)] of part sizes 3 > 2 > 1, on the
+    product monomials ys in a random order."""
+    entry = st.one_of(st.integers(-3, 3),
+                      st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+    factors = []
+    for n in sorted(draw(st.sets(st.sampled_from([1, 2, 3]), min_size=2)),
+                    reverse=True):
+        m = draw(st.integers(1, 2))
+        colors = range(draw(st.integers(1, 3 if m == 1 else 2)))
+        members = [tuple((n, c) for c in cs)
+                   for cs in combinations_with_replacement(colors, m)]
+        factors.append((members, [[draw(entry) for _ in members]
+                                  for _ in members]))
+    cells = draw(st.permutations(list(product(
+        *(range(len(members)) for members, _ in factors)))))
+    ys = [sum((members[p] for (members, _), p in zip(factors, cell)), ())
+          for cell in cells]
+    g = [[prod(G[p][q] for (_, G), p, q in zip(factors, cy, cz))
+          for cz in cells] for cy in cells]
+    return ys, g, factors
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(kron_blocks(), st.data())
+def test_kron_det_of_a_permuted_product(case, data):
+    ys, g, factors = case
+    full = [(members, G, det_exact(ExactMatrix(G))) for members, G in factors]
+    assert gram._kron_det(ys, g, full) == (None, det_exact(ExactMatrix(g)))
+    size = len(ys)
+    dims = " * ".join(str(len(members)) for members, _ in factors)
+    assert gram._kron_det(ys[1:], [row[1:] for row in g[1:]], full) == (
+        "%d monomials, not the %s products of pure-block monomials"
+        % (size - 1, dims), None)
+    spots = data.draw(st.lists(st.tuples(st.integers(0, size - 1),
+                                         st.integers(0, size - 1)),
+                               min_size=1, max_size=3, unique=True))
+    bad = [row[:] for row in g]
+    for r, s in spots:
+        bad[r][s] += data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
+    r, s = min(spots)
+    assert gram._kron_det(ys, bad, full) == (
+        "G_lambda != kron of its pure blocks at (%s, %s)" % (ys[r], ys[s]),
+        None)
+
+
+def test_verify_names_a_block_that_is_not_the_kron_of_its_pure_blocks(
+        monkeypatch):
+    # A wrong pure factor G_(1) leaves G_y = Q K_y intact; only det M, which
+    # the mixed block (2, 1) takes from its factors, loses its certificate.
+    y_gram = gram._y_gram
+
+    def wrong_factor(engine, basis):
+        blocks, k_values, pure = y_gram(engine, basis)
+        ys, G = pure[1, 1]
+        return blocks, k_values, {**pure, (1, 1): (ys, [[G[0][0] + 1]])}
+
+    monkeypatch.setattr(gram, "_y_gram", wrong_factor)
+    rep = verify(A1, 3)
+    assert rep.identity_ok and rep.det_M is None and rep.det_N == 1
+    y = ((2, 1), (1, 1))
+    assert rep.failures == ["det M not certified: G_lambda != kron of its pure "
+                            "blocks at (%s, %s) in lambda-block (2, 1)" % (y, y)]
+
+
+@pytest.mark.parametrize("d, det_m", [(1, 3), (2, -744)])
+def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
+    # M mirrors the upper triangle of P G_y P^T, so with G_y != G_y^T the
+    # product of the lambda-block dets (2 and 16 here) is not det M.
+    t, bad = _corrupted("A2^1", [[2, -1], [-2, 2]])
+    rep = verify(t, d, bad)
+    assert not rep.ok and not rep.identity_ok and rep.det_M is None
+    assert rep.det_N == 1 and len(rep.failures) == 2
+    assert rep.failures[0].startswith("M != P Q P^-1 N")
+    assert rep.failures[1] == ("det M not certified: G_y is not symmetric, "
+                               "so M != P G_y P^T")
+    assert det_exact(rep.M) == det_m
 
 
 @pytest.mark.parametrize("a, b", [(2, 2), (3, 0)])
