@@ -8,8 +8,7 @@ from .exact import (CycNumber, ExactMatrix, InternalCheckError, as_integer,
 from .roots import (ROSTER, AffineType, AMatrix, FiniteRootData, a_matrix,
                     det_a, finite_root_data, index_set, parse_type)
 from .partitions import (enumerate_basis, enumerate_partitions, exponents,
-                         exponent_totals, multiplicities,
-                         partition_from_multiplicities)
+                         exponent_totals, multiplicities)
 from .series import (TruncSeries, ab_series, cartan_series, dimension_series,
                      divisor_series, partition_series, spin_cartan_series)
 from .gram import (FormEngine, GramReport, gram_matrices, transition_matrices,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .blocks import cartan_exponent, enumerate_blocks
 from .exact import ExactMatrix, InternalCheckError
-from .gram import verify
+from .gram import FormEngine, transition_matrices, verify
 from .partitions import enumerate_partitions, exponent_totals, exponents
 from .roots import (ROSTER, FiniteRootData, det_a, det_a_expected,
                     finite_root_data, parse_type)
@@ -273,10 +273,10 @@ def _cmd_gram(args, out) -> int:
         report = verify(t, d, data)
         payload = report.to_dict()
         if args.matrices:
-            payload["M"] = _matrix_payload(report.M)
-            payload["N"] = _matrix_payload(report.N)
-            payload["P"] = _matrix_payload(report.P_mat)
-            payload["Q"] = _matrix_payload(report.Q_mat)
+            P, Q = (None, None) if report.M is None else \
+                transition_matrices(t, d, FormEngine(t, data))
+            for key, m in zip("MNPQ", (report.M, report.N, P, Q)):
+                payload[key] = _matrix_payload(m)
         results.append(payload)
         env.lines.append(
             "%s d=%d: dim=%d det M=%s predicted=%d (%s) identity=%s det N=%s %s"

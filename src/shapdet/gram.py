@@ -12,9 +12,10 @@ i.e. D A^(n) D^-1, which leaves every block determinant unchanged; with
 those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
 the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
-(z-) monomial basis[a], so enumerate_basis alone owns the order.  A
-FormEngine builds A^(n) once per n through roots.a_matrix and derives all
-of these views from it as sparse rows; verify shares one engine.
+(z-) monomial basis[a], so enumerate_basis alone owns the order; verify
+checks P and Q on those rows, and only transition_matrices makes them
+dense.  A FormEngine builds A^(n) once per n through roots.a_matrix and
+derives all of these views from it as sparse rows; verify shares one.
 
 Both forms pair y_n^(i) only with y_n^(j): on y-monomials they vanish
 unless the part sizes agree, so the y-Gram matrices are block-diagonal
@@ -126,16 +127,12 @@ class FormEngine:
     (the rows of Q) use those of D A^(n) D^-1.  All three sparse row tables
     are derived from roots.a_matrix once per n and cached on the engine.
 
-    ``data`` may override the built-in root data (used by the CLI fixture
-    hook); ``memoize=False`` recomputes every pair from scratch, which the
-    tests use to confirm the memo is observationally pure.
+    ``data`` may override the built-in root data (the CLI fixture hook).
     """
 
-    def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None,
-                 memoize: bool = True):
+    def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None):
         self.type = t
         self.data = data if data is not None else finite_root_data(t)
-        self.memoize = memoize
         self._pairings: Dict[int, _Pairing] = {}
         self._memo_s: Dict[Tuple[Monomial, Monomial], object] = {}
         self._memo_k: Dict[Tuple[Monomial, Monomial], object] = {}
@@ -173,10 +170,9 @@ class FormEngine:
         if not left:
             return 1 if not right else 0
         key = (left, right)
-        if self.memoize:
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         n, i = left[0]
         rest = left[1:]
         total = 0
@@ -187,8 +183,7 @@ class FormEngine:
                 if child:
                     total = total + aij * (mult * child)
         value = total * Fraction(self.data.d[i], n) if total else 0
-        if self.memoize:
-            memo[key] = value
+        memo[key] = value
         return value
 
     def z_in_y(self, mono: Monomial) -> BPolynomial:
@@ -304,7 +299,7 @@ def gram_matrices(t: AffineType, d: int,
 
 
 def _gram(t: AffineType, d: int, engine: FormEngine):
-    """gram_matrices' M and N, and the _y_gram values they came from."""
+    """M, N, and the _y_gram values and x-expansions they came from."""
     basis = enumerate_basis(t, d)
     blocks, k_values, _ = y_gram = _y_gram(engine, basis)
     expansions = [x_in_y(t, mono) for mono in basis]
@@ -347,7 +342,7 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
                 raise InternalCheckError(
                     "non-integer Gram entry at %s degree %d (%s, %s): %s"
                     % (t, d, basis[a], basis[b], exc)) from exc
-    return ExactMatrix(M), ExactMatrix(N), y_gram
+    return ExactMatrix(M), ExactMatrix(N), y_gram, expansions
 
 
 def _det(g):
@@ -389,15 +384,17 @@ def _kron_det(ys, g, factors):
                       for (_, _, det), dim in zip(factors, dims))
 
 
-def _certificate(y_gram, Q: ExactMatrix, basis):
+def _certificate(y_gram, z_rows, basis):
     """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
-    valid when P is unitriangular.  M mirrors the upper triangle of P G_y P^T
-    and N = P K_y P^T, so M = P Q P^-1 N holds when G_y = Q K_y = G_y^T
-    (with Q = 0 outside the blocks) and fails when only G_y = Q K_y holds.
+    valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a]).
+    M mirrors the upper triangle of P G_y P^T and N = P K_y P^T, so
+    M = P Q P^-1 N holds when G_y = Q K_y = G_y^T (with Q = 0 outside the
+    blocks) and fails when only G_y = Q K_y holds.
     The witness is the first (a, c) in basis order where G_y[a][c] differs
-    from Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a].  A symmetric G_y
-    gives M = P G_y P^T and det M = prod_lambda det G_lambda, by Bareiss on
-    the pure blocks only (_kron_det); else doubt says why and det M is None.
+    from Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a], visiting only the
+    block entries and the terms of Q's rows.  A symmetric G_y gives
+    M = P G_y P^T and det M = prod_lambda det G_lambda, by Bareiss on the
+    pure blocks only (_kron_det); else doubt says why and det M is None.
     det N = prod_y K_y(y, y).  Neither is yet checked to be an integer."""
     blocks, k_values, pure = y_gram
     index = {y: a for a, y in enumerate(basis)}
@@ -406,10 +403,16 @@ def _certificate(y_gram, Q: ExactMatrix, basis):
     det_m, doubt = 1, None
     for ys, g in blocks:
         cols = [index[z] for z in ys]
+        at = {z: s for s, z in enumerate(ys)}
         for r, (a, g_row) in enumerate(zip(cols, g)):  # rows in basis order
-            g_at = dict(zip(cols, g_row))
-            bad = [c for c, q in enumerate(Q.rows[a]) if (q or g_at.get(c))
-                   and g_at.get(c, 0) != q * k_values[basis[c]]]
+            qk_row, bad = [0] * len(ys), []  # row a of Q K_y in the block
+            for z, q in z_rows[a].items():
+                s = at.get(z)
+                if s is not None:
+                    qk_row[s] = q * k_values[z]
+                elif q:  # Q[a][c] != 0 outside the block
+                    bad.append(index[z])
+            bad += [c for c, v, w in zip(cols, g_row, qk_row) if v != w]
             bad += [cols[s] for s in range(r) if g_row[s] != g[s][r]]
             if bad:
                 found.append((a, min(bad)))
@@ -433,7 +436,8 @@ def _certificate(y_gram, Q: ExactMatrix, basis):
 
 @dataclass
 class GramReport:
-    """Everything the degree-d verification produced, plus the verdicts."""
+    """Everything the degree-d verification produced, plus the verdicts.
+    P and Q are not kept: transition_matrices builds them for printing."""
 
     type: AffineType
     d: int
@@ -443,8 +447,6 @@ class GramReport:
     predicted_det: int
     M: Optional[ExactMatrix] = None
     N: Optional[ExactMatrix] = None
-    P_mat: Optional[ExactMatrix] = None
-    Q_mat: Optional[ExactMatrix] = None
     det_M: Optional[int] = None
     det_N: Optional[int] = None
     identity_ok: bool = False
@@ -455,7 +457,7 @@ class GramReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        out = {
+        return {
             "type": self.type.name,
             "d": self.d,
             "basis_size": len(self.basis),
@@ -474,45 +476,49 @@ class GramReport:
             "pass": self.ok,
             "failures": list(self.failures),
         }
-        return out
 
 
 def verify(t: AffineType, d: int,
            data: Optional[FiniteRootData] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    Once P is checked to be upper unitriangular, one pass over the
-    lambda-blocks of G_y and the diagonal of K_y (_certificate) certifies
-    det M and det N and checks M = P Q P^-1 N as G_y = Q K_y = G_y^T.
-    Failed checks (wrong determinant, an uncertified det M, which stays
-    None, the identity with its witness entry, non-integer Gram entries, a
-    non-unitriangular P) are recorded in the report rather than raised, so
-    a corrupted fixture yields a clean failing report.  The Gram and
-    transition matrices share one FormEngine, so each A^(n) is built once.
+    Once P is checked to be upper unitriangular on its rows (the
+    x-expansions that assembled M), one pass over the lambda-blocks of G_y,
+    the diagonal of K_y and the rows of Q (the z-expansions) certifies det M
+    and det N and checks M = P Q P^-1 N as G_y = Q K_y = G_y^T; no dense P
+    or Q is built.  Failed checks (wrong determinant, an uncertified det M,
+    which stays None, the identity with its witness entry, non-integer Gram
+    entries, a non-unitriangular P) are recorded in the report rather than
+    raised, so a corrupted fixture yields a clean failing report.  The Gram
+    matrices and the z-expansions share one FormEngine, so each A^(n) is
+    built once.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
     engine = FormEngine(t, data)
     try:
-        M, N, y_gram = _gram(t, d, engine)
+        report.M, report.N, y_gram, x_rows = _gram(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
-    report.M, report.N = M, N
-    P, Q = transition_matrices(t, d, engine)
-    report.P_mat, report.Q_mat = P, Q
 
-    off = next(((a, b) for a, row in enumerate(P.rows) for b in range(a + 1)
-                if row[b] != int(a == b)), None)
+    basis = report.basis
+    index = {y: a for a, y in enumerate(basis)}
+    # The first (a, b), b <= a, with P[a][b] != [a = b]; a missing term is 0.
+    off = min([(a, index[z]) for a, x in enumerate(x_rows)
+               for z, c in x.items() if c and index[z] < a]
+              + [(a, a) for a, (y, x) in enumerate(zip(basis, x_rows))
+                 if x.get(y, 0) != 1], default=None)
     if off is not None:
         # The certificate and G_y = Q K_y both rest on a unitriangular P.
         a, b = off
         report.failures.append(
             "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
-            % (a, b, P.rows[a][b], report.basis[a], report.basis[b]))
+            % (a, b, x_rows[a].get(basis[b], 0), basis[a], basis[b]))
     else:
-        witness, det_m, det_n, doubt = _certificate(y_gram, Q, report.basis)
+        witness, det_m, det_n, doubt = _certificate(
+            y_gram, [engine.z_in_y(y) for y in basis], basis)
         try:
             report.det_M, report.det_N = (None if doubt else as_integer(det_m),
                                           as_integer(det_n))
@@ -522,7 +528,7 @@ def verify(t: AffineType, d: int,
             report.failures.append("det N = %d, expected 1" % report.det_N)
         report.identity_ok = witness is None
         if witness is not None:
-            y, z = (report.basis[a] for a in witness)
+            y, z = (basis[a] for a in witness)
             report.failures.append(
                 "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
                 "lambda-block %s" % (y, z, tuple(n for n, _ in y)))

@@ -59,13 +59,6 @@ def multiplicities(lam: Partition) -> Dict[int, int]:
     return dict(Counter(lam))
 
 
-def partition_from_multiplicities(mult: Dict[int, int]) -> Partition:
-    parts = []
-    for n in sorted(mult, reverse=True):
-        parts.extend([n] * mult[n])
-    return tuple(parts)
-
-
 def _runs(lam: Partition):
     """Multiplicity runs of a partition in part-descending order."""
     return tuple(sorted(multiplicities(lam).items(), reverse=True))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from shapdet import gram
+from shapdet import cli
 from shapdet.cli import main
 from shapdet.exact import InternalCheckError
 
@@ -217,12 +217,13 @@ def test_refused_command_leaves_out_file_unchanged(capsys, tmp_path, argv):
 
 
 def test_stray_internal_check_error_exits_1_with_one_line(capsys, monkeypatch):
-    # An InternalCheckError raised outside verify's recorded checks.
+    # An InternalCheckError raised outside verify's recorded checks, in the
+    # dense P and Q that only --matrices builds.
     def failing(t, d, engine=None):
         raise InternalCheckError("planted")
 
-    monkeypatch.setattr(gram, "transition_matrices", failing)
-    assert main(["gram", "A1^1", "-d", "2", "--check"]) == 1
+    monkeypatch.setattr(cli, "transition_matrices", failing)
+    assert main(["gram", "A1^1", "-d", "2", "--check", "--matrices"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: internal check failed: planted\n"
     assert captured.out == ""

@@ -149,12 +149,20 @@ def test_forms_bilinear_over_polynomials():
     assert bilinear(e.form_k_mono, f, g) == 2 * Fraction(1, 2)
 
 
+class _Forgetful(dict):
+    """A memo table that stores nothing, so every pair is recomputed."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
 def test_memoized_and_plain_engines_agree():
     rng = random.Random(2024)
     for name in ("A5^2", "D4^3", "E6^2"):
         t = parse_type(name)
         fast = FormEngine(t)
-        slow = FormEngine(t, memoize=False)
+        slow = FormEngine(t)
+        slow._memo_s, slow._memo_k = _Forgetful(), _Forgetful()
         pool = [m for d in range(5) for m in enumerate_basis(t, d)]
         for _ in range(60):
             f = rng.choice(pool)
@@ -408,11 +416,12 @@ def test_verify_builds_each_a_matrix_once(monkeypatch):
     assert sorted(built) == [1, 2, 3]
 
 
-def _agrees_with_oracles(report):
+def _agrees_with_oracles(report, data=None):
     """verify's lambda-block certificate against its oracles: the dense
     M == P Q P^-1 N and, where that holds, the Bareiss determinants of the
-    full M and N."""
-    P, Q = report.P_mat, report.Q_mat
+    full M and N.  data is the root data verify ran on."""
+    P, Q = transition_matrices(report.type, report.d,
+                               FormEngine(report.type, data))
     assert report.identity_ok == (report.M == P @ Q @ invert(P) @ report.N)
     if report.identity_ok:  # then M = P G_y P^T, as the certificate needs
         assert report.det_M == as_integer(det_exact(report.M))
@@ -437,7 +446,7 @@ def test_certificate_matches_full_bareiss_on_corrupted_fixture():
         rep = verify(t, d, bad)
         assert not rep.ok and rep.det_M != rep.predicted_det
         assert rep.identity_ok
-        _agrees_with_oracles(rep)
+        _agrees_with_oracles(rep, bad)
 
 
 def test_identity_matches_dense_oracle_on_corrupted_grams():
@@ -452,7 +461,7 @@ def test_identity_matches_dense_oracle_on_corrupted_grams():
                 assert not rep.identity_ok
                 assert rep.failures[0].startswith("non-integer Gram entry")
             else:
-                _agrees_with_oracles(rep)
+                _agrees_with_oracles(rep, bad)
                 held.append(rep.identity_ok)
     assert held == [False] + [True] * 4 + [False] * 4
 
@@ -487,19 +496,20 @@ def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _certificate_case():
-    """y_gram, Q and the basis of E6^2 at degree 3: 14 monomials in
-    lambda-blocks of 2, 8 and 4, with fractional entries in Q."""
+    """y_gram, the rows of Q and the basis of E6^2 at degree 3: 14 monomials
+    in lambda-blocks of 2, 8 and 4, with fractional entries in Q."""
     t = parse_type("E6^2")
     engine = FormEngine(t)
     y_gram = gram._gram(t, 3, engine)[2]
-    return y_gram, transition_matrices(t, 3, engine)[1], enumerate_basis(t, 3)
+    basis = enumerate_basis(t, 3)
+    return y_gram, [engine.z_in_y(y) for y in basis], basis
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    (blocks, k_values, pure), Q, basis = _certificate_case()
-    assert gram._certificate((blocks, k_values, pure), Q, basis)[0] is None
+    (blocks, k_values, pure), z_rows, basis = _certificate_case()
+    assert gram._certificate((blocks, k_values, pure), z_rows, basis)[0] is None
     index = {y: a for a, y in enumerate(basis)}
     where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
              for r, y in enumerate(ys)}
@@ -511,16 +521,15 @@ def test_certificate_names_first_perturbed_entry(data):
     spots = data.draw(st.lists(st.one_of(in_g, in_q), min_size=1, max_size=3,
                                unique_by=lambda spot: spot[:2]))
     g_blocks = [(ys, [row[:] for row in g]) for ys, g in blocks]
-    q_rows = [row[:] for row in Q.rows]
+    q_rows = [dict(row) for row in z_rows]
     for a, c, target in spots:
         delta = data.draw(st.sampled_from([1, -1, 3, Fraction(1, 2)]))
         if target == "G":
             (b, r), (_, s) = where[basis[a]], where[basis[c]]
             g_blocks[b][1][r][s] += delta
         else:
-            q_rows[a][c] += delta
-    witness = gram._certificate((g_blocks, k_values, pure),
-                                ExactMatrix(q_rows), basis)[0]
+            q_rows[a][basis[c]] = q_rows[a].get(basis[c], 0) + delta
+    witness = gram._certificate((g_blocks, k_values, pure), q_rows, basis)[0]
     assert witness == min(spot[:2] for spot in spots)
 
 
@@ -540,8 +549,18 @@ def test_verify_runs_no_dense_inverse_or_product(monkeypatch):
                         counting("@", ExactMatrix.__matmul__))
     rep = verify(parse_type("E6^1"), 3)
     assert rep.ok and rep.identity_ok and calls == []
-    exact.invert(rep.P_mat) @ rep.Q_mat  # the wrappers do count
+    P, Q = transition_matrices(parse_type("E6^1"), 3)
+    exact.invert(P) @ Q  # the wrappers do count
     assert calls == ["invert", "@"]
+
+
+def test_verify_builds_no_dense_transition_matrices(monkeypatch):
+    def failing(*args):
+        raise AssertionError("verify built a dense P or Q")
+
+    monkeypatch.setattr(gram, "transition_matrices", failing)
+    rep = verify(parse_type("E6^1"), 3)
+    assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
 
 
 @pytest.mark.parametrize("name", ["E7^1", "E8^1"])
@@ -703,17 +722,19 @@ def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
     assert det_exact(rep.M) == det_m
 
 
-@pytest.mark.parametrize("a, b", [(2, 2), (3, 0)])
+@pytest.mark.parametrize("a, b", [(2, 2), (3, 0), (4, None)])
 def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
-    # Row a of P becomes 2 x_a, or x_a + x_0: M stays integral, and with
-    # row a doubled even M = P Q P^-1 N holds while det M is 4x the value a
-    # certificate that trusted P would report.
+    # Row a of P becomes 2 x_a, or x_a + x_0, or loses its diagonal term:
+    # M stays integral, and with row a doubled even M = P Q P^-1 N holds
+    # while det M is 4x the value a certificate that trusted P would report.
     basis = enumerate_basis(A1, 4)
     x_in_y = gram.x_in_y
 
     def broken(t, mono):
         poly = x_in_y(t, mono)
-        if mono == basis[a]:
+        if mono == basis[a] and b is None:
+            poly = {m: c for m, c in poly.items() if m != mono}
+        elif mono == basis[a]:
             extra = x_in_y(t, basis[b])
             poly = {m: poly.get(m, 0) + extra.get(m, 0)
                     for m in {**poly, **extra}}
@@ -722,11 +743,11 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
     monkeypatch.setattr(gram, "x_in_y", broken)
     rep = verify(A1, 4)
     assert not rep.ok and rep.det_M is None and not rep.identity_ok
+    c, entry = (a, 0) if b is None else (b, 2 if a == b else 1)
     assert rep.failures == ["P is not upper unitriangular: P[%d][%d] = %s at "
-                            "(%s, %s)" % (a, b, 2 if a == b else 1,
-                                          basis[a], basis[b])]
+                            "(%s, %s)" % (a, c, entry, basis[a], basis[c])]
     if a == b:
-        P, Q = rep.P_mat, rep.Q_mat
+        P, Q = transition_matrices(A1, 4)
         assert rep.M == P @ Q @ invert(P) @ rep.N
         assert det_exact(rep.M) == 4 * rep.predicted_det
 
