@@ -160,6 +160,8 @@ def _cmd_info(args, out) -> int:
 
 def _cmd_deta(args, out) -> int:
     if args.roster:
+        if args.n is not None:
+            raise SystemExit("--roster and --n are mutually exclusive")
         pairs = [(name, n) for name in ROSTER for n in range(1, 7)]
     else:
         if args.type is None or args.n is None:

@@ -20,16 +20,18 @@ derives all of these views from it as sparse rows; verify shares one.
 Both forms pair y_n^(i) only with y_n^(j): on y-monomials they vanish
 unless the part sizes agree, so the y-Gram matrices are block-diagonal
 by the part-size shape lambda (the Heisenberg grading).  gram_matrices
-evaluates the recursion only inside those blocks and assembles
+evaluates G_y only inside those blocks and assembles
 M = P G_y P^T and N = P K_y P^T from the x-expansions.  P is upper
 unitriangular, so verify certifies det M = prod_lambda det G_lambda and
 det N = prod_y K_y(y, y) from the same values and checks M = P Q P^-1 N
-as G_y = Q K_y.  The recursion differentiates within one part size, so a
-block with several part sizes is the Kronecker product of pure blocks,
-G_lambda = kron_n G_(n^m_n), up to the order of its monomials: verify
-checks that entry by entry and runs Bareiss on the pure blocks only.  The
-full-matrix Bareiss determinants and the dense P Q P^-1 N are left to
-the tests, as the oracles.
+as G_y = Q K_y.  The recursion differentiates within one part size, so
+a block is the Kronecker product of pure blocks, G_lambda = kron_n
+G_(n^m_n), up to the order of its monomials: the recursion runs on the
+pure blocks only, every lambda-block is built as their product, and
+det G_lambda = prod_n det(G_(n^m_n))^(dim G_lambda / dim G_(n^m_n)).
+The all-pairs recursion on the lambda-blocks, the full-matrix Bareiss
+determinants and the dense P Q P^-1 N are left to the tests, as the
+oracles.
 
 Form values are memoized on canonical monomial pairs.  The memo is a
 grow-only dict with idempotent inserts: entries may be computed in any
@@ -41,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from math import factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -255,24 +257,45 @@ def transition_matrices(t: AffineType, d: int,
 
 
 def _y_gram(engine: FormEngine, basis):
-    """([(ys, G_lambda)], {y: (y, y)_K}, {(n, m): (ys, G_(n^m))}): the
-    lambda-blocks ys of the basis in basis order with their blocks of G_y,
-    the diagonal of K_y, and the pure block (n^m), in basis order, of each
-    run of a lambda with several part sizes.  Each pair is evaluated once."""
+    """([(ys, G_lambda)], {y: (y, y)_K}, {(n, m): ({y_n: row}, G_(n^m))}):
+    the lambda-blocks ys of the basis in basis order with their blocks of
+    G_y, the diagonal of K_y, and the pure block of each run n^m of a
+    lambda.  Its rows are the segments y_n of the monomials y of those
+    lambdas, in order of first appearance.  Only the pure blocks run the
+    S-recursion, each pair once; every lambda-block is their Kronecker
+    product, G_lambda[y][z] = prod_n G_(n^m)[y_n][z_n]."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
-    runs = {run for shape in members if len(set(shape)) > 1
-            for run in _runs(shape)}
+    spans, seen = {}, {}  # the runs of each shape; {y_n: row} of each run
+    for shape, ys in members.items():
+        runs = _runs(shape)
+        cuts = list(accumulate((m for _, m in runs), initial=0))
+        spans[shape] = list(zip(runs, cuts, cuts[1:]))
+        for run, lo, hi in spans[shape]:
+            rows = seen.setdefault(run, {})
+            for y in ys:
+                rows.setdefault(y[lo:hi], len(rows))
+    pure = {run: (rows, [[engine.form_s_mono(y, z) for z in rows]
+                         for y in rows])
+            for run, rows in seen.items()}
 
-    def block(ys):
-        return ys, [[engine.form_s_mono(y, z) for z in ys] for y in ys]
+    def block(shape, ys):
+        order, kron_rows = [], []  # the row of y in the Kronecker product
+        for y in ys:
+            c, want = 0, None
+            for run, lo, hi in spans[shape]:
+                rows, G = pure[run]
+                q = rows[y[lo:hi]]
+                c = c * len(rows) + q
+                want = G[q] if want is None else [
+                    u * v if u and v else 0 for u in want for v in G[q]]
+            order.append(c)
+            kron_rows.append(want or [1])  # the empty shape: G_() = [[1]]
+        return ys, [[want[c] for c in order] for want in kron_rows]
 
-    return ([block(ys) for ys in members.values()],
-            {y: engine.form_k_mono(y, y) for y in basis},
-            {(n, m): block([y for y in enumerate_basis(engine.type, n * m)
-                            if len(y) == m and y[0][0] == n])
-             for n, m in runs})
+    return ([block(shape, ys) for shape, ys in members.items()],
+            {y: engine.form_k_mono(y, y) for y in basis}, pure)
 
 
 def gram_matrices(t: AffineType, d: int,
@@ -284,8 +307,9 @@ def gram_matrices(t: AffineType, d: int,
     Both forms pair y_n^(i) only with y_n^(j), so on y-monomials they vanish
     unless the part-size shapes lambda agree: the y-Gram matrix G_y of the
     S-form is block-diagonal by lambda and K_y is diagonal.  The recursion
-    evaluates G_y only inside the lambda-blocks and K_y only on its
-    diagonal (_y_gram); M = P G_y P^T and N = P K_y P^T are then contracted
+    evaluates G_y only on the pure blocks, whose Kronecker products give
+    the lambda-blocks, and K_y only on its diagonal (_y_gram);
+    M = P G_y P^T and N = P K_y P^T are then contracted
     against the x-expansions (the rows of P), row a of P G_y first, then
     its pairing with every x_b, b >= a.  The contraction clears
     denominators and runs on integers; each entry is divided back exactly
@@ -353,37 +377,6 @@ def _det(g):
     return _field_div(det_exact(cleared), den ** len(g))
 
 
-def _kron_det(ys, g, factors):
-    """(mismatch, det g) for the block g on the monomials ys from its pure
-    factors, (members, G_(n^m), det G_(n^m)) per run n^m of ys, largest part
-    first.  Checks entry by entry, in the order of ys, that g is their
-    Kronecker product g[y][z] = prod_n G_(n^m)[y_n][z_n] on all products
-    of their monomials; then det g = prod_n det(G_(n^m))^(dim g / dim
-    G_(n^m)).  mismatch names the first failure, with det None, or is None."""
-    dims = [len(members) for members, _, _ in factors]
-    cuts = list(accumulate((len(members[0]) for members, _, _ in factors),
-                           initial=0))
-    index = [{y: p for p, y in enumerate(members)} for members, _, _ in factors]
-    pos = [tuple(ix.get(y[lo:hi]) for ix, lo, hi in zip(index, cuts, cuts[1:]))
-           for y in ys]  # the rows y_n of y in the factors
-    at = {p: c for c, p in enumerate(product(*map(range, dims)))}
-    order = [at.get(p) for p in pos]  # and its row in their Kronecker product
-    if len(ys) != len(at) or None in order:
-        return ("%d monomials, not the %s products of pure-block monomials"
-                % (len(ys), " * ".join(map(str, dims)))), None
-    for y, g_row, p in zip(ys, g, pos):
-        want = factors[0][1][p[0]]
-        for (_, G, _), q in zip(factors[1:], p[1:]):
-            want = [u * v if u and v else 0 for u in want for v in G[q]]
-        want = [want[c] for c in order]
-        if g_row != want:
-            z = next(z for z, v, w in zip(ys, g_row, want) if v != w)
-            return ("G_lambda != kron of its pure blocks at (%s, %s)" % (y, z),
-                    None)
-    return None, prod(det ** (len(ys) // dim)
-                      for (_, _, det), dim in zip(factors, dims))
-
-
 def _certificate(y_gram, z_rows, basis):
     """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
     valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a]).
@@ -393,12 +386,14 @@ def _certificate(y_gram, z_rows, basis):
     The witness is the first (a, c) in basis order where G_y[a][c] differs
     from Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a], visiting only the
     block entries and the terms of Q's rows.  A symmetric G_y gives
-    M = P G_y P^T and det M = prod_lambda det G_lambda, by Bareiss on the
-    pure blocks only (_kron_det); else doubt says why and det M is None.
+    M = P G_y P^T and det M = prod_lambda det G_lambda, where det G_lambda
+    = prod_n det(G_(n^m))^(dim G_lambda / dim G_(n^m)) over the runs n^m of
+    lambda, by Bareiss on the pure blocks only; else doubt says why and
+    det M is None.
     det N = prod_y K_y(y, y).  Neither is yet checked to be an integer."""
     blocks, k_values, pure = y_gram
     index = {y: a for a, y in enumerate(basis)}
-    factors = {run: (ys, G, _det(G)) for run, (ys, G) in pure.items()}
+    dets = {run: _det(G) for run, (_, G) in pure.items()}
     found = []
     det_m, doubt = 1, None
     for ys, g in blocks:
@@ -419,17 +414,11 @@ def _certificate(y_gram, z_rows, basis):
                 break
         if doubt is not None:
             continue
-        shape = tuple(n for n, _ in ys[0])
-        runs = _runs(shape)
         if g != [list(col) for col in zip(*g)]:
             doubt = "G_y is not symmetric, so M != P G_y P^T"
             continue
-        mismatch, det = (_kron_det(ys, g, [factors[run] for run in runs])
-                         if len(runs) > 1 else (None, _det(g)))
-        if mismatch:
-            doubt = "%s in lambda-block %s" % (mismatch, shape)
-        else:
-            det_m = det_m * det
+        det_m = det_m * prod(dets[run] ** (len(ys) // len(pure[run][0]))
+                             for run in _runs(tuple(n for n, _ in ys[0])))
     return (min(found, default=None), None if doubt else det_m,
             prod(k_values.values()), doubt)
 

@@ -5,6 +5,8 @@ tiled_q builds it independently, from dense D A^(n) D^-1 matrices, as
 block-diagonal tiles Q_lambda = kron of Sym^m blocks in partition order.
 bilinear extends FormEngine's monomial-pair forms to polynomials, which
 the brute-force Gram assembly and the hand-value tests pair term by term.
+lambda_blocks runs the S-recursion on every pair of a lambda-block, which
+gram._y_gram builds as Kronecker products of pure blocks instead.
 coloring_series counts the colored partitions with their parts marked by
 divisibility, whose marker derivatives the series tests compare with
 ab_series.
@@ -125,6 +127,17 @@ def bilinear(form_mono, f, g):
             if v:
                 total = total + cf * cg * v
     return total
+
+
+def lambda_blocks(engine, basis):
+    """[(ys, G_lambda)]: the monomials ys of each part-size shape lambda in
+    basis order, and the S-form on all their pairs by the engine's
+    recursion."""
+    members: dict = {}
+    for y in basis:
+        members.setdefault(tuple(n for n, _ in y), []).append(y)
+    return [(ys, [[engine.form_s_mono(y, z) for z in ys] for y in ys])
+            for ys in members.values()]
 
 
 class TwoVarSeries:

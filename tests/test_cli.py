@@ -192,9 +192,10 @@ GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
     (None, ["info", "A1^1", "--out", "{tmp}/no/such/dir/x.json"]),
     (None, ["series", "A1^1", "--max-degree", "-2"]),
     (None, ["gram", "--roster", "-d", "-1"]),
+    (None, ["detA", "--roster", "--n", "3"]),
 ], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
         "non-int", "bool", "unwritable-out", "negative-max-degree",
-        "roster-negative-degree"])
+        "roster-negative-degree", "deta-roster-n"])
 def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     path = tmp_path / "fixture.json"
     if fixture is not None:

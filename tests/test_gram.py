@@ -19,7 +19,7 @@ from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponents)
 from shapdet.roots import ROSTER, FiniteRootData, finite_root_data, parse_type
 
-from oracles import bilinear, q_block, tiled_q
+from oracles import bilinear, lambda_blocks, q_block, tiled_q
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -249,6 +249,11 @@ def test_q_matches_tiled_oracle_at_roster_degrees():
             _same_q(t, d, FormEngine(t))
 
 
+# An integer D4^3 gram whose form values have a genuine zeta_3 part.
+D4_3_ZETA3_GRAM = [[2, -1, -1, 0], [-1, 2, -1, -1], [-1, -1, 2, 0],
+                   [0, -1, 0, 2]]
+
+
 def test_q_matches_tiled_oracle_on_corrupted_d4_3():
     # The -1/2 gram of the corrupted-data test, and an integer gram whose
     # z-coefficients leave Q: Q(zeta_3) entries with a genuine zeta_3 part.
@@ -256,9 +261,7 @@ def test_q_matches_tiled_oracle_on_corrupted_d4_3():
     base = finite_root_data(t)
     genuine = 0
     for gram in ([[2, -1, Fraction(-1, 2), 0], [-1, 2, -1, -1], [0, -1, 2, 0],
-                  [0, -1, 0, 2]],
-                 [[2, -1, -1, 0], [-1, 2, -1, -1], [-1, -1, 2, 0],
-                  [0, -1, 0, 2]]):
+                  [0, -1, 0, 2]], D4_3_ZETA3_GRAM):
         bad = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
                              base.orbits, base.d, base.c)
         for d in range(6):
@@ -617,35 +620,57 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     assert not any(m == blocks[shape] for m in passed for shape in mixed)
 
 
+def _blocks_match_oracles(t, d, data=None):
+    """_y_gram's product-built lambda-blocks at degree d equal the all-pairs
+    recursion entry for entry, and the certificate's det of each block,
+    from the block's pure blocks only, equals the field Bareiss of the
+    whole block, or is None where the block is not symmetric.  Returns
+    the counts of blocks with several part sizes and of asymmetric ones."""
+    engine = FormEngine(t, data)
+    basis = enumerate_basis(t, d)
+    blocks, k_values, pure = gram._y_gram(engine, basis)
+    assert blocks == lambda_blocks(FormEngine(t, data), basis)
+    z_rows = [engine.z_in_y(y) for y in basis]
+    mixed = asymmetric = 0
+    for ys, g in blocks:
+        runs = _runs(tuple(n for n, _ in ys[0]))
+        own = ([(ys, g)], k_values, {run: pure[run] for run in runs})
+        det = gram._certificate(own, z_rows, basis)[1]
+        if g == [list(col) for col in zip(*g)]:
+            assert det == det_exact(ExactMatrix(g))
+        else:
+            assert det is None
+            asymmetric += 1
+        mixed += len(runs) > 1
+    return mixed, asymmetric
+
+
 def test_block_determinants_match_full_bareiss_at_roster_degrees():
-    # Each lambda-block's det as the certificate takes it (pure blocks by
-    # Bareiss on the cleared block, the others from their pure factors)
-    # against the field Bareiss of the whole block.
+    # _y_gram builds every lambda-block from its pure blocks, an assumption
+    # verify cannot check on its own: the all-pairs recursion checks it.
     mixed = 0
     for name, dmax in ROSTER_DEGREES.items():
         t = parse_type(name)
-        engine = FormEngine(t)
         for d in range(dmax + 1):
-            blocks, _, pure = gram._y_gram(engine, enumerate_basis(t, d))
-            for ys, g in blocks:
-                runs = _runs(tuple(n for n, _ in ys[0]))
-                if len(runs) > 1:
-                    factors = [(*pure[run], gram._det(pure[run][1]))
-                               for run in runs]
-                    mismatch, det = gram._kron_det(ys, g, factors)
-                    assert mismatch is None
-                    mixed += 1
-                else:
-                    det = gram._det(g)
-                assert det == det_exact(ExactMatrix(g))
+            counts = _blocks_match_oracles(t, d)
+            assert counts[1] == 0
+            mixed += counts[0]
     assert mixed > 40
+    # The corrupted grams, asymmetric and non-integer ones included, and
+    # the integer D4^3 gram with Q(zeta_3) values.
+    asymmetric = 0
+    for name, gram_ in CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]:
+        t, bad = _corrupted(name, gram_)
+        for d in range(1, 5):
+            asymmetric += _blocks_match_oracles(t, d, bad)[1]
+    assert asymmetric == 33  # 11 for each asymmetric A2^1 gram
 
 
 @st.composite
 def kron_blocks(draw):
     """(ys, g, factors): g is the Kronecker product of two or three random
-    pure blocks factors = [(members, G)] of part sizes 3 > 2 > 1, on the
-    product monomials ys in a random order."""
+    symmetric pure blocks factors = [(members, G)] of part sizes 3 > 2 > 1,
+    on the product monomials ys in a random order."""
     entry = st.one_of(st.integers(-3, 3),
                       st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
     factors = []
@@ -655,8 +680,11 @@ def kron_blocks(draw):
         colors = range(draw(st.integers(1, 3 if m == 1 else 2)))
         members = [tuple((n, c) for c in cs)
                    for cs in combinations_with_replacement(colors, m)]
-        factors.append((members, [[draw(entry) for _ in members]
-                                  for _ in members]))
+        G = [[0] * len(members) for _ in members]
+        for r in range(len(members)):
+            for s in range(r, len(members)):
+                G[r][s] = G[s][r] = draw(entry)
+        factors.append((members, G))
     cells = draw(st.permutations(list(product(
         *(range(len(members)) for members, _ in factors)))))
     ys = [sum((members[p] for (members, _), p in zip(factors, cell)), ())
@@ -667,45 +695,41 @@ def kron_blocks(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(kron_blocks(), st.data())
-def test_kron_det_of_a_permuted_product(case, data):
+@given(kron_blocks())
+def test_certificate_det_of_a_permuted_product(case):
+    # det G_lambda = prod_n det(G_(n^m))^(dim G_lambda / dim G_(n^m)) in any
+    # order of the block's monomials; with Q = G_y and K_y = 1 the identity
+    # holds, so the certificate has neither witness nor doubt.
     ys, g, factors = case
-    full = [(members, G, det_exact(ExactMatrix(G))) for members, G in factors]
-    assert gram._kron_det(ys, g, full) == (None, det_exact(ExactMatrix(g)))
-    size = len(ys)
-    dims = " * ".join(str(len(members)) for members, _ in factors)
-    assert gram._kron_det(ys[1:], [row[1:] for row in g[1:]], full) == (
-        "%d monomials, not the %s products of pure-block monomials"
-        % (size - 1, dims), None)
-    spots = data.draw(st.lists(st.tuples(st.integers(0, size - 1),
-                                         st.integers(0, size - 1)),
-                               min_size=1, max_size=3, unique=True))
-    bad = [row[:] for row in g]
-    for r, s in spots:
-        bad[r][s] += data.draw(st.sampled_from([1, -1, Fraction(1, 2)]))
-    r, s = min(spots)
-    assert gram._kron_det(ys, bad, full) == (
-        "G_lambda != kron of its pure blocks at (%s, %s)" % (ys[r], ys[s]),
-        None)
+    pure = {(members[0][0][0], len(members[0])):
+            ({y: r for r, y in enumerate(members)}, G)
+            for members, G in factors}
+    z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
+    y_gram = ([(ys, g)], dict.fromkeys(ys, 1), pure)
+    assert gram._certificate(y_gram, z_rows, ys) == (
+        None, det_exact(ExactMatrix(g)), 1, None)
 
 
-def test_verify_names_a_block_that_is_not_the_kron_of_its_pure_blocks(
-        monkeypatch):
-    # A wrong pure factor G_(1) leaves G_y = Q K_y intact; only det M, which
-    # the mixed block (2, 1) takes from its factors, loses its certificate.
-    y_gram = gram._y_gram
+def test_verify_names_a_wrong_pure_block_entry(monkeypatch):
+    # A planted (y_1, y_1)_S + 1 enters G_y only through the pure block
+    # G_(1) and the mixed block (2, 1) built from it, since the recursion
+    # inside (1^3) does not go through form_s_mono; the z-expansions,
+    # which do not use the S-recursion, name the wrong entry.
+    form_s_mono = FormEngine.form_s_mono
 
-    def wrong_factor(engine, basis):
-        blocks, k_values, pure = y_gram(engine, basis)
-        ys, G = pure[1, 1]
-        return blocks, k_values, {**pure, (1, 1): (ys, [[G[0][0] + 1]])}
+    def planted(self, left, right):
+        value = form_s_mono(self, left, right)
+        return value + 1 if left == right == ((1, 1),) else value
 
-    monkeypatch.setattr(gram, "_y_gram", wrong_factor)
+    monkeypatch.setattr(FormEngine, "form_s_mono", planted)
     rep = verify(A1, 3)
-    assert rep.identity_ok and rep.det_M is None and rep.det_N == 1
+    assert not rep.identity_ok and rep.det_N == 1
+    # G_(2, 1) = G_(2) (G_(1) + 1) = 3/2 of itself, and det M with it
     y = ((2, 1), (1, 1))
-    assert rep.failures == ["det M not certified: G_lambda != kron of its pure "
-                            "blocks at (%s, %s) in lambda-block (2, 1)" % (y, y)]
+    assert rep.failures == [
+        "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
+        "lambda-block (2, 1)" % (y, y),
+        "det M = 96, predicted 64 (= 2^6 * 1^0)"]
 
 
 @pytest.mark.parametrize("d, det_m", [(1, 3), (2, -744)])
