@@ -17,25 +17,26 @@ checks P and Q on those rows, and only transition_matrices makes them
 dense.  A FormEngine builds A^(n) once per n through roots.a_matrix and
 derives all of these views from it as sparse rows; verify shares one.
 
-Both forms pair y_n^(i) only with y_n^(j): on y-monomials they vanish
-unless the part sizes agree, so the y-Gram matrices are block-diagonal
-by the part-size shape lambda (the Heisenberg grading).  gram_matrices
-evaluates G_y only inside those blocks and assembles
-M = P G_y P^T and N = P K_y P^T from the x-expansions.  P is upper
-unitriangular, so verify certifies det M = prod_lambda det G_lambda and
-det N = prod_y K_y(y, y) from the same values and checks M = P Q P^-1 N
-as G_y = Q K_y.  The recursion differentiates within one part size, so
-a block is the Kronecker product of pure blocks, G_lambda = kron_n
-G_(n^m_n), up to the order of its monomials: the recursion runs on the
-pure blocks only, every lambda-block is built as their product, and
-det G_lambda = prod_n det(G_(n^m_n))^(dim G_lambda / dim G_(n^m_n)).
-The all-pairs recursion on the lambda-blocks, the full-matrix Bareiss
-determinants and the dense P Q P^-1 N are left to the tests, as the
-oracles.
+Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
+block-diagonal by the part-size shape lambda (the Heisenberg grading), and
+each lambda-block is the Kronecker product of pure blocks, G_lambda =
+kron_n G_(n^m_n), up to the order of its monomials.  The recursion runs
+on the pure blocks only; M = P G_y P^T and N = P K_y P^T are assembled
+from the x-expansions; P is upper unitriangular, so verify certifies
+det M = prod_lambda det G_lambda (from the pure dets) and det N =
+prod_y K_y(y, y), and checks M = P Q P^-1 N as G_y = Q K_y.  The
+all-pairs recursion, the full-matrix Bareiss determinants and the dense
+P Q P^-1 N are the tests' oracles.
 
-Form values are memoized on canonical monomial pairs.  The memo is a
-grow-only dict with idempotent inserts: entries may be computed in any
-order (or concurrently) with bit-identical results.
+The pipeline runs on ints wherever A^(n) is integral (every untwisted
+type and A2^2).  The memo holds S'(left, right) = (left, right) w(left)
+per canonical monomial pair, with w(left) = prod n / d_i over the factors
+of left, so its recursion drops the factor d_i / n; form_s_mono and
+form_k_mono divide w out once per pair, and _gram carries it as a row
+weight, M = (P W^-1)(W G_y) P^T.  The x-expansions are int coefficients
+over prod (n / d_i)!, each its prefix times one generator.  The memo is
+grow-only with idempotent inserts, so any evaluation order gives
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from itertools import accumulate
 from math import factorial, lcm, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
+from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
                     as_integer, det_exact)
 from .partitions import (ColoredPartition, enumerate_basis,
                          enumerate_partitions, exponent_totals, _runs)
@@ -80,37 +81,43 @@ def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _x_generator(t: AffineType, n: int, i: int) -> Tuple[Tuple[Monomial, Fraction], ...]:
-    """Expansion of the generator x_n^(i) in y-monomials.
-
-    x_n^(i) = sum over partitions (1^k1 2^k2 ...) of n/d_i of the monomial
-    prod_j (y_{j d_i}^(i))^{k_j} with coefficient prod_j 1/k_j!.
-    """
+def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
+    """({y: int}, m!) with m = n / d_i: x_n^(i) is the sum over partitions
+    (1^k1 2^k2 ...) of m of prod_j (y_{j d_i}^(i))^{k_j} / k_j!, and each
+    m! / prod_j k_j! is an int."""
     di = finite_root_data(t).d[i]
     if n % di:
         raise ValueError("color %d requires parts divisible by %d" % (i, di))
-    out = []
-    for lam in enumerate_partitions(n // di):
-        coeff = Fraction(1)
-        factors = []
-        for j, kj in _runs(lam):
-            coeff /= factorial(kj)
-            factors.extend([(j * di, i)] * kj)
-        out.append((_mono_sorted(factors), coeff))
-    return tuple(out)
+    m, out = n // di, {}
+    for lam in enumerate_partitions(m):
+        out[tuple((j * di, i) for j in lam)] = factorial(m) // prod(
+            factorial(kj) for _, kj in _runs(lam))
+    return out, factorial(m)
+
+
+def _x_rows(t: AffineType, monos) -> List[Tuple[BPolynomial, int]]:
+    """x_in_y of each monomial as (int coefficients, scale): the expansion
+    is coefficients / scale.  Each is built from its prefix mono[:-1] times
+    one generator, and the prefixes are shared."""
+    cache = {(): ({(): 1}, 1)}
+
+    def expand(mono):
+        hit = cache.get(mono)
+        if hit is None:
+            poly, scale = expand(mono[:-1])
+            gen, den = _x_generator(t, *mono[-1])
+            hit = cache[mono] = (poly_mul(poly, gen), scale * den)
+        return hit
+
+    return [expand(mono) for mono in monos]
 
 
 def x_in_y(t: AffineType, item) -> BPolynomial:
-    """Expand a single x-generator (n, i) or a whole colored partition.
-
-    Returns the y-monomial expansion with exact rational coefficients.
-    """
-    if item and isinstance(item[0], int):
-        item = (item,)
-    poly: BPolynomial = {(): Fraction(1)}
-    for n, i in item:
-        poly = poly_mul(poly, dict(_x_generator(t, n, i)))
-    return poly
+    """The y-expansion, with Fraction coefficients, of a single
+    x-generator (n, i) or a whole colored partition."""
+    item = (item,) if item and isinstance(item[0], int) else tuple(item)
+    (poly, scale), = _x_rows(t, [item])
+    return {y: Fraction(c, scale) for y, c in poly.items()}
 
 
 class _Pairing(NamedTuple):
@@ -128,8 +135,9 @@ class FormEngine:
     nonzero entries of A^(n) for S, the identity for K; the z-expansions
     (the rows of Q) use those of D A^(n) D^-1.  All three sparse row tables
     are derived from roots.a_matrix once per n and cached on the engine.
-
-    ``data`` may override the built-in root data (the CLI fixture hook).
+    The memo tables hold the weighted values S' = (left, right) w(left),
+    and form_s_mono and form_k_mono divide w(left) out of each value they
+    return.  ``data`` may override the built-in root data (the CLI hook).
     """
 
     def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None):
@@ -163,12 +171,20 @@ class FormEngine:
         return self._form_mono("k_rows", self._memo_k, left, right)
 
     def _form_mono(self, rows, memo, left: Monomial, right: Monomial):
-        """(left, right) for the form whose row table is the _Pairing
-        field ``rows``, memoized in ``memo``.
+        """(left, right) = S'(left, right) / w(left), an int if integral,
+        for the form whose row table is the _Pairing field ``rows``."""
+        value, num, den = self._weighted(rows, memo, left, right), 1, 1
+        for n, i in left:
+            num, den = num * self.data.d[i], den * n
+        if type(value) is not int:
+            return value * Fraction(num, den) if value else 0
+        q, rem = divmod(value * num, den)
+        return Fraction(value * num, den) if rem else q
 
-        A pair of different part shapes always reaches an empty side or a
-        factor of left with no partner in right, so it evaluates to 0.
-        """
+    def _weighted(self, rows, memo, left: Monomial, right: Monomial):
+        """S'(left, right) = sum_j c_ij mult S'(rest, right less one (n, j)),
+        memoized in ``memo``; an int wherever c is.  A pair of different
+        part shapes reaches an empty side or an unmatched factor: 0."""
         if not left:
             return 1 if not right else 0
         key = (left, right)
@@ -181,12 +197,11 @@ class FormEngine:
         for j, aij in getattr(self._pairing(n), rows)[i]:
             mult, reduced = _remove_one(right, (n, j))
             if mult:
-                child = self._form_mono(rows, memo, rest, reduced)
+                child = self._weighted(rows, memo, rest, reduced)
                 if child:
                     total = total + aij * (mult * child)
-        value = total * Fraction(self.data.d[i], n) if total else 0
-        memo[key] = value
-        return value
+        memo[key] = total
+        return total
 
     def z_in_y(self, mono: Monomial) -> BPolynomial:
         """Expansion of a z-monomial in the y-basis."""
@@ -199,27 +214,16 @@ class FormEngine:
 
 def _remove_one(mono: Monomial, factor):
     """Multiplicity of factor in mono and mono with one copy removed."""
-    try:
-        pos = mono.index(factor)
-    except ValueError:
+    m = mono.count(factor)
+    if not m:
         return 0, None
-    m = 1
-    q = pos + 1
-    while q < len(mono) and mono[q] == factor:
-        m += 1
-        q += 1
+    pos = mono.index(factor)
     return m, mono[:pos] + mono[pos + 1:]
 
 
-def _denominator(x) -> int:
-    # Q(zeta_3) values keep their CycNumber arithmetic, which is exact
-    # with or without a cleared denominator.
-    return 1 if isinstance(x, CycNumber) else x.denominator
-
-
 def _integral(x):
-    """An integral rational as an int; Q(zeta_3) values unchanged."""
-    return x.numerator if isinstance(x, Fraction) else x
+    """An integral Fraction as an int; any other value unchanged."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
 
 
 def _divide(x, den: int) -> int:
@@ -249,10 +253,11 @@ def transition_matrices(t: AffineType, d: int,
     index = {mono: pos for pos, mono in enumerate(basis)}
     P = [[0] * len(basis) for _ in basis]
     Q = [[0] * len(basis) for _ in basis]
-    for a, mono in enumerate(basis):
-        for rows, expansion in ((P, x_in_y(t, mono)), (Q, engine.z_in_y(mono))):
-            for target, coeff in expansion.items():
-                rows[a][index[target]] = coeff
+    for a, (mono, (x, scale)) in enumerate(zip(basis, _x_rows(t, basis))):
+        for target, coeff in x.items():
+            P[a][index[target]] = Fraction(coeff, scale)
+        for target, coeff in engine.z_in_y(mono).items():
+            Q[a][index[target]] = coeff
     return ExactMatrix(P), ExactMatrix(Q)
 
 
@@ -304,39 +309,32 @@ def gram_matrices(t: AffineType, d: int,
                   ) -> Tuple[ExactMatrix, ExactMatrix]:
     """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d.
 
-    Both forms pair y_n^(i) only with y_n^(j), so on y-monomials they vanish
-    unless the part-size shapes lambda agree: the y-Gram matrix G_y of the
-    S-form is block-diagonal by lambda and K_y is diagonal.  The recursion
-    evaluates G_y only on the pure blocks, whose Kronecker products give
-    the lambda-blocks, and K_y only on its diagonal (_y_gram);
-    M = P G_y P^T and N = P K_y P^T are then contracted
-    against the x-expansions (the rows of P), row a of P G_y first, then
-    its pairing with every x_b, b >= a.  The contraction clears
-    denominators and runs on integers; each entry is divided back exactly
-    before its integrality check.
+    G_y is block-diagonal by the part-size shape lambda and K_y is diagonal;
+    _y_gram evaluates both there, and _gram contracts M = P G_y P^T and
+    N = P K_y P^T on the int x-rows, row a of P G_y first, then its pairing
+    with every x_b, b >= a; each entry is divided back exactly before its
+    integrality check.
 
-    M and N are asserted to have integer entries; a violation raises
-    InternalCheckError, since it can only come from a recursion or
-    root-data bug.
+    A non-integer entry raises InternalCheckError, since it can only come
+    from a recursion or root-data bug.
     """
     return _gram(t, d, engine or FormEngine(t, data))[:2]
 
 
 def _gram(t: AffineType, d: int, engine: FormEngine):
-    """M, N, and the _y_gram values and x-expansions they came from."""
+    """M, N, and the _y_gram values and x-rows they came from."""
     basis = enumerate_basis(t, d)
     blocks, k_values, _ = y_gram = _y_gram(engine, basis)
-    expansions = [x_in_y(t, mono) for mono in basis]
-    # Contract over the integers: row b of P is an integer vector over
-    # scale[b], and the form values are integral over den_s and den_k.
-    den_s = lcm(*(_denominator(v) for _, g in blocks for row in g for v in row))
-    den_k = lcm(*(_denominator(v) for v in k_values.values()))
-    g_rows = {y: [(z, _integral(v * den_s)) for z, v in zip(ys, row) if v]
-              for ys, g in blocks for y, row in zip(ys, g)}  # nonzero (y, z)_S
-    k_diag = {y: _integral(v * den_k) for y, v in k_values.items()}
-    scale = [lcm(*(c.denominator for c in x.values())) for x in expansions]
-    p_rows = [{z: _integral(c * scale[b]) for z, c in x.items()}
-              for b, x in enumerate(expansions)]
+    x_rows = _x_rows(t, basis)
+    # Contract over the integers, as M = (P W^-1)(W G_y) P^T and N likewise:
+    # row b of P is the int vector p_rows[b] over scale[b], a form value
+    # times the weight w(y) of its row is the recursion's S' (an int
+    # wherever A^(n) is), and w(y) divides every coefficient of y in P.
+    p_rows, scale = zip(*x_rows)
+    w = {y: prod(n // engine.data.d[i] for n, i in y) for y in basis}
+    g_rows = {y: [(z, _integral(v * w[y])) for z, v in zip(ys, row) if v]
+              for ys, g in blocks for y, row in zip(ys, g)}  # nonzero S'(y, z)
+    k_diag = {y: _integral(v * w[y]) for y, v in k_values.items()}
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
     for b, p_row in enumerate(p_rows):
         for z, cb in p_row.items():
@@ -345,11 +343,13 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
     M = [[0] * size for _ in range(size)]
     N = [[0] * size for _ in range(size)]
     for a in range(size):
-        hs: BPolynomial = {}  # row a of P G_y
+        hs: BPolynomial = {}  # row a of P G_y, times scale[a]
+        hk: BPolynomial = {}  # row a of P K_y, times scale[a]
         for y, ca in p_rows[a].items():
+            ca = _exact_div(ca, w[y])
             for z, v in g_rows[y]:
                 hs[z] = hs.get(z, 0) + ca * v
-        hk = {y: ca * k_diag[y] for y, ca in p_rows[a].items()}
+            hk[y] = ca * k_diag[y]
         s_row = [0] * size  # row a of P G_y P^T, columns b >= a
         k_row = [0] * size  # row a of P K_y P^T, columns b >= a
         for h_row, out in ((hs, s_row), (hk, k_row)):
@@ -358,21 +358,22 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
                     if b >= a:
                         out[b] = out[b] + h * cb
         for b in range(a, size):
-            den = scale[a] * scale[b]
-            try:
-                M[a][b] = M[b][a] = _divide(s_row[b], den * den_s)
-                N[a][b] = N[b][a] = _divide(k_row[b], den * den_k)
-            except InternalCheckError as exc:
-                raise InternalCheckError(
-                    "non-integer Gram entry at %s degree %d (%s, %s): %s"
-                    % (t, d, basis[a], basis[b], exc)) from exc
-    return ExactMatrix(M), ExactMatrix(N), y_gram, expansions
+            if s_row[b] or k_row[b]:
+                den = scale[a] * scale[b]
+                try:
+                    M[a][b] = M[b][a] = _divide(s_row[b], den)
+                    N[a][b] = N[b][a] = _divide(k_row[b], den)
+                except InternalCheckError as exc:
+                    raise InternalCheckError(
+                        "non-integer Gram entry at %s degree %d (%s, %s): %s"
+                        % (t, d, basis[a], basis[b], exc)) from exc
+    return ExactMatrix(M), ExactMatrix(N), y_gram, x_rows
 
 
 def _det(g):
     """det of a block of form values, by Bareiss on the block cleared of its
-    own denominators."""
-    den = lcm(*(_denominator(v) for row in g for v in row))
+    own denominators (Q(zeta_3) values keep their exact arithmetic)."""
+    den = lcm(*(v.denominator for row in g for v in row if type(v) is Fraction))
     cleared = ExactMatrix([[_integral(v * den) for v in row] for row in g])
     return _field_div(det_exact(cleared), den ** len(g))
 
@@ -471,16 +472,14 @@ def verify(t: AffineType, d: int,
            data: Optional[FiniteRootData] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    Once P is checked to be upper unitriangular on its rows (the
-    x-expansions that assembled M), one pass over the lambda-blocks of G_y,
-    the diagonal of K_y and the rows of Q (the z-expansions) certifies det M
-    and det N and checks M = P Q P^-1 N as G_y = Q K_y = G_y^T; no dense P
-    or Q is built.  Failed checks (wrong determinant, an uncertified det M,
-    which stays None, the identity with its witness entry, non-integer Gram
-    entries, a non-unitriangular P) are recorded in the report rather than
-    raised, so a corrupted fixture yields a clean failing report.  The Gram
-    matrices and the z-expansions share one FormEngine, so each A^(n) is
-    built once.
+    Once P is checked to be upper unitriangular on the x-rows that
+    assembled M, one pass over the lambda-blocks of G_y, the diagonal of
+    K_y and the rows of Q (the z-expansions) certifies det M and det N and
+    checks M = P Q P^-1 N as G_y = Q K_y = G_y^T; no dense P or Q is built.
+    Failed checks (wrong determinant, an uncertified det M, which stays
+    None, the identity with its witness entry, non-integer Gram entries, a
+    non-unitriangular P) are recorded in the report rather than raised.
+    One FormEngine serves the Gram matrices and the z-expansions.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
@@ -495,16 +494,16 @@ def verify(t: AffineType, d: int,
     basis = report.basis
     index = {y: a for a, y in enumerate(basis)}
     # The first (a, b), b <= a, with P[a][b] != [a = b]; a missing term is 0.
-    off = min([(a, index[z]) for a, x in enumerate(x_rows)
+    off = min([(a, index[z]) for a, (x, _) in enumerate(x_rows)
                for z, c in x.items() if c and index[z] < a]
-              + [(a, a) for a, (y, x) in enumerate(zip(basis, x_rows))
-                 if x.get(y, 0) != 1], default=None)
+              + [(a, a) for a, (y, (x, scale)) in enumerate(zip(basis, x_rows))
+                 if x.get(y, 0) != scale], default=None)
     if off is not None:
         # The certificate and G_y = Q K_y both rest on a unitriangular P.
-        a, b = off
+        (a, b), (x, scale) = off, x_rows[off[0]]
         report.failures.append(
             "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
-            % (a, b, x_rows[a].get(basis[b], 0), basis[a], basis[b]))
+            % (a, b, Fraction(x.get(basis[b], 0), scale), basis[a], basis[b]))
     else:
         witness, det_m, det_n, doubt = _certificate(
             y_gram, [engine.z_in_y(y) for y in basis], basis)

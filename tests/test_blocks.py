@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapdet.blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core
 from shapdet.partitions import _runs, enumerate_partitions
@@ -58,6 +59,41 @@ def test_p_core_matches_random_order_sliding():
         for lam in enumerate_partitions(d):
             for p in (2, 3, 5):
                 assert p_core(lam, p) == random_order_core(lam, p, rng)
+
+
+def rim_hook_removals(lam, p):
+    """The partitions left by removing one rim hook of length p from lam,
+    one for each cell of hook length p, on the diagram itself."""
+    cols = [sum(1 for row in lam if row > j) for j in range(lam[0])] if lam else []
+    out = []
+    for i, row in enumerate(lam):
+        for j in range(row):
+            leg = cols[j] - i - 1
+            if row - j + leg == p:  # arm + leg + 1
+                mu = list(lam)
+                for r in range(i, i + leg):
+                    mu[r] = lam[r + 1] - 1
+                mu[i + leg] = j
+                out.append(tuple(x for x in mu if x))
+    return out
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_p_core_does_not_depend_on_hook_removal_order(data):
+    # Each step removes a rim hook that hypothesis picks among all of them.
+    p = data.draw(st.integers(2, 5))
+    lam = data.draw(st.sampled_from(enumerate_partitions(
+        data.draw(st.integers(0, 14)))))
+    mu, weight = lam, 0
+    while True:
+        options = rim_hook_removals(mu, p)
+        if not options:
+            break
+        mu = data.draw(st.sampled_from(options))
+        assert list(mu) == sorted(mu, reverse=True)
+        weight += 1
+    assert p_core(lam, p) == (mu, weight)
 
 
 def test_core_has_no_p_hooks():

@@ -34,6 +34,37 @@ def random_cyc(rng, order):
     return CycNumber(order, a, b)
 
 
+def cyc_numbers(order):
+    q = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+    return st.builds(CycNumber, st.just(order), q,
+                     q if order == 3 else st.just(0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from([1, 2, 3]).flatmap(
+           lambda r: st.tuples(cyc_numbers(r), cyc_numbers(r), cyc_numbers(r))),
+       st.fractions(min_value=-6, max_value=6, max_denominator=5))
+def test_cyc_number_field_laws(xyz, q):
+    # The D4^3 form values are Q(zeta_3) numbers; the S-recursion adds and
+    # multiplies them in any order and divides by ints and Fractions.
+    x, y, z = xyz
+    assert (x + y) + z == x + (y + z) and x + y == y + x
+    assert (x * y) * z == x * (y * z) and x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + 0 == x == x * 1 and x - x == 0 and x - y == x + (-y)
+    assert x * q == q * x == x * CycNumber(x.order, q)
+    assert CycNumber.zeta(x.order) ** x.order == 1
+    assert (x * y).norm() == x.norm() * y.norm()
+    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
+    if y:
+        assert y * y.inverse() == 1 and (x / y) * y == x
+        assert x / y == x * (1 / y)
+    if q:
+        assert (x / q) * q == x
+    if not x.b:  # equal values hash alike
+        assert x == x.a and hash(x) == hash(x.a)
+
+
 def test_zeta3_reduction():
     assert z3 * z3 == CycNumber(3, -1, -1)
     assert z3 ** 3 == 1

@@ -199,6 +199,44 @@ def test_lemma_f2_small():
                         bilinear(e.form_k_mono, z, f)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_form_s_is_symmetric(data):
+    # The memo holds S'(f, g) = (f, g) w(f), weighted on the left only, and
+    # form_s_mono divides w(f) out again.  On the twisted types colors of
+    # one part size carry different d_i, so w(f) != w(g) inside a block.
+    t = parse_type(data.draw(st.sampled_from(["E6^1", "A5^2", "E6^2",
+                                              "D4^3"])))
+    basis = enumerate_basis(t, data.draw(st.integers(1, 4)))
+    f = data.draw(st.sampled_from(basis))
+    block = [g for g in basis if [n for n, _ in g] == [n for n, _ in f]]
+    g = data.draw(st.one_of(st.sampled_from(basis), st.sampled_from(block)))
+    engine = FormEngine(t)
+    assert engine.form_s_mono(f, g) == engine.form_s_mono(g, f)
+
+
+def test_integer_pipeline_stays_integral(monkeypatch):
+    # Where A^(n) is integral, every S'- and K'-memo value and every
+    # coefficient and scale of the x-rows that _gram contracts is an int.
+    seen = []
+    _gram = gram._gram
+
+    def recording(t, d, engine):
+        out = _gram(t, d, engine)
+        seen.append((engine, out[3]))
+        return out
+
+    monkeypatch.setattr(gram, "_gram", recording)
+    for name, d in (("E6^1", 4), ("A1^1", 12)):
+        assert verify(parse_type(name), d).ok
+    assert len(seen) == 2
+    for engine, x_rows in seen:
+        values = [*engine._memo_s.values(), *engine._memo_k.values(),
+                  *(c for x, scale in x_rows for c in (*x.values(), scale))]
+        assert len(values) > 1000
+        assert all(type(v) is int for v in values)
+
+
 # ---------------------------------------------------------------------------
 # transition matrices, Gram matrices, verification
 # ---------------------------------------------------------------------------
@@ -751,20 +789,25 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
     # Row a of P becomes 2 x_a, or x_a + x_0, or loses its diagonal term:
     # M stays integral, and with row a doubled even M = P Q P^-1 N holds
     # while det M is 4x the value a certificate that trusted P would report.
+    # The rows are int coefficients over a scale, as gram._x_rows gives them.
     basis = enumerate_basis(A1, 4)
-    x_in_y = gram.x_in_y
+    x_rows = gram._x_rows
 
-    def broken(t, mono):
-        poly = x_in_y(t, mono)
-        if mono == basis[a] and b is None:
-            poly = {m: c for m, c in poly.items() if m != mono}
-        elif mono == basis[a]:
-            extra = x_in_y(t, basis[b])
-            poly = {m: poly.get(m, 0) + extra.get(m, 0)
-                    for m in {**poly, **extra}}
-        return poly
+    def broken(t, monos):
+        rows = x_rows(t, monos)
+        if monos == basis:
+            (poly, scale), mono = rows[a], basis[a]
+            if b is None:
+                poly = {m: c for m, c in poly.items() if m != mono}
+            else:
+                extra, den = rows[b]
+                poly = {m: poly.get(m, 0) * den + extra.get(m, 0) * scale
+                        for m in {**poly, **extra}}
+                scale *= den
+            rows[a] = poly, scale
+        return rows
 
-    monkeypatch.setattr(gram, "x_in_y", broken)
+    monkeypatch.setattr(gram, "_x_rows", broken)
     rep = verify(A1, 4)
     assert not rep.ok and rep.det_M is None and not rep.identity_ok
     c, entry = (a, 0) if b is None else (b, 2 if a == b else 1)
