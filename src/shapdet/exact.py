@@ -203,9 +203,11 @@ def as_integer(x: Scalar) -> int:
 
 
 def _field_div(x, y):
-    """Exact division valid for any mix of int/Fraction/CycNumber."""
+    """Exact division valid for any mix of int/Fraction/CycNumber; an int
+    when y divides an int x."""
     if isinstance(x, int) and isinstance(y, int):
-        return Fraction(x, y)
+        q, rem = divmod(x, y)
+        return Fraction(x, y) if rem else q
     return x / y
 
 
@@ -293,6 +295,8 @@ def det_exact(m: ExactMatrix) -> Scalar:
     n = m.nrows
     a = [row[:] for row in m.rows]
     ints = all(type(x) is int for row in a for x in row)
+    # Checked int divisions, or field ones once any entry is not an int.
+    div = _exact_div if ints else _field_div
     sign = 1
     prevs: List[Scalar] = [1]  # prevs[k]: the divisor of step k
     since = [0] * n  # row i holds its entries as of step since[i]
@@ -300,7 +304,7 @@ def det_exact(m: ExactMatrix) -> Scalar:
     def catch_up(i, k):  # row i from step since[i] to step k
         if since[i] < k:
             p, q = prevs[k], prevs[since[i]]
-            a[i][k:] = [_exact_div(x * p, q) if x else 0 for x in a[i][k:]]
+            a[i][k:] = [div(x * p, q) if x else 0 for x in a[i][k:]]
             since[i] = k
 
     for k in range(n - 1):
@@ -330,8 +334,7 @@ def det_exact(m: ExactMatrix) -> Scalar:
                     row_i[j] = q
             else:
                 for j in range(k + 1, n):
-                    row_i[j] = _exact_div(row_i[j] * pivot - aik * row_k[j],
-                                          prev)
+                    row_i[j] = div(row_i[j] * pivot - aik * row_k[j], prev)
             row_i[k] = 0
             since[i] = k + 1
         prevs.append(pivot)

@@ -28,15 +28,17 @@ prod_y K_y(y, y), and checks M = P Q P^-1 N as G_y = Q K_y.  The
 all-pairs recursion, the full-matrix Bareiss determinants and the dense
 P Q P^-1 N are the tests' oracles.
 
-The pipeline runs on ints wherever A^(n) is integral (every untwisted
-type and A2^2).  The memo holds S'(left, right) = (left, right) w(left)
-per canonical monomial pair, with w(left) = prod n / d_i over the factors
-of left, so its recursion drops the factor d_i / n; form_s_mono and
-form_k_mono divide w out once per pair, and _gram carries it as a row
-weight, M = (P W^-1)(W G_y) P^T.  The x-expansions are int coefficients
-over prod (n / d_i)!, each its prefix times one generator.  The memo is
-grow-only with idempotent inserts, so any evaluation order gives
-bit-identical results.
+The memo holds S'(left, right) = (left, right) w(left) per canonical
+monomial pair, with w(left) = prod n / d_i over the factors of left
+(FormEngine.weight), so the recursion drops the factor d_i / n and runs on
+ints wherever A^(n) is integral, as roots.a_matrix makes it for every
+built-in type.  verify uses only S'_y = W G_y and K'_y = W K_y: _gram
+contracts M = (P W^-1) S'_y P^T, and the certificate works on
+H = S'_y W = W G_y W and divides prod w(y) out of its determinants once.
+form_s_mono and form_k_mono divide w(left) out for the oracles.  The
+x-expansions are int coefficients over prod (n / d_i)!, each its prefix
+times one generator.  The memo is grow-only with idempotent inserts, so
+any evaluation order gives bit-identical results.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial, lcm, prod
+from math import factorial, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
@@ -135,9 +137,11 @@ class FormEngine:
     nonzero entries of A^(n) for S, the identity for K; the z-expansions
     (the rows of Q) use those of D A^(n) D^-1.  All three sparse row tables
     are derived from roots.a_matrix once per n and cached on the engine.
-    The memo tables hold the weighted values S' = (left, right) w(left),
-    and form_s_mono and form_k_mono divide w(left) out of each value they
-    return.  ``data`` may override the built-in root data (the CLI hook).
+    The memo tables hold the weighted values S' = (left, right) w(left) and
+    K' likewise, which weighted_s and weighted_k return as they are: the
+    only form values verify uses.  form_s_mono and form_k_mono divide
+    w(left) out for the oracles.  ``data`` may override the built-in root
+    data (the CLI hook).
     """
 
     def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None):
@@ -154,8 +158,7 @@ class FormEngine:
             d = self.data.d
             s_rows = {i: tuple((j, v) for j, v in zip(am.index_set, row) if v)
                       for i, row in zip(am.index_set, am.matrix.rows)}
-            z_rows = {i: tuple((j, v * Fraction(d[i], d[j]) if d[i] != d[j]
-                                else v) for j, v in row)
+            z_rows = {i: tuple((j, _field_div(v * d[i], d[j])) for j, v in row)
                       for i, row in s_rows.items()}
             pairing = _Pairing(s_rows, {i: ((i, 1),) for i in am.index_set},
                                z_rows)
@@ -164,22 +167,25 @@ class FormEngine:
 
     # -- the monomial-pair recursion ---------------------------------------
 
+    def weight(self, mono: Monomial) -> int:
+        """w(mono) = prod n / d_i over the factors (n, i) of mono."""
+        return prod(n // self.data.d[i] for n, i in mono)
+
+    def weighted_s(self, left: Monomial, right: Monomial):
+        """S'(left, right) = (left, right)_S w(left)."""
+        return self._weighted("s_rows", self._memo_s, left, right)
+
+    def weighted_k(self, left: Monomial, right: Monomial):
+        """K'(left, right) = (left, right)_K w(left)."""
+        return self._weighted("k_rows", self._memo_k, left, right)
+
     def form_s_mono(self, left: Monomial, right: Monomial):
-        return self._form_mono("s_rows", self._memo_s, left, right)
+        """(left, right)_S = S'(left, right) / w(left), exact."""
+        return _field_div(self.weighted_s(left, right), self.weight(left))
 
     def form_k_mono(self, left: Monomial, right: Monomial):
-        return self._form_mono("k_rows", self._memo_k, left, right)
-
-    def _form_mono(self, rows, memo, left: Monomial, right: Monomial):
-        """(left, right) = S'(left, right) / w(left), an int if integral,
-        for the form whose row table is the _Pairing field ``rows``."""
-        value, num, den = self._weighted(rows, memo, left, right), 1, 1
-        for n, i in left:
-            num, den = num * self.data.d[i], den * n
-        if type(value) is not int:
-            return value * Fraction(num, den) if value else 0
-        q, rem = divmod(value * num, den)
-        return Fraction(value * num, den) if rem else q
+        """(left, right)_K = K'(left, right) / w(left), exact."""
+        return _field_div(self.weighted_k(left, right), self.weight(left))
 
     def _weighted(self, rows, memo, left: Monomial, right: Monomial):
         """S'(left, right) = sum_j c_ij mult S'(rest, right less one (n, j)),
@@ -221,21 +227,6 @@ def _remove_one(mono: Monomial, factor):
     return m, mono[:pos] + mono[pos + 1:]
 
 
-def _integral(x):
-    """An integral Fraction as an int; any other value unchanged."""
-    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
-
-
-def _divide(x, den: int) -> int:
-    """x / den as an int: by divmod when den divides an int x, otherwise by
-    the field division, which as_integer then rejects with its value."""
-    if type(x) is int:
-        q, rem = divmod(x, den)
-        if not rem:
-            return q
-    return as_integer(_field_div(x, den))
-
-
 def transition_matrices(t: AffineType, d: int,
                         engine: Optional[FormEngine] = None
                         ) -> Tuple[ExactMatrix, ExactMatrix]:
@@ -262,13 +253,14 @@ def transition_matrices(t: AffineType, d: int,
 
 
 def _y_gram(engine: FormEngine, basis):
-    """([(ys, G_lambda)], {y: (y, y)_K}, {(n, m): ({y_n: row}, G_(n^m))}):
+    """([(ys, S'_lambda)], {y: K'(y, y)}, {(n, m): ({y_n: row}, S'_(n^m))}):
     the lambda-blocks ys of the basis in basis order with their blocks of
-    G_y, the diagonal of K_y, and the pure block of each run n^m of a
-    lambda.  Its rows are the segments y_n of the monomials y of those
-    lambdas, in order of first appearance.  Only the pure blocks run the
-    S-recursion, each pair once; every lambda-block is their Kronecker
-    product, G_lambda[y][z] = prod_n G_(n^m)[y_n][z_n]."""
+    S'_y = W G_y, the diagonal of K'_y = W K_y, and the pure block of each
+    run n^m of a lambda.  Its rows are the segments y_n of the monomials y
+    of those lambdas, in order of first appearance.  Only the pure blocks
+    run the S-recursion, each pair once; since w(y) = prod_n w(y_n), every
+    lambda-block is their Kronecker product,
+    S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n]."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
@@ -281,7 +273,7 @@ def _y_gram(engine: FormEngine, basis):
             rows = seen.setdefault(run, {})
             for y in ys:
                 rows.setdefault(y[lo:hi], len(rows))
-    pure = {run: (rows, [[engine.form_s_mono(y, z) for z in rows]
+    pure = {run: (rows, [[engine.weighted_s(y, z) for z in rows]
                          for y in rows])
             for run, rows in seen.items()}
 
@@ -300,7 +292,7 @@ def _y_gram(engine: FormEngine, basis):
         return ys, [[want[c] for c in order] for want in kron_rows]
 
     return ([block(shape, ys) for shape, ys in members.items()],
-            {y: engine.form_k_mono(y, y) for y in basis}, pure)
+            {y: engine.weighted_k(y, y) for y in basis}, pure)
 
 
 def gram_matrices(t: AffineType, d: int,
@@ -310,10 +302,10 @@ def gram_matrices(t: AffineType, d: int,
     """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d.
 
     G_y is block-diagonal by the part-size shape lambda and K_y is diagonal;
-    _y_gram evaluates both there, and _gram contracts M = P G_y P^T and
-    N = P K_y P^T on the int x-rows, row a of P G_y first, then its pairing
-    with every x_b, b >= a; each entry is divided back exactly before its
-    integrality check.
+    _y_gram evaluates both there as S'_y = W G_y and K'_y = W K_y, and
+    _gram contracts M = P G_y P^T and N = P K_y P^T on the int x-rows, row
+    a of P G_y first, then its pairing with every x_b, b >= a; each entry
+    is divided back exactly before its integrality check.
 
     A non-integer entry raises InternalCheckError, since it can only come
     from a recursion or root-data bug.
@@ -326,15 +318,14 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
     basis = enumerate_basis(t, d)
     blocks, k_values, _ = y_gram = _y_gram(engine, basis)
     x_rows = _x_rows(t, basis)
-    # Contract over the integers, as M = (P W^-1)(W G_y) P^T and N likewise:
-    # row b of P is the int vector p_rows[b] over scale[b], a form value
-    # times the weight w(y) of its row is the recursion's S' (an int
-    # wherever A^(n) is), and w(y) divides every coefficient of y in P.
+    # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
+    # row b of P is the int vector p_rows[b] over scale[b], S'_y and K'_y
+    # are the recursion's values as they are (ints wherever A^(n) is), and
+    # w(y) divides every coefficient of y in P.
     p_rows, scale = zip(*x_rows)
-    w = {y: prod(n // engine.data.d[i] for n, i in y) for y in basis}
-    g_rows = {y: [(z, _integral(v * w[y])) for z, v in zip(ys, row) if v]
+    w = {y: engine.weight(y) for y in basis}
+    g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]
               for ys, g in blocks for y, row in zip(ys, g)}  # nonzero S'(y, z)
-    k_diag = {y: _integral(v * w[y]) for y, v in k_values.items()}
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
     for b, p_row in enumerate(p_rows):
         for z, cb in p_row.items():
@@ -349,7 +340,7 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
             ca = _exact_div(ca, w[y])
             for z, v in g_rows[y]:
                 hs[z] = hs.get(z, 0) + ca * v
-            hk[y] = ca * k_diag[y]
+            hk[y] = ca * k_values[y]
         s_row = [0] * size  # row a of P G_y P^T, columns b >= a
         k_row = [0] * size  # row a of P K_y P^T, columns b >= a
         for h_row, out in ((hs, s_row), (hk, k_row)):
@@ -361,8 +352,8 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
             if s_row[b] or k_row[b]:
                 den = scale[a] * scale[b]
                 try:
-                    M[a][b] = M[b][a] = _divide(s_row[b], den)
-                    N[a][b] = N[b][a] = _divide(k_row[b], den)
+                    M[a][b] = M[b][a] = as_integer(_field_div(s_row[b], den))
+                    N[a][b] = N[b][a] = as_integer(_field_div(k_row[b], den))
                 except InternalCheckError as exc:
                     raise InternalCheckError(
                         "non-integer Gram entry at %s degree %d (%s, %s): %s"
@@ -370,58 +361,58 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
     return ExactMatrix(M), ExactMatrix(N), y_gram, x_rows
 
 
-def _det(g):
-    """det of a block of form values, by Bareiss on the block cleared of its
-    own denominators (Q(zeta_3) values keep their exact arithmetic)."""
-    den = lcm(*(v.denominator for row in g for v in row if type(v) is Fraction))
-    cleared = ExactMatrix([[_integral(v * den) for v in row] for row in g])
-    return _field_div(det_exact(cleared), den ** len(g))
-
-
-def _certificate(y_gram, z_rows, basis):
+def _certificate(y_gram, z_rows, basis, weight):
     """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
-    valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a]).
+    valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a])
+    and weight(y) is w(y).  It works on H = S'_y W = W G_y W, which is
+    symmetric iff G_y is; and G_y = Q K_y iff H[y][z] = w(y) Q[y][z] K'(z, z).
     M mirrors the upper triangle of P G_y P^T and N = P K_y P^T, so
     M = P Q P^-1 N holds when G_y = Q K_y = G_y^T (with Q = 0 outside the
     blocks) and fails when only G_y = Q K_y holds.
-    The witness is the first (a, c) in basis order where G_y[a][c] differs
-    from Q[a][c] K_y(c, c) or, if c < a, from G_y[c][a], visiting only the
+    The witness is the first (a, c) in basis order where H[a][c] differs
+    from w(a) Q[a][c] K'(c, c) or, if c < a, from H[c][a], visiting only the
     block entries and the terms of Q's rows.  A symmetric G_y gives
-    M = P G_y P^T and det M = prod_lambda det G_lambda, where det G_lambda
-    = prod_n det(G_(n^m))^(dim G_lambda / dim G_(n^m)) over the runs n^m of
-    lambda, by Bareiss on the pure blocks only; else doubt says why and
-    det M is None.
-    det N = prod_y K_y(y, y).  Neither is yet checked to be an integer."""
+    M = P G_y P^T and det M = prod_lambda det S'_lambda / prod_y w(y), where
+    det S'_lambda = prod_n det(S'_(n^m))^(dim S'_lambda / dim S'_(n^m)) over
+    the runs n^m of lambda, by Bareiss on the pure blocks only; else doubt
+    says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  The
+    products run over the monomials y of the blocks, and neither det is yet
+    checked to be an integer."""
     blocks, k_values, pure = y_gram
     index = {y: a for a, y in enumerate(basis)}
-    dets = {run: _det(G) for run, (_, G) in pure.items()}
+    dets = {run: det_exact(ExactMatrix(S)) for run, (_, S) in pure.items()}
     found = []
-    det_m, doubt = 1, None
-    for ys, g in blocks:
+    det_m, det_n, w_all, doubt = 1, 1, 1, None
+    for ys, s in blocks:
         cols = [index[z] for z in ys]
-        at = {z: s for s, z in enumerate(ys)}
-        for r, (a, g_row) in enumerate(zip(cols, g)):  # rows in basis order
-            qk_row, bad = [0] * len(ys), []  # row a of Q K_y in the block
+        at = {z: c for c, z in enumerate(ys)}
+        ws = [weight(z) for z in ys]
+        h = [[v * wz for v, wz in zip(row, ws)] for row in s]  # H = S'_y W
+        for r, (a, h_row) in enumerate(zip(cols, h)):  # rows in basis order
+            qk_row, bad = [0] * len(ys), []  # row a of W Q K'_y in the block
             for z, q in z_rows[a].items():
-                s = at.get(z)
-                if s is not None:
-                    qk_row[s] = q * k_values[z]
+                c = at.get(z)
+                if c is not None:
+                    qk_row[c] = ws[r] * q * k_values[z]
                 elif q:  # Q[a][c] != 0 outside the block
                     bad.append(index[z])
-            bad += [c for c, v, w in zip(cols, g_row, qk_row) if v != w]
-            bad += [cols[s] for s in range(r) if g_row[s] != g[s][r]]
+            bad += [c for c, v, u in zip(cols, h_row, qk_row) if v != u]
+            bad += [cols[c] for c in range(r) if h_row[c] != h[c][r]]
             if bad:
                 found.append((a, min(bad)))
                 break
+        det_n *= prod(k_values[z] for z in ys)
+        w_all *= prod(ws)
         if doubt is not None:
             continue
-        if g != [list(col) for col in zip(*g)]:
+        if h != [list(col) for col in zip(*h)]:
             doubt = "G_y is not symmetric, so M != P G_y P^T"
             continue
         det_m = det_m * prod(dets[run] ** (len(ys) // len(pure[run][0]))
                              for run in _runs(tuple(n for n, _ in ys[0])))
-    return (min(found, default=None), None if doubt else det_m,
-            prod(k_values.values()), doubt)
+    return (min(found, default=None),
+            None if doubt else _field_div(det_m, w_all),
+            _field_div(det_n, w_all), doubt)
 
 
 @dataclass
@@ -506,7 +497,7 @@ def verify(t: AffineType, d: int,
             % (a, b, Fraction(x.get(basis[b], 0), scale), basis[a], basis[b]))
     else:
         witness, det_m, det_n, doubt = _certificate(
-            y_gram, [engine.z_in_y(y) for y in basis], basis)
+            y_gram, [engine.z_in_y(y) for y in basis], basis, engine.weight)
         try:
             report.det_M, report.det_N = (None if doubt else as_integer(det_m),
                                           as_integer(det_n))

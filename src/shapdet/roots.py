@@ -259,7 +259,9 @@ def _zeta_powers(t: AffineType):
 def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatrix:
     """The matrix A^(n) with entries (1/d_i) (alpha_i' | sum_k zeta^{nk} mu^k(alpha_j'))'.
 
-    Entries are plain rationals for r <= 2 and CycNumber for r = 3.  This
+    An entry that is an integer in value is an int, whatever the twist;
+    only a genuine zeta_3 part (a CycNumber) or a non-integral gram (a
+    Fraction) keeps a field type.  Every built-in A^(n) is integral.  This
     is the only builder of A^(n); FormEngine caches its views per n.
     """
     if n < 1:
@@ -279,9 +281,10 @@ def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatr
                 g = data.pair(i, mu_pow[kk][j])
                 if g:
                     total = total + zp[(n * kk) % t.r] * g
-            di = data.d[i]
-            if di != 1:
-                total = _field_div(total, di)
+            try:
+                total = as_integer(_field_div(total, data.d[i]))
+            except InternalCheckError:
+                pass  # a genuine zeta_3 part or a non-integral value stays
             row.append(total)
         rows.append(row)
     return AMatrix(n, idx, ExactMatrix(rows))

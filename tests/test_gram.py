@@ -202,9 +202,10 @@ def test_lemma_f2_small():
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_form_s_is_symmetric(data):
-    # The memo holds S'(f, g) = (f, g) w(f), weighted on the left only, and
-    # form_s_mono divides w(f) out again.  On the twisted types colors of
-    # one part size carry different d_i, so w(f) != w(g) inside a block.
+    # The memo holds S'(f, g) = (f, g) w(f), weighted on the left only, so
+    # S' itself is not symmetric where w(f) != w(g), and form_s_mono
+    # divides w(f) out again.  On the twisted types colors of one part size
+    # carry different d_i, so w(f) != w(g) inside a block.
     t = parse_type(data.draw(st.sampled_from(["E6^1", "A5^2", "E6^2",
                                               "D4^3"])))
     basis = enumerate_basis(t, data.draw(st.integers(1, 4)))
@@ -216,25 +217,32 @@ def test_form_s_is_symmetric(data):
 
 
 def test_integer_pipeline_stays_integral(monkeypatch):
-    # Where A^(n) is integral, every S'- and K'-memo value and every
-    # coefficient and scale of the x-rows that _gram contracts is an int.
+    # Where A^(n) is integral, which roots.a_matrix makes every built-in
+    # type, every S'- and K'-memo value, every lambda-block, pure block and
+    # K'-diagonal value that _y_gram hands over, and every coefficient and
+    # scale of the x-rows that _gram contracts is an int.
     seen = []
     _gram = gram._gram
 
     def recording(t, d, engine):
         out = _gram(t, d, engine)
-        seen.append((engine, out[3]))
+        seen.append((engine, out[2], out[3]))
         return out
 
     monkeypatch.setattr(gram, "_gram", recording)
-    for name, d in (("E6^1", 4), ("A1^1", 12)):
+    cases = (("E6^1", 4, 1000), ("A1^1", 12, 1000), ("D4^3", 4, 20),
+             ("E6^2", 4, 100))  # and a floor for the number of values
+    for name, d, _ in cases:
         assert verify(parse_type(name), d).ok
-    assert len(seen) == 2
-    for engine, x_rows in seen:
+    assert len(seen) == len(cases)
+    for (engine, (blocks, k_values, pure), x_rows), case in zip(seen, cases):
+        handed = [*(v for _, g in blocks for row in g for v in row),
+                  *(v for _, G in pure.values() for row in G for v in row),
+                  *k_values.values()]
         values = [*engine._memo_s.values(), *engine._memo_k.values(),
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
-        assert len(values) > 1000
-        assert all(type(v) is int for v in values)
+        assert len(handed) > 20 and len(values) > case[2]
+        assert all(type(v) is int for v in handed + values)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +413,8 @@ def test_non_integer_gram_entry_failure_text(name, gram, d, value):
 
 def test_non_integer_k_value_failure_text(monkeypatch):
     # An integral M with a planted (y, y)_K = 1/2: N's entry stops verify.
-    monkeypatch.setattr(FormEngine, "form_k_mono",
+    # verify reads K'(y, y) = (y, y)_K w(y), and w(((1, 1),)) = 1.
+    monkeypatch.setattr(FormEngine, "weighted_k",
                         lambda self, left, right: Fraction(1, 2))
     rep = verify(A1, 1)
     assert rep.M is None and rep.det_N is None
@@ -537,20 +546,22 @@ def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _certificate_case():
-    """y_gram, the rows of Q and the basis of E6^2 at degree 3: 14 monomials
-    in lambda-blocks of 2, 8 and 4, with fractional entries in Q."""
+    """y_gram (S'_y and K'_y), the rows of Q, the basis of E6^2 at degree
+    3 and the engine's weight w: 14 monomials in lambda-blocks of 2, 8 and
+    4, with fractional entries in Q and weights 1 and 2 in one block."""
     t = parse_type("E6^2")
     engine = FormEngine(t)
     y_gram = gram._gram(t, 3, engine)[2]
     basis = enumerate_basis(t, 3)
-    return y_gram, [engine.z_in_y(y) for y in basis], basis
+    return y_gram, [engine.z_in_y(y) for y in basis], basis, engine.weight
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    (blocks, k_values, pure), z_rows, basis = _certificate_case()
-    assert gram._certificate((blocks, k_values, pure), z_rows, basis)[0] is None
+    (blocks, k_values, pure), z_rows, basis, weight = _certificate_case()
+    assert gram._certificate((blocks, k_values, pure), z_rows, basis,
+                             weight)[0] is None
     index = {y: a for a, y in enumerate(basis)}
     where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
              for r, y in enumerate(ys)}
@@ -570,7 +581,8 @@ def test_certificate_names_first_perturbed_entry(data):
             g_blocks[b][1][r][s] += delta
         else:
             q_rows[a][basis[c]] = q_rows[a].get(basis[c], 0) + delta
-    witness = gram._certificate((g_blocks, k_values, pure), q_rows, basis)[0]
+    witness = gram._certificate((g_blocks, k_values, pure), q_rows, basis,
+                                weight)[0]
     assert witness == min(spot[:2] for spot in spots)
 
 
@@ -609,6 +621,14 @@ def test_verify_e7_e8_up_to_degree_3(name):
     # Beyond ROSTER, whose envelopes the goldens pin.
     t = parse_type(name)
     for d in range(4):
+        rep = verify(t, d)
+        assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
+
+
+def test_verify_d4_3_beyond_the_roster():
+    # D4^3 runs on ints, so degrees past the roster's d <= 4 are cheap.
+    t = parse_type("D4^3")
+    for d in range(8, 11):
         rep = verify(t, d)
         assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
 
@@ -659,21 +679,24 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
 
 
 def _blocks_match_oracles(t, d, data=None):
-    """_y_gram's product-built lambda-blocks at degree d equal the all-pairs
-    recursion entry for entry, and the certificate's det of each block,
-    from the block's pure blocks only, equals the field Bareiss of the
-    whole block, or is None where the block is not symmetric.  Returns
-    the counts of blocks with several part sizes and of asymmetric ones."""
+    """_y_gram's product-built lambda-blocks S'_lambda at degree d equal the
+    all-pairs recursion's form values G_lambda times w(y) entry for entry,
+    and the certificate's det of each block, from the block's pure blocks
+    only, equals the field Bareiss of the whole G_lambda, or is None where
+    G_lambda is not symmetric.  Returns the counts of blocks with several
+    part sizes and of asymmetric ones."""
     engine = FormEngine(t, data)
     basis = enumerate_basis(t, d)
     blocks, k_values, pure = gram._y_gram(engine, basis)
-    assert blocks == lambda_blocks(FormEngine(t, data), basis)
+    forms = lambda_blocks(FormEngine(t, data), basis)
+    assert blocks == [(ys, [[v * engine.weight(y) for v in row]
+                            for y, row in zip(ys, g)]) for ys, g in forms]
     z_rows = [engine.z_in_y(y) for y in basis]
     mixed = asymmetric = 0
-    for ys, g in blocks:
+    for (ys, s), (_, g) in zip(blocks, forms):
         runs = _runs(tuple(n for n, _ in ys[0]))
-        own = ([(ys, g)], k_values, {run: pure[run] for run in runs})
-        det = gram._certificate(own, z_rows, basis)[1]
+        own = ([(ys, s)], k_values, {run: pure[run] for run in runs})
+        det = gram._certificate(own, z_rows, basis, engine.weight)[1]
         if g == [list(col) for col in zip(*g)]:
             assert det == det_exact(ExactMatrix(g))
         else:
@@ -737,29 +760,39 @@ def kron_blocks(draw):
 def test_certificate_det_of_a_permuted_product(case):
     # det G_lambda = prod_n det(G_(n^m))^(dim G_lambda / dim G_(n^m)) in any
     # order of the block's monomials; with Q = G_y and K_y = 1 the identity
-    # holds, so the certificate has neither witness nor doubt.
+    # holds, so the certificate has neither witness nor doubt.  It is handed
+    # the weighted S' = W G and K' = W, with w(y) = prod n as if every
+    # color had d_i = 1.
     ys, g, factors = case
+
+    def weight(y):
+        return prod(n for n, _ in y)
+
+    def weighted(monos, G):
+        return [[weight(y) * v for v in row] for y, row in zip(monos, G)]
+
     pure = {(members[0][0][0], len(members[0])):
-            ({y: r for r, y in enumerate(members)}, G)
+            ({y: r for r, y in enumerate(members)}, weighted(members, G))
             for members, G in factors}
     z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
-    y_gram = ([(ys, g)], dict.fromkeys(ys, 1), pure)
-    assert gram._certificate(y_gram, z_rows, ys) == (
+    y_gram = ([(ys, weighted(ys, g))], {y: weight(y) for y in ys}, pure)
+    assert gram._certificate(y_gram, z_rows, ys, weight) == (
         None, det_exact(ExactMatrix(g)), 1, None)
 
 
 def test_verify_names_a_wrong_pure_block_entry(monkeypatch):
-    # A planted (y_1, y_1)_S + 1 enters G_y only through the pure block
-    # G_(1) and the mixed block (2, 1) built from it, since the recursion
-    # inside (1^3) does not go through form_s_mono; the z-expansions,
-    # which do not use the S-recursion, name the wrong entry.
-    form_s_mono = FormEngine.form_s_mono
+    # A planted S'(y_1, y_1) + 1, which is (y_1, y_1)_S + 1 as
+    # w(((1, 1),)) = 1, enters G_y only through the pure block G_(1) and
+    # the mixed block (2, 1) built from it, since the recursion inside
+    # (1^3) does not go through weighted_s; the z-expansions, which do not
+    # use the S-recursion, name the wrong entry.
+    weighted_s = FormEngine.weighted_s
 
     def planted(self, left, right):
-        value = form_s_mono(self, left, right)
+        value = weighted_s(self, left, right)
         return value + 1 if left == right == ((1, 1),) else value
 
-    monkeypatch.setattr(FormEngine, "form_s_mono", planted)
+    monkeypatch.setattr(FormEngine, "weighted_s", planted)
     rep = verify(A1, 3)
     assert not rep.identity_ok and rep.det_N == 1
     # G_(2, 1) = G_(2) (G_(1) + 1) = 3/2 of itself, and det M with it

@@ -3,7 +3,8 @@ from math import gcd
 
 import pytest
 
-from shapdet.exact import ExactMatrix, InternalCheckError, det_exact, as_integer
+from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
+                           as_integer, det_exact)
 from shapdet.roots import (ROSTER, a_matrix, det_a, finite_root_data,
                            index_set, parse_type)
 
@@ -126,6 +127,38 @@ def test_a_matrix_periodicity():
             rep = n % t.r or t.r
             assert a_matrix(t, n).matrix == a_matrix(t, rep).matrix
             assert a_matrix(t, n).index_set == a_matrix(t, rep).index_set
+
+
+def test_a_matrix_entries_are_ints():
+    # Every built-in A^(n) is integral, and a_matrix returns such an entry
+    # as an int, also on D4^3 where it is summed in Q(zeta_3).
+    for t in ALL_TYPES + [parse_type("E7^1"), parse_type("E8^1")]:
+        for n in range(1, 13):
+            rows = a_matrix(t, n).matrix.rows
+            assert all(type(x) is int for row in rows for x in row), (t, n)
+
+
+def test_a_matrix_keeps_field_entries_of_fixtures():
+    # A genuine zeta_3 part stays a CycNumber and a non-integral gram
+    # entry a Fraction; an integral entry beside them is still an int.
+    from shapdet.roots import FiniteRootData
+    t = parse_type("D4^3")
+    base = finite_root_data(t)
+    gram = [[2, -1, -1, 0], [-1, 2, -1, -1], [-1, -1, 2, 0], [0, -1, 0, 2]]
+    data = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
+                          base.orbits, base.d, base.c)
+    assert a_matrix(t, 1, data).matrix.rows == [[CycNumber(3, 2, -1)]]
+    assert type(a_matrix(t, 1, data).matrix.rows[0][0]) is CycNumber
+    assert a_matrix(t, 3, data).matrix.rows == [[1, -3], [-1, 2]]
+    assert all(type(x) is int
+               for row in a_matrix(t, 3, data).matrix.rows for x in row)
+    t = parse_type("A2^1")
+    base = finite_root_data(t)
+    data = FiniteRootData(base.nodes, ExactMatrix([[2, Fraction(-1, 2)],
+                                                   [-1, 2]]),
+                          base.mu, base.orbits, base.d, base.c)
+    assert [[type(x) for x in row] for row in a_matrix(t, 1, data).matrix.rows
+            ] == [[int, Fraction], [int, int]]
 
 
 def test_index_set_sizes():
