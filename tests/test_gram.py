@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
-from math import factorial, lcm, prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -650,15 +650,10 @@ def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
     assert max(sizes) == largest
 
 
-def _cleared(g):
-    """A block of rational form values times the lcm of its denominators."""
-    den = lcm(*(v.denominator for row in g for v in row if v))
-    return ExactMatrix([[v * den for v in row] for row in g])
-
-
 def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
     # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
+    # Bareiss gets the int blocks S' = W G exactly as _y_gram hands them.
     t = parse_type("E6^1")
     passed = []
 
@@ -668,7 +663,7 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
 
     monkeypatch.setattr(gram, "det_exact", recording)
     assert verify(t, 4).ok
-    blocks = {tuple(n for n, _ in ys[0]): _cleared(g) for ys, g in
+    blocks = {tuple(n for n, _ in ys[0]): ExactMatrix(g) for ys, g in
               gram._y_gram(FormEngine(t), enumerate_basis(t, 4))[0]}
     assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
     assert [m for m in passed if m.nrows == 126] == [blocks[(1, 1, 1, 1)]]
