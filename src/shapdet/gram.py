@@ -253,12 +253,13 @@ def transition_matrices(t: AffineType, d: int,
 
 
 def _y_gram(engine: FormEngine, basis):
-    """([(ys, S'_lambda)], {y: K'(y, y)}, {(n, m): ({y_n: row}, S'_(n^m))}):
-    the lambda-blocks ys of the basis in basis order with their blocks of
-    S'_y = W G_y, the diagonal of K'_y = W K_y, and the pure block of each
-    run n^m of a lambda.  Its rows are the segments y_n of the monomials y
-    of those lambdas, in order of first appearance.  Only the pure blocks
-    run the S-recursion, each pair once; since w(y) = prod_n w(y_n), every
+    """([(ys, S'_lambda)], {y: K'(y, y)}, {y: w(y)},
+    {(n, m): ({y_n: row}, S'_(n^m))}): the lambda-blocks ys of the basis in
+    basis order with their blocks of S'_y = W G_y, the diagonal of
+    K'_y = W K_y, the weights, and the pure block of each run n^m of a
+    lambda.  Its rows are the segments y_n of the monomials y of those
+    lambdas, in order of first appearance.  Only the pure blocks run the
+    S-recursion, each pair once; since w(y) = prod_n w(y_n), every
     lambda-block is their Kronecker product,
     S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n]."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
@@ -292,7 +293,8 @@ def _y_gram(engine: FormEngine, basis):
         return ys, [[want[c] for c in order] for want in kron_rows]
 
     return ([block(shape, ys) for shape, ys in members.items()],
-            {y: engine.weighted_k(y, y) for y in basis}, pure)
+            {y: engine.weighted_k(y, y) for y in basis},
+            {y: engine.weight(y) for y in basis}, pure)
 
 
 def gram_matrices(t: AffineType, d: int,
@@ -316,14 +318,13 @@ def gram_matrices(t: AffineType, d: int,
 def _gram(t: AffineType, d: int, engine: FormEngine):
     """M, N, and the _y_gram values and x-rows they came from."""
     basis = enumerate_basis(t, d)
-    blocks, k_values, _ = y_gram = _y_gram(engine, basis)
+    blocks, k_values, w, _ = y_gram = _y_gram(engine, basis)
     x_rows = _x_rows(t, basis)
     # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
     # row b of P is the int vector p_rows[b] over scale[b], S'_y and K'_y
     # are the recursion's values as they are (ints wherever A^(n) is), and
     # w(y) divides every coefficient of y in P.
     p_rows, scale = zip(*x_rows)
-    w = {y: engine.weight(y) for y in basis}
     g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]
               for ys, g in blocks for y, row in zip(ys, g)}  # nonzero S'(y, z)
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
@@ -361,11 +362,11 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
     return ExactMatrix(M), ExactMatrix(N), y_gram, x_rows
 
 
-def _certificate(y_gram, z_rows, basis, weight):
+def _certificate(y_gram, z_rows, basis):
     """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
-    valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a])
-    and weight(y) is w(y).  It works on H = S'_y W = W G_y W, which is
-    symmetric iff G_y is; and G_y = Q K_y iff H[y][z] = w(y) Q[y][z] K'(z, z).
+    valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a]).
+    It works on H = S'_y W = W G_y W, which is symmetric iff G_y is; and
+    G_y = Q K_y iff H[y][z] = w(y) Q[y][z] K'(z, z).
     M mirrors the upper triangle of P G_y P^T and N = P K_y P^T, so
     M = P Q P^-1 N holds when G_y = Q K_y = G_y^T (with Q = 0 outside the
     blocks) and fails when only G_y = Q K_y holds.
@@ -378,7 +379,7 @@ def _certificate(y_gram, z_rows, basis, weight):
     says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  The
     products run over the monomials y of the blocks, and neither det is yet
     checked to be an integer."""
-    blocks, k_values, pure = y_gram
+    blocks, k_values, w, pure = y_gram
     index = {y: a for a, y in enumerate(basis)}
     dets = {run: det_exact(ExactMatrix(S)) for run, (_, S) in pure.items()}
     found = []
@@ -386,7 +387,7 @@ def _certificate(y_gram, z_rows, basis, weight):
     for ys, s in blocks:
         cols = [index[z] for z in ys]
         at = {z: c for c, z in enumerate(ys)}
-        ws = [weight(z) for z in ys]
+        ws = [w[z] for z in ys]
         h = [[v * wz for v, wz in zip(row, ws)] for row in s]  # H = S'_y W
         for r, (a, h_row) in enumerate(zip(cols, h)):  # rows in basis order
             qk_row, bad = [0] * len(ys), []  # row a of W Q K'_y in the block
@@ -497,7 +498,7 @@ def verify(t: AffineType, d: int,
             % (a, b, Fraction(x.get(basis[b], 0), scale), basis[a], basis[b]))
     else:
         witness, det_m, det_n, doubt = _certificate(
-            y_gram, [engine.z_in_y(y) for y in basis], basis, engine.weight)
+            y_gram, [engine.z_in_y(y) for y in basis], basis)
         try:
             report.det_M, report.det_N = (None if doubt else as_integer(det_m),
                                           as_integer(det_n))

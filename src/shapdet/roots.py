@@ -260,9 +260,9 @@ def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatr
     """The matrix A^(n) with entries (1/d_i) (alpha_i' | sum_k zeta^{nk} mu^k(alpha_j'))'.
 
     An entry that is an integer in value is an int, whatever the twist;
-    only a genuine zeta_3 part (a CycNumber) or a non-integral gram (a
-    Fraction) keeps a field type.  Every built-in A^(n) is integral.  This
-    is the only builder of A^(n); FormEngine caches its views per n.
+    any other (only a fixture gram gives one) stays a CycNumber for r = 3,
+    else a Fraction.  Every built-in A^(n) is integral.  This is the only
+    builder of A^(n); FormEngine caches its views per n.
     """
     if n < 1:
         raise ValueError("A^(n) needs n >= 1")
@@ -281,10 +281,11 @@ def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatr
                 g = data.pair(i, mu_pow[kk][j])
                 if g:
                     total = total + zp[(n * kk) % t.r] * g
+            total = _field_div(total, data.d[i])
             try:
-                total = as_integer(_field_div(total, data.d[i]))
+                total = as_integer(total)
             except InternalCheckError:
-                pass  # a genuine zeta_3 part or a non-integral value stays
+                pass  # not an integer in value: the field value stays
             row.append(total)
         rows.append(row)
     return AMatrix(n, idx, ExactMatrix(rows))

@@ -219,8 +219,8 @@ def test_form_s_is_symmetric(data):
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
     # type, every S'- and K'-memo value, every lambda-block, pure block and
-    # K'-diagonal value that _y_gram hands over, and every coefficient and
-    # scale of the x-rows that _gram contracts is an int.
+    # K'-diagonal value and weight that _y_gram hands over, and every
+    # coefficient and scale of the x-rows that _gram contracts is an int.
     seen = []
     _gram = gram._gram
 
@@ -235,10 +235,11 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     for name, d, _ in cases:
         assert verify(parse_type(name), d).ok
     assert len(seen) == len(cases)
-    for (engine, (blocks, k_values, pure), x_rows), case in zip(seen, cases):
+    for (engine, (blocks, k_values, w, pure), x_rows), case in zip(seen,
+                                                                   cases):
         handed = [*(v for _, g in blocks for row in g for v in row),
                   *(v for _, G in pure.values() for row in G for v in row),
-                  *k_values.values()]
+                  *k_values.values(), *w.values()]
         values = [*engine._memo_s.values(), *engine._memo_k.values(),
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
@@ -402,7 +403,10 @@ def test_gram_matches_brute_force_on_corrupted_data():
      "integer, got -1/16"),
     # a CycNumber contraction
     ("D4^3", CORRUPTED_GRAMS[-1][1], 2, "(((2, 1),), ((2, 1),)): expected an "
-     "integer, got 25/8-7/8*z3")])
+     "integer, got 25/8-7/8*z3"),
+    # A^(2)[1][2] = (g(1,2) + g(1,3)) / d_1 = -3/2 on the fixed node, d_1 = 2
+    ("D3^2", [[2, -2, -1], [-1, 2, 0], [-1, 0, 2]], 2, "(((2, 1),), ((2, 2),)):"
+     " expected an integer, got -3/2")])
 def test_non_integer_gram_entry_failure_text(name, gram, d, value):
     t, bad = _corrupted(name, gram)
     rep = verify(t, d, bad)
@@ -546,22 +550,22 @@ def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _certificate_case():
-    """y_gram (S'_y and K'_y), the rows of Q, the basis of E6^2 at degree
-    3 and the engine's weight w: 14 monomials in lambda-blocks of 2, 8 and
-    4, with fractional entries in Q and weights 1 and 2 in one block."""
+    """y_gram (S'_y, K'_y and w), the rows of Q and the basis of E6^2 at
+    degree 3: 14 monomials in lambda-blocks of 2, 8 and 4, with fractional
+    entries in Q and weights 1 and 2 in one block."""
     t = parse_type("E6^2")
     engine = FormEngine(t)
     y_gram = gram._gram(t, 3, engine)[2]
     basis = enumerate_basis(t, 3)
-    return y_gram, [engine.z_in_y(y) for y in basis], basis, engine.weight
+    return y_gram, [engine.z_in_y(y) for y in basis], basis
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    (blocks, k_values, pure), z_rows, basis, weight = _certificate_case()
-    assert gram._certificate((blocks, k_values, pure), z_rows, basis,
-                             weight)[0] is None
+    (blocks, k_values, w, pure), z_rows, basis = _certificate_case()
+    assert gram._certificate((blocks, k_values, w, pure), z_rows,
+                             basis)[0] is None
     index = {y: a for a, y in enumerate(basis)}
     where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
              for r, y in enumerate(ys)}
@@ -581,8 +585,8 @@ def test_certificate_names_first_perturbed_entry(data):
             g_blocks[b][1][r][s] += delta
         else:
             q_rows[a][basis[c]] = q_rows[a].get(basis[c], 0) + delta
-    witness = gram._certificate((g_blocks, k_values, pure), q_rows, basis,
-                                weight)[0]
+    witness = gram._certificate((g_blocks, k_values, w, pure), q_rows,
+                                basis)[0]
     assert witness == min(spot[:2] for spot in spots)
 
 
@@ -682,16 +686,17 @@ def _blocks_match_oracles(t, d, data=None):
     part sizes and of asymmetric ones."""
     engine = FormEngine(t, data)
     basis = enumerate_basis(t, d)
-    blocks, k_values, pure = gram._y_gram(engine, basis)
+    blocks, k_values, w, pure = gram._y_gram(engine, basis)
     forms = lambda_blocks(FormEngine(t, data), basis)
-    assert blocks == [(ys, [[v * engine.weight(y) for v in row]
+    assert w == {y: engine.weight(y) for y in basis}
+    assert blocks == [(ys, [[v * w[y] for v in row]
                             for y, row in zip(ys, g)]) for ys, g in forms]
     z_rows = [engine.z_in_y(y) for y in basis]
     mixed = asymmetric = 0
     for (ys, s), (_, g) in zip(blocks, forms):
         runs = _runs(tuple(n for n, _ in ys[0]))
-        own = ([(ys, s)], k_values, {run: pure[run] for run in runs})
-        det = gram._certificate(own, z_rows, basis, engine.weight)[1]
+        own = ([(ys, s)], k_values, w, {run: pure[run] for run in runs})
+        det = gram._certificate(own, z_rows, basis)[1]
         if g == [list(col) for col in zip(*g)]:
             assert det == det_exact(ExactMatrix(g))
         else:
@@ -770,8 +775,9 @@ def test_certificate_det_of_a_permuted_product(case):
             ({y: r for r, y in enumerate(members)}, weighted(members, G))
             for members, G in factors}
     z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
-    y_gram = ([(ys, weighted(ys, g))], {y: weight(y) for y in ys}, pure)
-    assert gram._certificate(y_gram, z_rows, ys, weight) == (
+    w = {y: weight(y) for y in ys}
+    y_gram = ([(ys, weighted(ys, g))], w, w, pure)
+    assert gram._certificate(y_gram, z_rows, ys) == (
         None, det_exact(ExactMatrix(g)), 1, None)
 
 

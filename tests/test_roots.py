@@ -139,8 +139,9 @@ def test_a_matrix_entries_are_ints():
 
 
 def test_a_matrix_keeps_field_entries_of_fixtures():
-    # A genuine zeta_3 part stays a CycNumber and a non-integral gram
-    # entry a Fraction; an integral entry beside them is still an int.
+    # A genuine zeta_3 part stays a CycNumber, a non-integral value a
+    # CycNumber for r = 3 and a Fraction else; an integral entry beside
+    # them is still an int.
     from shapdet.roots import FiniteRootData
     t = parse_type("D4^3")
     base = finite_root_data(t)
@@ -152,6 +153,13 @@ def test_a_matrix_keeps_field_entries_of_fixtures():
     assert a_matrix(t, 3, data).matrix.rows == [[1, -3], [-1, 2]]
     assert all(type(x) is int
                for row in a_matrix(t, 3, data).matrix.rows for x in row)
+    # A non-integral entry on a row with d_i = 3 keeps its division by d_i:
+    # (g(2,1) + g(2,3) + g(2,4)) / 3 = (-2 - 1 - 1) / 3.
+    gram[1][0] = -2
+    data = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
+                          base.orbits, base.d, base.c)
+    assert a_matrix(t, 3, data).matrix.rows == [
+        [1, -3], [CycNumber(3, Fraction(-4, 3)), 2]]
     t = parse_type("A2^1")
     base = finite_root_data(t)
     data = FiniteRootData(base.nodes, ExactMatrix([[2, Fraction(-1, 2)],
