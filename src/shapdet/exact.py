@@ -1,9 +1,8 @@
 """Exact scalar and matrix arithmetic.
 
 Scalars are plain ``int``, ``fractions.Fraction`` or :class:`CycNumber`
-(an element of Q(zeta_r), r <= 3).  Rationals embed into every Q(zeta_r),
-so the three kinds mix freely inside matrix entries and polynomial
-coefficients; only genuinely different cyclotomic orders refuse to mix.
+(an element of Q(zeta_3)).  Rationals embed into Q(zeta_3), so the three
+kinds mix freely inside matrix entries and polynomial coefficients.
 No floating point anywhere.
 
 All values are immutable, all operations referentially transparent, so
@@ -29,28 +28,21 @@ class InternalCheckError(RuntimeError):
 
 
 class CycNumber:
-    """Element ``a + b*zeta_r`` of the cyclotomic field Q(zeta_r), r in {1,2,3}.
+    """Element ``a + b*zeta_3`` of the cyclotomic field Q(zeta_3).
 
-    For r = 1 and r = 2 the root of unity is rational (1 and -1) and is
-    folded into ``a``, so ``b`` is always 0 there.  For r = 3 products are
-    reduced with zeta^2 = -1 - zeta.
+    Products are reduced with zeta^2 = -1 - zeta.  ``order`` is always 3:
+    the roots of unity of orders 1 and 2 are rational, and
+    roots._zeta_powers uses the ints 1 and -1 for them.
     """
 
     __slots__ = ("order", "a", "b")
 
     def __init__(self, order: int, a: Rational = 0, b: Rational = 0):
-        if order not in (1, 2, 3):
-            raise ValueError("cyclotomic order must be 1, 2 or 3, got %r" % (order,))
-        a = Fraction(a)
-        b = Fraction(b)
-        if b:
-            if order == 1:  # zeta_1 = 1
-                a, b = a + b, Fraction(0)
-            elif order == 2:  # zeta_2 = -1
-                a, b = a - b, Fraction(0)
+        if order != 3:
+            raise ValueError("cyclotomic order must be 3, got %r" % (order,))
         self.order = order
-        self.a = a
-        self.b = b
+        self.a = Fraction(a)
+        self.b = Fraction(b)
 
     @classmethod
     def zeta(cls, order: int) -> "CycNumber":
@@ -59,10 +51,6 @@ class CycNumber:
 
     def _coerce(self, other):
         if isinstance(other, CycNumber):
-            if other.order != self.order:
-                raise ValueError(
-                    "cyclotomic order mismatch: %d vs %d" % (self.order, other.order)
-                )
             return other
         if isinstance(other, (int, Fraction)):
             return CycNumber(self.order, other)
@@ -92,8 +80,6 @@ class CycNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.order < 3:
-            return CycNumber(self.order, self.a * o.a)
         # (a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z
         a1, b1, a2, b2 = self.a, self.b, o.a, o.b
         return CycNumber(3, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
@@ -103,8 +89,6 @@ class CycNumber:
     def inverse(self) -> "CycNumber":
         if not self:
             raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
-        if self.order < 3:
-            return CycNumber(self.order, 1 / self.a)
         # 1/(a + b z) = (a + b z^2) / N(a + b z) with N = a^2 - a b + b^2
         n = self.a * self.a - self.a * self.b + self.b * self.b
         return CycNumber(3, (self.a - self.b) / n, -self.b / n)
@@ -132,15 +116,11 @@ class CycNumber:
 
     def conjugate(self) -> "CycNumber":
         """Image under zeta -> zeta^-1 (complex conjugation)."""
-        if self.order < 3:
-            return self
         # conj(a + b z) = a + b z^2 = (a - b) - b z
         return CycNumber(3, self.a - self.b, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm down to Q; multiplicative."""
-        if self.order < 3:
-            return self.a
         return self.a * self.a - self.a * self.b + self.b * self.b
 
     def __bool__(self):
@@ -148,10 +128,7 @@ class CycNumber:
 
     def __eq__(self, other):
         if isinstance(other, CycNumber):
-            if other.order == self.order:
-                return self.a == other.a and self.b == other.b
-            # Different orders compare equal only through Q.
-            return not self.b and not other.b and self.a == other.a
+            return self.a == other.a and self.b == other.b
         if isinstance(other, (int, Fraction)):
             return not self.b and self.a == other
         return NotImplemented

@@ -20,34 +20,35 @@ derives all of these views from it as sparse rows; verify shares one.
 Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
 block-diagonal by the part-size shape lambda (the Heisenberg grading), and
 each lambda-block is the Kronecker product of pure blocks, G_lambda =
-kron_n G_(n^m_n), up to the order of its monomials.  The recursion runs
-on the pure blocks only; M = P G_y P^T and N = P K_y P^T are assembled
-from the x-expansions; P is upper unitriangular, so verify certifies
-det M = prod_lambda det G_lambda (from the pure dets) and det N =
-prod_y K_y(y, y), and checks M = P Q P^-1 N as G_y = Q K_y.  The
-all-pairs recursion, the full-matrix Bareiss determinants and the dense
-P Q P^-1 N are the tests' oracles.
+kron_n G_(n^m_n), up to the order of its monomials.  The S-recursion runs
+on the pure blocks only, as one level table per part size; M = P G_y P^T
+and N = P K_y P^T are assembled from the x-expansions; P is upper
+unitriangular, so verify certifies det M = prod_lambda det G_lambda (from
+the pure dets) and det N = prod_y K_y(y, y), and checks M = P Q P^-1 N as
+G_y = Q K_y.  The all-pairs memo recursion, the full-matrix Bareiss
+determinants and the dense P Q P^-1 N are the tests' oracles.
 
-The memo holds S'(left, right) = (left, right) w(left) per canonical
-monomial pair, with w(left) = prod n / d_i over the factors of left
-(FormEngine.weight), so the recursion drops the factor d_i / n and runs on
-ints wherever A^(n) is integral, as roots.a_matrix makes it for every
-built-in type.  verify uses only S'_y = W G_y and K'_y = W K_y: _gram
-contracts M = (P W^-1) S'_y P^T, and the certificate works on
-H = S'_y W = W G_y W and divides prod w(y) out of its determinants once.
-form_s_mono and form_k_mono divide w(left) out for the oracles.  The
-x-expansions are int coefficients over prod (n / d_i)!, each its prefix
-times one generator.  The memo is grow-only with idempotent inserts, so
-any evaluation order gives bit-identical results.
+The level tables and the memo hold S'(left, right) = (left, right) w(left),
+with w(left) = prod n / d_i over the factors of left (FormEngine.weight),
+so the recursion drops the factor d_i / n and runs on ints wherever A^(n)
+is integral, as roots.a_matrix makes it for every built-in type.  verify
+uses only S'_y = W G_y and K'_y = W K_y: _gram contracts
+M = (P W^-1) S'_y P^T, and the certificate works on H = S'_y W = W G_y W
+and divides prod w(y) out of its determinants once.  Only the K'-diagonal
+and the oracles form_s_mono and form_k_mono, which divide w(left) out,
+read the memo.  The x-expansions are int coefficients over prod (n / d_i)!,
+each its prefix times one generator.  The memo is grow-only with
+idempotent inserts, so any evaluation order gives bit-identical results.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import factorial, prod
+from itertools import accumulate, combinations_with_replacement
+from math import factorial, gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
@@ -137,17 +138,18 @@ class FormEngine:
     nonzero entries of A^(n) for S, the identity for K; the z-expansions
     (the rows of Q) use those of D A^(n) D^-1.  All three sparse row tables
     are derived from roots.a_matrix once per n and cached on the engine.
-    The memo tables hold the weighted values S' = (left, right) w(left) and
-    K' likewise, which weighted_s and weighted_k return as they are: the
-    only form values verify uses.  form_s_mono and form_k_mono divide
-    w(left) out for the oracles.  ``data`` may override the built-in root
-    data (the CLI hook).
+    verify's S-values are the S' = (left, right) w(left) of the pure
+    blocks, built bottom-up by pure_s; the memo tables hold S' and K' per
+    monomial pair for weighted_k and the oracles form_s_mono and
+    form_k_mono, which divide w(left) out.  ``data`` may override the
+    built-in root data (the CLI hook).
     """
 
     def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None):
         self.type = t
         self.data = data if data is not None else finite_root_data(t)
         self._pairings: Dict[int, _Pairing] = {}
+        self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
         self._memo_s: Dict[Tuple[Monomial, Monomial], object] = {}
         self._memo_k: Dict[Tuple[Monomial, Monomial], object] = {}
 
@@ -165,15 +167,37 @@ class FormEngine:
             self._pairings[n] = pairing
         return pairing
 
-    # -- the monomial-pair recursion ---------------------------------------
+    def pure_s(self, n: int, m: int):
+        """({y: row}, S'_(n^m)): the pure block of the run n^m on the weakly
+        increasing color tuples y of I(n), in basis order.  Level k of n is
+        built from level k - 1 by the S-recursion,
+        S'(y, z) = sum_j a_ij mult_j(z) S'(y[1:], z - e_j), walking the
+        nonzero entries c = z - e_j of row y[1:] up to z = c + e_j."""
+        levels = self._levels.setdefault(n, [({(): 0}, [[1]])])
+        rows = self._pairing(n).s_rows  # keyed by I(n), ascending
+        while len(levels) <= m:
+            index, prev = levels[-1]
+            at = {tuple((n, c) for c in cs): r for r, cs in enumerate(
+                combinations_with_replacement(rows, len(levels)))}
+            up = [{j: (at[tuple(sorted(c + ((n, j),)))], c.count((n, j)) + 1)
+                   for j in rows} for c in index]  # (column, mult_j) of c + e_j
+            table = []
+            for y in at:
+                out, a_row = [0] * len(at), rows[y[0][1]]
+                for c, v in enumerate(prev[index[y[1:]]]):
+                    if v:
+                        for j, aij in a_row:
+                            col, mult = up[c][j]
+                            out[col] = out[col] + aij * (mult * v)
+                table.append(out)
+            levels.append((at, table))
+        return levels[m]
+
+    # -- the monomial-pair recursion, the oracles' ------------------------
 
     def weight(self, mono: Monomial) -> int:
         """w(mono) = prod n / d_i over the factors (n, i) of mono."""
         return prod(n // self.data.d[i] for n, i in mono)
-
-    def weighted_s(self, left: Monomial, right: Monomial):
-        """S'(left, right) = (left, right)_S w(left)."""
-        return self._weighted("s_rows", self._memo_s, left, right)
 
     def weighted_k(self, left: Monomial, right: Monomial):
         """K'(left, right) = (left, right)_K w(left)."""
@@ -181,7 +205,8 @@ class FormEngine:
 
     def form_s_mono(self, left: Monomial, right: Monomial):
         """(left, right)_S = S'(left, right) / w(left), exact."""
-        return _field_div(self.weighted_s(left, right), self.weight(left))
+        return _field_div(self._weighted("s_rows", self._memo_s, left, right),
+                          self.weight(left))
 
     def form_k_mono(self, left: Monomial, right: Monomial):
         """(left, right)_K = K'(left, right) / w(left), exact."""
@@ -201,9 +226,11 @@ class FormEngine:
         rest = left[1:]
         total = 0
         for j, aij in getattr(self._pairing(n), rows)[i]:
-            mult, reduced = _remove_one(right, (n, j))
+            mult = right.count((n, j))
             if mult:
-                child = self._weighted(rows, memo, rest, reduced)
+                at = right.index((n, j))
+                child = self._weighted(rows, memo, rest,
+                                       right[:at] + right[at + 1:])
                 if child:
                     total = total + aij * (mult * child)
         memo[key] = total
@@ -216,15 +243,6 @@ class FormEngine:
             poly = poly_mul(poly, {((n, j),): v
                                    for j, v in self._pairing(n).z_rows[i]})
         return poly
-
-
-def _remove_one(mono: Monomial, factor):
-    """Multiplicity of factor in mono and mono with one copy removed."""
-    m = mono.count(factor)
-    if not m:
-        return 0, None
-    pos = mono.index(factor)
-    return m, mono[:pos] + mono[pos + 1:]
 
 
 def transition_matrices(t: AffineType, d: int,
@@ -257,32 +275,22 @@ def _y_gram(engine: FormEngine, basis):
     {(n, m): ({y_n: row}, S'_(n^m))}): the lambda-blocks ys of the basis in
     basis order with their blocks of S'_y = W G_y, the diagonal of
     K'_y = W K_y, the weights, and the pure block of each run n^m of a
-    lambda.  Its rows are the segments y_n of the monomials y of those
-    lambdas, in order of first appearance.  Only the pure blocks run the
-    S-recursion, each pair once; since w(y) = prod_n w(y_n), every
-    lambda-block is their Kronecker product,
+    lambda, straight from FormEngine.pure_s.  Since w(y) = prod_n w(y_n),
+    every lambda-block is their Kronecker product,
     S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n]."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
-    spans, seen = {}, {}  # the runs of each shape; {y_n: row} of each run
-    for shape, ys in members.items():
-        runs = _runs(shape)
-        cuts = list(accumulate((m for _, m in runs), initial=0))
-        spans[shape] = list(zip(runs, cuts, cuts[1:]))
-        for run, lo, hi in spans[shape]:
-            rows = seen.setdefault(run, {})
-            for y in ys:
-                rows.setdefault(y[lo:hi], len(rows))
-    pure = {run: (rows, [[engine.weighted_s(y, z) for z in rows]
-                         for y in rows])
-            for run, rows in seen.items()}
+    pure = {}
 
     def block(shape, ys):
+        runs = _runs(shape)
+        cuts = list(accumulate((m for _, m in runs), initial=0))
+        pure.update((run, engine.pure_s(*run)) for run in runs)
         order, kron_rows = [], []  # the row of y in the Kronecker product
         for y in ys:
             c, want = 0, None
-            for run, lo, hi in spans[shape]:
+            for run, lo, hi in zip(runs, cuts, cuts[1:]):  # y[lo:hi] is y_n
                 rows, G = pure[run]
                 q = rows[y[lo:hi]]
                 c = c * len(rows) + q
@@ -346,9 +354,9 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
         k_row = [0] * size  # row a of P K_y P^T, columns b >= a
         for h_row, out in ((hs, s_row), (hk, k_row)):
             for z, h in h_row.items():
-                for b, cb in columns[z]:
-                    if b >= a:
-                        out[b] = out[b] + h * cb
+                col = columns[z]  # ascending in b: start at the first b >= a
+                for b, cb in col[bisect_left(col, (a,)):]:
+                    out[b] = out[b] + h * cb
         for b in range(a, size):
             if s_row[b] or k_row[b]:
                 den = scale[a] * scale[b]
@@ -375,13 +383,13 @@ def _certificate(y_gram, z_rows, basis):
     block entries and the terms of Q's rows.  A symmetric G_y gives
     M = P G_y P^T and det M = prod_lambda det S'_lambda / prod_y w(y), where
     det S'_lambda = prod_n det(S'_(n^m))^(dim S'_lambda / dim S'_(n^m)) over
-    the runs n^m of lambda, by Bareiss on the pure blocks only; else doubt
+    the runs n^m of lambda, by _pure_det on the pure blocks only; else doubt
     says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  The
     products run over the monomials y of the blocks, and neither det is yet
     checked to be an integer."""
     blocks, k_values, w, pure = y_gram
     index = {y: a for a, y in enumerate(basis)}
-    dets = {run: det_exact(ExactMatrix(S)) for run, (_, S) in pure.items()}
+    dets = {run: _pure_det(S) for run, (_, S) in pure.items()}
     found = []
     det_m, det_n, w_all, doubt = 1, 1, 1, None
     for ys, s in blocks:
@@ -414,6 +422,19 @@ def _certificate(y_gram, z_rows, basis):
     return (min(found, default=None),
             None if doubt else _field_div(det_m, w_all),
             _field_div(det_n, w_all), doubt)
+
+
+def _pure_det(S):
+    """det S by Bareiss, on an int S after dividing each row by the gcd r_i
+    of its entries and then each column of that by its gcd c_j:
+    det S = prod r_i prod c_j det H for the content-free H."""
+    if not all(type(v) is int for row in S for v in row):
+        return det_exact(ExactMatrix(S))
+    r = [gcd(*row) or 1 for row in S]  # a zero row or column stays zero
+    H = [[v // g for v in row] for row, g in zip(S, r)]
+    c = [gcd(*col) or 1 for col in zip(*H)]
+    H = [[v // g for v, g in zip(row, c)] for row in H]
+    return prod(r) * prod(c) * det_exact(ExactMatrix(H))
 
 
 @dataclass

@@ -28,21 +28,19 @@ def cofactor_det(rows):
     return total
 
 
-def random_cyc(rng, order):
+def random_cyc(rng):
     a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    b = Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if order == 3 else 0
-    return CycNumber(order, a, b)
+    b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    return CycNumber(3, a, b)
 
 
-def cyc_numbers(order):
+def cyc_numbers():
     q = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-    return st.builds(CycNumber, st.just(order), q,
-                     q if order == 3 else st.just(0))
+    return st.builds(CycNumber, st.just(3), q, q)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-@given(st.sampled_from([1, 2, 3]).flatmap(
-           lambda r: st.tuples(cyc_numbers(r), cyc_numbers(r), cyc_numbers(r))),
+@given(st.tuples(cyc_numbers(), cyc_numbers(), cyc_numbers()),
        st.fractions(min_value=-6, max_value=6, max_denominator=5))
 def test_cyc_number_field_laws(xyz, q):
     # The D4^3 form values are Q(zeta_3) numbers; the S-recursion adds and
@@ -71,13 +69,6 @@ def test_zeta3_reduction():
     assert (1 + z3) + (-z3) == 1
 
 
-def test_low_order_roots_fold_to_rationals():
-    assert CycNumber.zeta(1) == 1
-    assert CycNumber.zeta(2) == -1
-    assert CycNumber(2, 3) * CycNumber(2, -1) == -3
-    assert CycNumber(2, 0, 5).b == 0  # 5*zeta_2 folds into the rational part
-
-
 def test_cyc_division():
     assert z3 / z3 == 1
     assert 1 / z3 == z3 * z3  # zeta^-1 = zeta^2
@@ -88,20 +79,20 @@ def test_cyc_division():
 
 
 def test_cyc_order_mismatch():
-    with pytest.raises(ValueError):
-        CycNumber(2, 1) + CycNumber(3, 1)
-    with pytest.raises(ValueError):
-        CycNumber(1, 1) * CycNumber(3, 0, 1)
-    # equality across orders is fine for rational values
-    assert CycNumber(2, 5) == CycNumber(3, 5)
-    assert CycNumber(2, 5) != CycNumber(3, 5, 1)
+    # Only Q(zeta_3) is built: the roots of unity of orders 1 and 2 are
+    # rational, and roots._zeta_powers uses the ints 1 and -1 for them.
+    for order in (1, 2, 4):
+        with pytest.raises(ValueError):
+            CycNumber(order, 1)
+        with pytest.raises(ValueError):
+            CycNumber.zeta(order)
+    assert CycNumber(3, 5) == 5 and CycNumber(3, 5) != CycNumber(3, 5, 1)
 
 
 def test_cyc_field_axioms_randomized():
     rng = random.Random(12345)
     for _ in range(200):
-        order = rng.choice((1, 2, 3))
-        x, y, z = (random_cyc(rng, order) for _ in range(3))
+        x, y, z = (random_cyc(rng) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert x * (y + z) == x * y + x * z
         if x:
@@ -146,7 +137,7 @@ def test_det_matches_cofactor_oracle():
             rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                      for _ in range(n)] for _ in range(n)]
         else:
-            rows = [[random_cyc(rng, 3) for _ in range(n)] for _ in range(n)]
+            rows = [[random_cyc(rng) for _ in range(n)] for _ in range(n)]
         assert det_exact(ExactMatrix(rows)) == cofactor_det(rows)
 
 

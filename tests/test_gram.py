@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -218,9 +219,10 @@ def test_form_s_is_symmetric(data):
 
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
-    # type, every S'- and K'-memo value, every lambda-block, pure block and
-    # K'-diagonal value and weight that _y_gram hands over, and every
-    # coefficient and scale of the x-rows that _gram contracts is an int.
+    # type, every S'- and K'-memo and level-table value, every lambda-block,
+    # pure block and K'-diagonal value and weight that _y_gram hands over,
+    # and every coefficient and scale of the x-rows that _gram contracts is
+    # an int.
     seen = []
     _gram = gram._gram
 
@@ -241,6 +243,8 @@ def test_integer_pipeline_stays_integral(monkeypatch):
                   *(v for _, G in pure.values() for row in G for v in row),
                   *k_values.values(), *w.values()]
         values = [*engine._memo_s.values(), *engine._memo_k.values(),
+                  *(v for levels in engine._levels.values()
+                    for _, table in levels for row in table for v in row),
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert all(type(v) is int for v in handed + values)
@@ -657,7 +661,8 @@ def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
 def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
     # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
-    # Bareiss gets the int blocks S' = W G exactly as _y_gram hands them.
+    # Bareiss gets each int block S' = W G as _y_gram hands it, with the
+    # gcd r_i of each row and then the gcd c_j of each column divided out.
     t = parse_type("E6^1")
     passed = []
 
@@ -670,11 +675,77 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     blocks = {tuple(n for n, _ in ys[0]): ExactMatrix(g) for ys, g in
               gram._y_gram(FormEngine(t), enumerate_basis(t, 4))[0]}
     assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
-    assert [m for m in passed if m.nrows == 126] == [blocks[(1, 1, 1, 1)]]
+    pure = blocks[(1, 1, 1, 1)].rows
+    r = [math.gcd(*row) for row in pure]
+    c = [math.gcd(*(v // g for v, g in zip(col, r))) for col in zip(*pure)]
+    content_free = ExactMatrix([[v // (g * h) for v, h in zip(row, c)]
+                                for row, g in zip(pure, r)])
+    assert content_free != blocks[(1, 1, 1, 1)]
+    assert [m for m in passed if m.nrows == 126] == [content_free]
+    assert prod(r) * prod(c) * det_exact(content_free) == det_exact(
+        blocks[(1, 1, 1, 1)])
     assert blocks[(1, 1, 1, 1)] != blocks[(2, 1, 1)]
     mixed = [shape for shape in blocks if len(set(shape)) > 1]
     assert len(mixed) == 2
     assert not any(m == blocks[shape] for m in passed for shape in mixed)
+
+
+def _runs_of(t, dmax):
+    """The runs n^m of every lambda of t at degrees d <= dmax."""
+    return sorted({run for d in range(dmax + 1) for y in enumerate_basis(t, d)
+                   for run in _runs(tuple(n for n, _ in y))})
+
+
+def _pure_blocks_match_memo(t, dmax, data=None):
+    """FormEngine.pure_s(n, m) equals the memo recursion's form values
+    (y, z)_S times w(y) on the colorings y, z of every run n^m up to dmax,
+    in basis order.  Returns the pure blocks."""
+    engine, memo = FormEngine(t, data), FormEngine(t, data)
+    blocks = []
+    for n, m in _runs_of(t, dmax):
+        ys = [y for y in enumerate_basis(t, n * m) if {k for k, _ in y} == {n}]
+        rows, S = engine.pure_s(n, m)
+        assert rows == {y: r for r, y in enumerate(ys)}
+        assert S == [[memo.form_s_mono(y, z) * memo.weight(y) for z in ys]
+                     for y in ys]
+        blocks.append(S)
+    return blocks
+
+
+def test_pure_blocks_match_the_memo_recursion():
+    for name, dmax in [*ROSTER_DEGREES.items(), ("E6^1", 4), ("E7^1", 4)]:
+        _pure_blocks_match_memo(parse_type(name), dmax)
+    # A^(2)[1][2] = (g(1,2) + g(1,3)) / d_1 = -3/2, and a gram with
+    # Q(zeta_3) values
+    for name, gram_ in [("D3^2", [[2, -2, -1], [-1, 2, 0], [-1, 0, 2]]),
+                        ("D4^3", D4_3_ZETA3_GRAM)]:
+        t, bad = _corrupted(name, gram_)
+        blocks = _pure_blocks_match_memo(t, 4, bad)
+        assert any(type(v) is not int for S in blocks for row in S
+                   for v in row)
+
+
+def test_content_free_det_matches_full_bareiss_at_roster_degrees():
+    for name, dmax in ROSTER_DEGREES.items():
+        engine = FormEngine(parse_type(name))
+        for n, m in _runs_of(engine.type, dmax):
+            S = engine.pure_s(n, m)[1]
+            assert gram._pure_det(S) == det_exact(ExactMatrix(S))
+
+
+def test_verify_leaves_the_s_memo_empty(monkeypatch):
+    # verify's S'-values come from the level tables alone.
+    engines = []
+    _gram = gram._gram
+
+    def recording(t, d, engine):
+        engines.append(engine)
+        return _gram(t, d, engine)
+
+    monkeypatch.setattr(gram, "_gram", recording)
+    assert verify(parse_type("E6^1"), 4).ok
+    engine, = engines
+    assert engine._memo_s == {} and len(engine._levels[1]) == 5
 
 
 def _blocks_match_oracles(t, d, data=None):
@@ -783,17 +854,17 @@ def test_certificate_det_of_a_permuted_product(case):
 
 def test_verify_names_a_wrong_pure_block_entry(monkeypatch):
     # A planted S'(y_1, y_1) + 1, which is (y_1, y_1)_S + 1 as
-    # w(((1, 1),)) = 1, enters G_y only through the pure block G_(1) and
-    # the mixed block (2, 1) built from it, since the recursion inside
-    # (1^3) does not go through weighted_s; the z-expansions, which do not
-    # use the S-recursion, name the wrong entry.
-    weighted_s = FormEngine.weighted_s
+    # w(((1, 1),)) = 1, enters G_y only through the pure block G_(1) that
+    # pure_s(1, 1) hands over and the mixed block (2, 1) built from it,
+    # since the level table builds (1^3) from its own level 1; the
+    # z-expansions, which do not use the S-recursion, name the wrong entry.
+    pure_s = FormEngine.pure_s
 
-    def planted(self, left, right):
-        value = weighted_s(self, left, right)
-        return value + 1 if left == right == ((1, 1),) else value
+    def planted(self, n, m):
+        rows, S = pure_s(self, n, m)
+        return rows, [[S[0][0] + 1]] if (n, m) == (1, 1) else S
 
-    monkeypatch.setattr(FormEngine, "weighted_s", planted)
+    monkeypatch.setattr(FormEngine, "pure_s", planted)
     rep = verify(A1, 3)
     assert not rep.identity_ok and rep.det_N == 1
     # G_(2, 1) = G_(2) (G_(1) + 1) = 3/2 of itself, and det M with it
