@@ -1,11 +1,10 @@
 import json
-import math
 import os
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
-from math import factorial, prod
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -248,6 +247,8 @@ def test_integer_pipeline_stays_integral(monkeypatch):
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert all(type(v) is int for v in handed + values)
+        # verify's S'-values come from the level tables alone.
+        assert engine._memo_s == {} and engine._levels
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +677,8 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
               gram._y_gram(FormEngine(t), enumerate_basis(t, 4))[0]}
     assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
     pure = blocks[(1, 1, 1, 1)].rows
-    r = [math.gcd(*row) for row in pure]
-    c = [math.gcd(*(v // g for v, g in zip(col, r))) for col in zip(*pure)]
+    r = [gcd(*row) for row in pure]
+    c = [gcd(*(v // g for v, g in zip(col, r))) for col in zip(*pure)]
     content_free = ExactMatrix([[v // (g * h) for v, h in zip(row, c)]
                                 for row, g in zip(pure, r)])
     assert content_free != blocks[(1, 1, 1, 1)]
@@ -731,21 +732,6 @@ def test_content_free_det_matches_full_bareiss_at_roster_degrees():
         for n, m in _runs_of(engine.type, dmax):
             S = engine.pure_s(n, m)[1]
             assert gram._pure_det(S) == det_exact(ExactMatrix(S))
-
-
-def test_verify_leaves_the_s_memo_empty(monkeypatch):
-    # verify's S'-values come from the level tables alone.
-    engines = []
-    _gram = gram._gram
-
-    def recording(t, d, engine):
-        engines.append(engine)
-        return _gram(t, d, engine)
-
-    monkeypatch.setattr(gram, "_gram", recording)
-    assert verify(parse_type("E6^1"), 4).ok
-    engine, = engines
-    assert engine._memo_s == {} and len(engine._levels[1]) == 5
 
 
 def _blocks_match_oracles(t, d, data=None):
