@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .blocks import cartan_exponent, enumerate_blocks
 from .exact import ExactMatrix, InternalCheckError
-from .gram import FormEngine, transition_matrices, verify
+from .gram import FormEngine, gram_matrices, transition_matrices, verify
 from .partitions import enumerate_partitions, exponent_totals, exponents
 from .roots import (ROSTER, FiniteRootData, det_a, det_a_expected,
                     finite_root_data, parse_type)
@@ -275,9 +275,14 @@ def _cmd_gram(args, out) -> int:
         report = verify(t, d, data)
         payload = report.to_dict()
         if args.matrices:
-            P, Q = (None, None) if report.M is None else \
-                transition_matrices(t, d, FormEngine(t, data))
-            for key, m in zip("MNPQ", (report.M, report.N, P, Q)):
+            engine = FormEngine(t, data)
+            try:
+                M, N = gram_matrices(t, d, engine)
+            except InternalCheckError:  # verify recorded it as a failure
+                M = N = P = Q = None
+            else:
+                P, Q = transition_matrices(t, d, engine)
+            for key, m in zip("MNPQ", (M, N, P, Q)):
                 payload[key] = _matrix_payload(m)
         results.append(payload)
         env.lines.append(

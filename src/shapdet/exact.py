@@ -30,48 +30,45 @@ class InternalCheckError(RuntimeError):
 class CycNumber:
     """Element ``a + b*zeta_3`` of the cyclotomic field Q(zeta_3).
 
-    Products are reduced with zeta^2 = -1 - zeta.  ``order`` is always 3:
-    the roots of unity of orders 1 and 2 are rational, and
-    roots._zeta_powers uses the ints 1 and -1 for them.
+    Products are reduced with zeta^2 = -1 - zeta.  The roots of unity of
+    orders 1 and 2 are rational, and roots._zeta_powers uses the ints 1 and
+    -1 for them.
     """
 
-    __slots__ = ("order", "a", "b")
+    __slots__ = ("a", "b")
 
-    def __init__(self, order: int, a: Rational = 0, b: Rational = 0):
-        if order != 3:
-            raise ValueError("cyclotomic order must be 3, got %r" % (order,))
-        self.order = order
+    def __init__(self, a: Rational = 0, b: Rational = 0):
         self.a = Fraction(a)
         self.b = Fraction(b)
 
     @classmethod
-    def zeta(cls, order: int) -> "CycNumber":
-        """The distinguished primitive root of unity zeta_order."""
-        return cls(order, 0, 1)
+    def zeta(cls) -> "CycNumber":
+        """The distinguished primitive cube root of unity zeta_3."""
+        return cls(0, 1)
 
     def _coerce(self, other):
         if isinstance(other, CycNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return CycNumber(self.order, other)
+            return CycNumber(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(self.order, self.a + o.a, self.b + o.b)
+        return CycNumber(self.a + o.a, self.b + o.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNumber(self.order, -self.a, -self.b)
+        return CycNumber(-self.a, -self.b)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNumber(self.order, self.a - o.a, self.b - o.b)
+        return CycNumber(self.a - o.a, self.b - o.b)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -82,16 +79,16 @@ class CycNumber:
             return NotImplemented
         # (a1 + b1 z)(a2 + b2 z) with z^2 = -1 - z
         a1, b1, a2, b2 = self.a, self.b, o.a, o.b
-        return CycNumber(3, a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
+        return CycNumber(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2 - b1 * b2)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNumber":
         if not self:
-            raise ZeroDivisionError("division by zero in Q(zeta_%d)" % self.order)
+            raise ZeroDivisionError("division by zero in Q(zeta_3)")
         # 1/(a + b z) = (a + b z^2) / N(a + b z) with N = a^2 - a b + b^2
         n = self.a * self.a - self.a * self.b + self.b * self.b
-        return CycNumber(3, (self.a - self.b) / n, -self.b / n)
+        return CycNumber((self.a - self.b) / n, -self.b / n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -105,7 +102,7 @@ class CycNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = CycNumber(self.order, 1)
+        result = CycNumber(1)
         base = self
         while n:
             if n & 1:
@@ -117,7 +114,7 @@ class CycNumber:
     def conjugate(self) -> "CycNumber":
         """Image under zeta -> zeta^-1 (complex conjugation)."""
         # conj(a + b z) = a + b z^2 = (a - b) - b z
-        return CycNumber(3, self.a - self.b, -self.b)
+        return CycNumber(self.a - self.b, -self.b)
 
     def norm(self) -> Fraction:
         """Field norm down to Q; multiplicative."""
@@ -136,12 +133,12 @@ class CycNumber:
     def __hash__(self):
         if not self.b:
             return hash(self.a)
-        return hash((self.order, self.a, self.b))
+        return hash((self.a, self.b))
 
     def __str__(self):
         if not self.b:
             return str(self.a)
-        z = "z%d" % self.order
+        z = "z3"
         if not self.a:
             head = ""
         else:
@@ -157,7 +154,7 @@ class CycNumber:
         return head + tail
 
     def __repr__(self):
-        return "CycNumber(%d, %s, %s)" % (self.order, self.a, self.b)
+        return "CycNumber(%s, %s)" % (self.a, self.b)
 
 
 def as_integer(x: Scalar) -> int:

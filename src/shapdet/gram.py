@@ -22,11 +22,12 @@ block-diagonal by the part-size shape lambda (the Heisenberg grading), and
 each lambda-block is the Kronecker product of pure blocks, G_lambda =
 kron_n G_(n^m_n), up to the order of its monomials.  The S-recursion runs
 on the pure blocks only, as one level table per part size; M = P G_y P^T
-and N = P K_y P^T are assembled from the x-expansions; P is upper
-unitriangular, so verify certifies det M = prod_lambda det G_lambda (from
-the pure dets) and det N = prod_y K_y(y, y), and checks M = P Q P^-1 N as
-G_y = Q K_y.  The all-pairs memo recursion, the full-matrix Bareiss
-determinants and the dense P Q P^-1 N are the tests' oracles.
+and N = P K_y P^T stream row by row from the x-expansions (verify keeps no
+row, gram_matrices keeps all); P is upper unitriangular, so verify
+certifies det M = prod_lambda det G_lambda (from the pure dets) and
+det N = prod_y K_y(y, y), and checks M = P Q P^-1 N as G_y = Q K_y.  The
+all-pairs memo recursion, the full-matrix Bareiss determinants and the
+dense P Q P^-1 N are the tests' oracles.
 
 The level tables and the memo hold S'(left, right) = (left, right) w(left),
 with w(left) = prod n / d_i over the factors of left (FormEngine.weight),
@@ -256,9 +257,7 @@ def transition_matrices(t: AffineType, d: int,
     z-coefficients (and with them any overriding root data); a fresh
     engine on the built-in data is used when it is omitted.
     """
-    if engine is None:
-        engine = FormEngine(t)
-    basis = enumerate_basis(t, d)
+    engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
     P = [[0] * len(basis) for _ in basis]
     Q = [[0] * len(basis) for _ in basis]
@@ -305,29 +304,31 @@ def _y_gram(engine: FormEngine, basis):
             {y: engine.weight(y) for y in basis}, pure)
 
 
-def gram_matrices(t: AffineType, d: int,
-                  data: Optional[FiniteRootData] = None,
-                  engine: Optional[FormEngine] = None
+def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
                   ) -> Tuple[ExactMatrix, ExactMatrix]:
-    """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d.
-
-    G_y is block-diagonal by the part-size shape lambda and K_y is diagonal;
-    _y_gram evaluates both there as S'_y = W G_y and K'_y = W K_y, and
-    _gram contracts M = P G_y P^T and N = P K_y P^T on the int x-rows, row
-    a of P G_y first, then its pairing with every x_b, b >= a; each entry
-    is divided back exactly before its integrality check.
-
-    A non-integer entry raises InternalCheckError, since it can only come
-    from a recursion or root-data bug.
+    """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d,
+    dense: the rows that _gram streams, mirrored.  ``engine`` is as for
+    transition_matrices.  A non-integer entry raises InternalCheckError,
+    since it can only come from a recursion or root-data bug.
     """
-    return _gram(t, d, engine or FormEngine(t, data))[:2]
+    engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
+    M = [[0] * len(basis) for _ in basis]
+    N = [[0] * len(basis) for _ in basis]
+    for a, m_row, n_row in _gram(t, d, basis, _y_gram(engine, basis),
+                                 _x_rows(t, basis)):
+        for b, (u, v) in enumerate(zip(m_row, n_row), a):
+            M[a][b] = M[b][a] = u
+            N[a][b] = N[b][a] = v
+    return ExactMatrix(M), ExactMatrix(N)
 
 
-def _gram(t: AffineType, d: int, engine: FormEngine):
-    """M, N, and the _y_gram values and x-rows they came from."""
-    basis = enumerate_basis(t, d)
-    blocks, k_values, w, _ = y_gram = _y_gram(engine, basis)
-    x_rows = _x_rows(t, basis)
+def _gram(t: AffineType, d: int, basis, y_gram, x_rows):
+    """Yields (a, M[a][a:], N[a][a:]) for each a in basis order.  G_y is
+    block-diagonal by the part-size shape lambda and K_y is diagonal; y_gram
+    holds S'_y = W G_y and K'_y = W K_y, and row a of P G_y is contracted
+    first, then its pairing with every x_b, b >= a; each entry is divided
+    back exactly before its integrality check."""
+    blocks, k_values, w, _ = y_gram
     # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
     # row b of P is the int vector p_rows[b] over scale[b], S'_y and K'_y
     # are the recursion's values as they are (ints wherever A^(n) is), and
@@ -340,8 +341,6 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
         for z, cb in p_row.items():
             columns.setdefault(z, []).append((b, cb))
     size = len(basis)
-    M = [[0] * size for _ in range(size)]
-    N = [[0] * size for _ in range(size)]
     for a in range(size):
         hs: BPolynomial = {}  # row a of P G_y, times scale[a]
         hk: BPolynomial = {}  # row a of P K_y, times scale[a]
@@ -357,22 +356,23 @@ def _gram(t: AffineType, d: int, engine: FormEngine):
                 col = columns[z]  # ascending in b: start at the first b >= a
                 for b, cb in col[bisect_left(col, (a,)):]:
                     out[b] = out[b] + h * cb
+        m_row, n_row = [0] * (size - a), [0] * (size - a)
         for b in range(a, size):
             if s_row[b] or k_row[b]:
                 den = scale[a] * scale[b]
                 try:
-                    M[a][b] = M[b][a] = as_integer(_field_div(s_row[b], den))
-                    N[a][b] = N[b][a] = as_integer(_field_div(k_row[b], den))
+                    m_row[b - a] = as_integer(_field_div(s_row[b], den))
+                    n_row[b - a] = as_integer(_field_div(k_row[b], den))
                 except InternalCheckError as exc:
                     raise InternalCheckError(
                         "non-integer Gram entry at %s degree %d (%s, %s): %s"
                         % (t, d, basis[a], basis[b], exc)) from exc
-    return ExactMatrix(M), ExactMatrix(N), y_gram, x_rows
+        yield a, m_row, n_row
 
 
-def _certificate(y_gram, z_rows, basis):
+def _certificate(y_gram, z_rows, index):
     """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
-    valid when P is unitriangular; row a of Q is z_rows[a] = z_in_y(basis[a]).
+    valid when P is unitriangular; z_rows[index[y]] = z_in_y(y), row y of Q.
     It works on H = S'_y W = W G_y W, which is symmetric iff G_y is; and
     G_y = Q K_y iff H[y][z] = w(y) Q[y][z] K'(z, z).
     M mirrors the upper triangle of P G_y P^T and N = P K_y P^T, so
@@ -388,7 +388,6 @@ def _certificate(y_gram, z_rows, basis):
     products run over the monomials y of the blocks, and neither det is yet
     checked to be an integer."""
     blocks, k_values, w, pure = y_gram
-    index = {y: a for a, y in enumerate(basis)}
     dets = {run: _pure_det(S) for run, (_, S) in pure.items()}
     found = []
     det_m, det_n, w_all, doubt = 1, 1, 1, None
@@ -440,7 +439,8 @@ def _pure_det(S):
 @dataclass
 class GramReport:
     """Everything the degree-d verification produced, plus the verdicts.
-    P and Q are not kept: transition_matrices builds them for printing."""
+    M, N, P and Q are not kept: gram_matrices and transition_matrices build
+    them for printing."""
 
     type: AffineType
     d: int
@@ -448,8 +448,6 @@ class GramReport:
     predicted_a: int
     predicted_b: int
     predicted_det: int
-    M: Optional[ExactMatrix] = None
-    N: Optional[ExactMatrix] = None
     det_M: Optional[int] = None
     det_N: Optional[int] = None
     identity_ok: bool = False
@@ -485,26 +483,28 @@ def verify(t: AffineType, d: int,
            data: Optional[FiniteRootData] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    Once P is checked to be upper unitriangular on the x-rows that
-    assembled M, one pass over the lambda-blocks of G_y, the diagonal of
-    K_y and the rows of Q (the z-expansions) certifies det M and det N and
-    checks M = P Q P^-1 N as G_y = Q K_y = G_y^T; no dense P or Q is built.
+    M and N stream row by row from _gram, which checks every entry to be an
+    integer; then, once P is checked to be upper unitriangular on the same
+    x-rows, one pass over the lambda-blocks of G_y, the diagonal of K_y and
+    the rows of Q (the z-expansions) certifies det M and det N and checks
+    M = P Q P^-1 N as G_y = Q K_y = G_y^T.  No dense M, N, P or Q is built.
     Failed checks (wrong determinant, an uncertified det M, which stays
     None, the identity with its witness entry, non-integer Gram entries, a
     non-unitriangular P) are recorded in the report rather than raised.
-    One FormEngine serves the Gram matrices and the z-expansions.
+    One FormEngine serves the Gram rows and the z-expansions.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
-    engine = FormEngine(t, data)
+    engine, basis = FormEngine(t, data), report.basis
     try:
-        report.M, report.N, y_gram, x_rows = _gram(t, d, engine)
+        y_gram, x_rows = _y_gram(engine, basis), _x_rows(t, basis)
+        for _ in _gram(t, d, basis, y_gram, x_rows):
+            pass
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
 
-    basis = report.basis
     index = {y: a for a, y in enumerate(basis)}
     # The first (a, b), b <= a, with P[a][b] != [a = b]; a missing term is 0.
     off = min([(a, index[z]) for a, (x, _) in enumerate(x_rows)
@@ -519,7 +519,7 @@ def verify(t: AffineType, d: int,
             % (a, b, Fraction(x.get(basis[b], 0), scale), basis[a], basis[b]))
     else:
         witness, det_m, det_n, doubt = _certificate(
-            y_gram, [engine.z_in_y(y) for y in basis], basis)
+            y_gram, [engine.z_in_y(y) for y in basis], index)
         try:
             report.det_M, report.det_N = (None if doubt else as_integer(det_m),
                                           as_integer(det_n))

@@ -59,12 +59,9 @@ class FiniteRootData:
     d: Dict[int, int]                   # node -> d_i in {1, r}
     c: Dict[int, int]                   # node -> c_i in {1, 2}
 
-    def node_index(self, i: int) -> int:
-        return self.nodes.index(i)
-
     def pair(self, i: int, j: int) -> int:
         """(alpha_i' | alpha_j')'."""
-        return self.gram.rows[self.node_index(i)][self.node_index(j)]
+        return self.gram.rows[self.nodes.index(i)][self.nodes.index(j)]
 
 
 @dataclass(frozen=True)
@@ -252,8 +249,8 @@ def _zeta_powers(t: AffineType):
         return [1]
     if t.r == 2:
         return [1, -1]
-    z = CycNumber.zeta(3)
-    return [CycNumber(3, 1), z, z * z]
+    z = CycNumber.zeta()
+    return [CycNumber(1), z, z * z]
 
 
 def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatrix:

@@ -9,7 +9,7 @@ from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
 
 from oracles import kron, sym_power
 
-z3 = CycNumber.zeta(3)
+z3 = CycNumber.zeta()
 
 
 def cofactor_det(rows):
@@ -31,12 +31,12 @@ def cofactor_det(rows):
 def random_cyc(rng):
     a = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     b = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return CycNumber(3, a, b)
+    return CycNumber(a, b)
 
 
 def cyc_numbers():
     q = st.fractions(min_value=-6, max_value=6, max_denominator=5)
-    return st.builds(CycNumber, st.just(3), q, q)
+    return st.builds(CycNumber, q, q)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -50,8 +50,8 @@ def test_cyc_number_field_laws(xyz, q):
     assert (x * y) * z == x * (y * z) and x * y == y * x
     assert x * (y + z) == x * y + x * z
     assert x + 0 == x == x * 1 and x - x == 0 and x - y == x + (-y)
-    assert x * q == q * x == x * CycNumber(x.order, q)
-    assert CycNumber.zeta(x.order) ** x.order == 1
+    assert x * q == q * x == x * CycNumber(q)
+    assert CycNumber.zeta() ** 3 == 1
     assert (x * y).norm() == x.norm() * y.norm()
     assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     if y:
@@ -64,7 +64,7 @@ def test_cyc_number_field_laws(xyz, q):
 
 
 def test_zeta3_reduction():
-    assert z3 * z3 == CycNumber(3, -1, -1)
+    assert z3 * z3 == CycNumber(-1, -1)
     assert z3 ** 3 == 1
     assert (1 + z3) + (-z3) == 1
 
@@ -72,21 +72,17 @@ def test_zeta3_reduction():
 def test_cyc_division():
     assert z3 / z3 == 1
     assert 1 / z3 == z3 * z3  # zeta^-1 = zeta^2
-    x = CycNumber(3, Fraction(2, 3), Fraction(-1, 2))
+    x = CycNumber(Fraction(2, 3), Fraction(-1, 2))
     assert x / x == 1
     with pytest.raises(ZeroDivisionError):
-        x / CycNumber(3, 0)
+        x / CycNumber(0)
 
 
 def test_cyc_order_mismatch():
     # Only Q(zeta_3) is built: the roots of unity of orders 1 and 2 are
-    # rational, and roots._zeta_powers uses the ints 1 and -1 for them.
-    for order in (1, 2, 4):
-        with pytest.raises(ValueError):
-            CycNumber(order, 1)
-        with pytest.raises(ValueError):
-            CycNumber.zeta(order)
-    assert CycNumber(3, 5) == 5 and CycNumber(3, 5) != CycNumber(3, 5, 1)
+    # rational, and roots._zeta_powers uses the ints 1 and -1 for them.  A
+    # rational CycNumber equals its rational value, and no other.
+    assert CycNumber(5) == 5 and CycNumber(5) != CycNumber(5, 1)
 
 
 def test_cyc_field_axioms_randomized():
@@ -102,15 +98,15 @@ def test_cyc_field_axioms_randomized():
 
 
 def test_cyc_rational_interop():
-    assert Fraction(1, 2) * z3 == CycNumber(3, 0, Fraction(1, 2))
-    assert 2 - z3 == CycNumber(3, 2, -1)
-    assert (3 / CycNumber(3, 1, 1)).norm() == Fraction(9, 1)
+    assert Fraction(1, 2) * z3 == CycNumber(0, Fraction(1, 2))
+    assert 2 - z3 == CycNumber(2, -1)
+    assert (3 / CycNumber(1, 1)).norm() == Fraction(9, 1)
 
 
 def test_as_integer():
     assert as_integer(7) == 7
     assert as_integer(Fraction(14, 2)) == 7
-    assert as_integer(CycNumber(3, 7)) == 7
+    assert as_integer(CycNumber(7)) == 7
     with pytest.raises(InternalCheckError):
         as_integer(Fraction(1, 2))
     with pytest.raises(InternalCheckError):

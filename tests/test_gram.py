@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
@@ -223,13 +224,19 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     # and every coefficient and scale of the x-rows that _gram contracts is
     # an int.
     seen = []
-    _gram = gram._gram
+    _y_gram, _gram = gram._y_gram, gram._gram
 
-    def recording(t, d, engine):
-        out = _gram(t, d, engine)
-        seen.append((engine, out[2], out[3]))
+    def recording_y_gram(engine, basis):
+        out = _y_gram(engine, basis)
+        seen.append([engine, out])
         return out
 
+    def recording(t, d, basis, y_gram, x_rows):
+        assert y_gram is seen[-1][1]  # _gram contracts what _y_gram handed
+        seen[-1].append(x_rows)
+        return _gram(t, d, basis, y_gram, x_rows)
+
+    monkeypatch.setattr(gram, "_y_gram", recording_y_gram)
     monkeypatch.setattr(gram, "_gram", recording)
     cases = (("E6^1", 4, 1000), ("A1^1", 12, 1000), ("D4^3", 4, 20),
              ("E6^2", 4, 100))  # and a floor for the number of values
@@ -351,6 +358,11 @@ def _brute_gram(t, d, data=None):
     return ExactMatrix(M), ExactMatrix(N)
 
 
+def _fast_gram(t, d, data=None):
+    """gram_matrices through an engine on the root data ``data``."""
+    return gram_matrices(t, d, FormEngine(t, data))
+
+
 def _outcome(assemble, t, d, data=None):
     try:
         M, N = assemble(t, d, data)
@@ -364,7 +376,7 @@ def test_gram_matches_brute_force_at_roster_degrees():
     for name, dmax in ROSTER_DEGREES.items():
         t = parse_type(name)
         for d in range(dmax + 1):
-            assert _outcome(gram_matrices, t, d) == _outcome(_brute_gram, t, d)
+            assert _outcome(_fast_gram, t, d) == _outcome(_brute_gram, t, d)
 
 
 # Non-integer and non-symmetric grams, the last one on a twisted type whose
@@ -394,7 +406,7 @@ def test_gram_matches_brute_force_on_corrupted_data():
     for name, gram in CORRUPTED_GRAMS:
         t, bad = _corrupted(name, gram)
         for d in range(1, 5):
-            got = _outcome(gram_matrices, t, d, bad)
+            got = _outcome(_fast_gram, t, d, bad)
             assert got == _outcome(_brute_gram, t, d, bad)
             failures += isinstance(got, str)
     assert failures == 15  # the failure path is really exercised
@@ -415,9 +427,12 @@ def test_gram_matches_brute_force_on_corrupted_data():
 def test_non_integer_gram_entry_failure_text(name, gram, d, value):
     t, bad = _corrupted(name, gram)
     rep = verify(t, d, bad)
-    assert rep.M is None and not rep.identity_ok and rep.det_M is None
+    assert not rep.identity_ok and rep.det_M is None
     assert rep.failures == ["non-integer Gram entry at %s degree %d %s"
                             % (name, d, value)]
+    with pytest.raises(InternalCheckError) as exc:  # the dense M, N too
+        gram_matrices(t, d, FormEngine(t, bad))
+    assert rep.failures == [str(exc.value)]
 
 
 def test_non_integer_k_value_failure_text(monkeypatch):
@@ -426,10 +441,13 @@ def test_non_integer_k_value_failure_text(monkeypatch):
     monkeypatch.setattr(FormEngine, "weighted_k",
                         lambda self, left, right: Fraction(1, 2))
     rep = verify(A1, 1)
-    assert rep.M is None and rep.det_N is None
+    assert rep.det_N is None
     assert rep.failures == ["non-integer Gram entry at A1^1 degree 1 "
                             "(((1, 1),), ((1, 1),)): expected an integer, "
                             "got 1/2"]
+    with pytest.raises(InternalCheckError) as exc:
+        gram_matrices(A1, 1)
+    assert rep.failures == [str(exc.value)]
 
 
 def test_gram_a1_degree2():
@@ -479,12 +497,13 @@ def _agrees_with_oracles(report, data=None):
     """verify's lambda-block certificate against its oracles: the dense
     M == P Q P^-1 N and, where that holds, the Bareiss determinants of the
     full M and N.  data is the root data verify ran on."""
-    P, Q = transition_matrices(report.type, report.d,
-                               FormEngine(report.type, data))
-    assert report.identity_ok == (report.M == P @ Q @ invert(P) @ report.N)
+    engine = FormEngine(report.type, data)
+    M, N = gram_matrices(report.type, report.d, engine)
+    P, Q = transition_matrices(report.type, report.d, engine)
+    assert report.identity_ok == (M == P @ Q @ invert(P) @ N)
     if report.identity_ok:  # then M = P G_y P^T, as the certificate needs
-        assert report.det_M == as_integer(det_exact(report.M))
-        assert report.det_N == as_integer(det_exact(report.N))
+        assert report.det_M == as_integer(det_exact(M))
+        assert report.det_N == as_integer(det_exact(N))
 
 
 def test_certificate_matches_full_bareiss_at_roster_degrees():
@@ -516,11 +535,12 @@ def test_identity_matches_dense_oracle_on_corrupted_grams():
         t, bad = _corrupted(name, gram)
         for d in range(1, 5):
             rep = verify(t, d, bad)
-            if rep.M is None:  # a non-integer Gram entry stopped verify
-                assert not rep.identity_ok
+            try:
+                _agrees_with_oracles(rep, bad)
+            except InternalCheckError as exc:  # a non-integer Gram entry
+                assert not rep.identity_ok and rep.failures == [str(exc)]
                 assert rep.failures[0].startswith("non-integer Gram entry")
             else:
-                _agrees_with_oracles(rep, bad)
                 held.append(rep.identity_ok)
     assert held == [False] + [True] * 4 + [False] * 4
 
@@ -560,18 +580,18 @@ def _certificate_case():
     entries in Q and weights 1 and 2 in one block."""
     t = parse_type("E6^2")
     engine = FormEngine(t)
-    y_gram = gram._gram(t, 3, engine)[2]
     basis = enumerate_basis(t, 3)
-    return y_gram, [engine.z_in_y(y) for y in basis], basis
+    return (gram._y_gram(engine, basis), [engine.z_in_y(y) for y in basis],
+            basis)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
     (blocks, k_values, w, pure), z_rows, basis = _certificate_case()
-    assert gram._certificate((blocks, k_values, w, pure), z_rows,
-                             basis)[0] is None
     index = {y: a for a, y in enumerate(basis)}
+    assert gram._certificate((blocks, k_values, w, pure), z_rows,
+                             index)[0] is None
     where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
              for r, y in enumerate(ys)}
     in_g = st.sampled_from([(index[y], index[z], "G") for ys, _ in blocks
@@ -591,7 +611,7 @@ def test_certificate_names_first_perturbed_entry(data):
         else:
             q_rows[a][basis[c]] = q_rows[a].get(basis[c], 0) + delta
     witness = gram._certificate((g_blocks, k_values, w, pure), q_rows,
-                                basis)[0]
+                                index)[0]
     assert witness == min(spot[:2] for spot in spots)
 
 
@@ -623,6 +643,20 @@ def test_verify_builds_no_dense_transition_matrices(monkeypatch):
     monkeypatch.setattr(gram, "transition_matrices", failing)
     rep = verify(parse_type("E6^1"), 3)
     assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
+
+
+def test_verify_keeps_no_dense_gram_matrix():
+    # M and N of E6^1 d=4 (dim 315) would take about 1.6 MB as dense lists;
+    # verify drains their rows and keeps none, which halves its peak.
+    t = parse_type("E6^1")
+    tracemalloc.start()
+    try:
+        rep = verify(t, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and len(rep.basis) == 315
+    assert peak < 3 * 2 ** 20  # 4.3-4.5 MB when verify kept M and N
 
 
 @pytest.mark.parametrize("name", ["E7^1", "E8^1"])
@@ -749,11 +783,12 @@ def _blocks_match_oracles(t, d, data=None):
     assert blocks == [(ys, [[v * w[y] for v in row]
                             for y, row in zip(ys, g)]) for ys, g in forms]
     z_rows = [engine.z_in_y(y) for y in basis]
+    index = {y: a for a, y in enumerate(basis)}
     mixed = asymmetric = 0
     for (ys, s), (_, g) in zip(blocks, forms):
         runs = _runs(tuple(n for n, _ in ys[0]))
         own = ([(ys, s)], k_values, w, {run: pure[run] for run in runs})
-        det = gram._certificate(own, z_rows, basis)[1]
+        det = gram._certificate(own, z_rows, index)[1]
         if g == [list(col) for col in zip(*g)]:
             assert det == det_exact(ExactMatrix(g))
         else:
@@ -834,7 +869,8 @@ def test_certificate_det_of_a_permuted_product(case):
     z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
     w = {y: weight(y) for y in ys}
     y_gram = ([(ys, weighted(ys, g))], w, w, pure)
-    assert gram._certificate(y_gram, z_rows, ys) == (
+    index = {y: a for a, y in enumerate(ys)}
+    assert gram._certificate(y_gram, z_rows, index) == (
         None, det_exact(ExactMatrix(g)), 1, None)
 
 
@@ -872,7 +908,7 @@ def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
     assert rep.failures[0].startswith("M != P Q P^-1 N")
     assert rep.failures[1] == ("det M not certified: G_y is not symmetric, "
                                "so M != P G_y P^T")
-    assert det_exact(rep.M) == det_m
+    assert det_exact(gram_matrices(t, d, FormEngine(t, bad))[0]) == det_m
 
 
 @pytest.mark.parametrize("a, b", [(2, 2), (3, 0), (4, None)])
@@ -905,9 +941,10 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
     assert rep.failures == ["P is not upper unitriangular: P[%d][%d] = %s at "
                             "(%s, %s)" % (a, c, entry, basis[a], basis[c])]
     if a == b:
+        M, N = gram_matrices(A1, 4)
         P, Q = transition_matrices(A1, 4)
-        assert rep.M == P @ Q @ invert(P) @ rep.N
-        assert det_exact(rep.M) == 4 * rep.predicted_det
+        assert M == P @ Q @ invert(P) @ N
+        assert det_exact(M) == 4 * rep.predicted_det
 
 
 def test_verify_catches_corrupted_gram():

@@ -9,7 +9,7 @@ fails this test rather than a later benchmark run.
 import importlib.util
 from pathlib import Path
 
-from shapdet import parse_type, verify
+from shapdet import gram_matrices, parse_type, verify
 
 WORKER = Path(__file__).parent.parent / "shapbench" / "worker.py"
 
@@ -19,11 +19,12 @@ def test_worker_trace_verdict_matches_verify():
     worker = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(worker)
     trace = worker.run_trace([("A2^1", 2)])
-    rep = verify(parse_type("A2^1"), 2)
+    t = parse_type("A2^1")
+    rep = verify(t, 2)
     assert rep.ok
     assert trace["verdicts"] == [{
         "type": "A2^1", "d": 2, "basis_size": len(rep.basis),
         "predicted": rep.predicted_det, "det_M": rep.det_M,
         "det_N": rep.det_N, "identity_ok": rep.identity_ok,
-        "symmetric": rep.M.is_symmetric()}]
+        "symmetric": gram_matrices(t, 2)[0].is_symmetric()}]
     assert trace["counts"][0]["dim"] == len(rep.basis)
