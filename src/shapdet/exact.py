@@ -211,10 +211,6 @@ class ExactMatrix:
         self.nrows = len(data)
         self.ncols = width
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols

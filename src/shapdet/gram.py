@@ -1,14 +1,16 @@
 """The polynomial algebra in the y-generators and its two contravariant forms.
 
 Monomials are colored partitions (shared with the partitions module), so
-one global basis order serves the x-, y- and z-bases alike.  Both forms
-are evaluated by one operator recursion
+one global basis order serves the x-, y- and z-bases alike.  The S-form
+is evaluated by the operator recursion
 
     (y_n^(i) * rest, f) = (d_i / n) * sum_j c_{ij} (rest, df/dy_n^(j))
 
-with c = A^(n) for the S-form and c = the identity for the K-form.  The
-z-generators use the column-normalized coefficients a^(n)_{ij} d_i / d_j,
-i.e. D A^(n) D^-1, which leaves every block determinant unchanged; with
+with c = A^(n).  The K-form is the same recursion with c = the identity,
+so it is diagonal on the y-monomials: (y, y)_K = prod_f m_f! / w(y) over
+the distinct factors f of y, each m_f times in y.  The z-generators use
+the column-normalized coefficients a^(n)_{ij} d_i / d_j, i.e.
+D A^(n) D^-1, which leaves every block determinant unchanged; with
 those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
 the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
@@ -20,26 +22,25 @@ derives all of these views from it as sparse rows; verify shares one.
 Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
 block-diagonal by the part-size shape lambda (the Heisenberg grading), and
 each lambda-block is the Kronecker product of pure blocks, G_lambda =
-kron_n G_(n^m_n), up to the order of its monomials.  The S-recursion runs
-on the pure blocks only, as one level table per part size; M = P G_y P^T
-and N = P K_y P^T stream row by row from the x-expansions (verify keeps no
-row, gram_matrices keeps all); P is upper unitriangular, so verify
-certifies det M = prod_lambda det G_lambda (from the pure dets) and
-det N = prod_y K_y(y, y), and checks M = P Q P^-1 N as G_y = Q K_y.  The
-all-pairs memo recursion, the full-matrix Bareiss determinants and the
-dense P Q P^-1 N are the tests' oracles.
+kron_n G_(n^m_n), largest part slowest, which is the basis order of its
+monomials.  The S-recursion runs on the pure blocks only, as one level
+table per part size; M = P G_y P^T and N = P K_y P^T stream row by row
+from the x-expansions (verify keeps no row, gram_matrices keeps all); P
+is upper unitriangular, so verify certifies det M = prod_lambda
+det G_lambda (from the pure dets) and det N = prod_y K_y(y, y), and
+checks M = P Q P^-1 N as G_y = Q K_y.  The all-pairs memo recursion of
+both forms (in tests/oracles.py), the full-matrix Bareiss determinants
+and the dense P Q P^-1 N are the tests' oracles.
 
-The level tables and the memo hold S'(left, right) = (left, right) w(left),
-with w(left) = prod n / d_i over the factors of left (FormEngine.weight),
-so the recursion drops the factor d_i / n and runs on ints wherever A^(n)
+The level tables hold S'(left, right) = (left, right) w(left), with
+w(left) = prod n / d_i over the factors of left (FormEngine.weight), so
+the recursion drops the factor d_i / n and runs on ints wherever A^(n)
 is integral, as roots.a_matrix makes it for every built-in type.  verify
-uses only S'_y = W G_y and K'_y = W K_y: _gram contracts
-M = (P W^-1) S'_y P^T, and the certificate works on H = S'_y W = W G_y W
-and divides prod w(y) out of its determinants once.  Only the K'-diagonal
-and the oracles form_s_mono and form_k_mono, which divide w(left) out,
-read the memo.  The x-expansions are int coefficients over prod (n / d_i)!,
-each its prefix times one generator.  The memo is grow-only with
-idempotent inserts, so any evaluation order gives bit-identical results.
+uses only S'_y = W G_y and K'_y = W K_y, whose diagonal is
+K'(y, y) = prod_f m_f!: _gram contracts M = (P W^-1) S'_y P^T, and the
+certificate works on H = S'_y W = W G_y W and divides prod w(y) out of
+its determinants once.  The x-expansions are int coefficients over
+prod (n / d_i)!, each its prefix times one generator.
 """
 
 from __future__ import annotations
@@ -48,14 +49,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import factorial, gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
                     as_integer, det_exact)
 from .partitions import (ColoredPartition, enumerate_basis,
-                         enumerate_partitions, exponent_totals, _runs)
+                         enumerate_partitions, exponent_totals, multiplicities,
+                         _runs)
 from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data
 
 Monomial = ColoredPartition
@@ -125,25 +127,24 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
 
 
 class _Pairing(NamedTuple):
-    """The views of A^(n) that the forms and the z-basis use."""
+    """The views of A^(n) that the S-form and the z-basis use."""
 
     s_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # nonzero a^(n)_{ij}
-    k_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # the identity
     z_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # a^(n)_{ij} d_i / d_j
 
 
 class FormEngine:
-    """Evaluates the S- and K-forms for one type with shared memo tables.
+    """The views of A^(n) and the S-form level tables for one type.
 
-    Both forms run one recursion over a row table per part size n: the
-    nonzero entries of A^(n) for S, the identity for K; the z-expansions
-    (the rows of Q) use those of D A^(n) D^-1.  All three sparse row tables
-    are derived from roots.a_matrix once per n and cached on the engine.
-    verify's S-values are the S' = (left, right) w(left) of the pure
-    blocks, built bottom-up by pure_s; the memo tables hold S' and K' per
-    monomial pair for weighted_k and the oracles form_s_mono and
-    form_k_mono, which divide w(left) out.  ``data`` may override the
-    built-in root data (the CLI hook).
+    The S-recursion runs over a row table per part size n, the nonzero
+    entries of A^(n); the z-expansions (the rows of Q) use those of
+    D A^(n) D^-1.  Both sparse row tables are derived from roots.a_matrix
+    once per n and cached on the engine.  verify's S-values are the
+    S' = (left, right) w(left) of the pure blocks, built bottom-up by
+    pure_s.  The K-form needs no recursion, as K'(y, y) = prod_f m_f!; the
+    all-pairs recursion of both forms is the tests' oracle
+    (tests/oracles.py).  ``data`` may override the built-in root data (the
+    CLI hook).
     """
 
     def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None):
@@ -151,8 +152,6 @@ class FormEngine:
         self.data = data if data is not None else finite_root_data(t)
         self._pairings: Dict[int, _Pairing] = {}
         self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
-        self._memo_s: Dict[Tuple[Monomial, Monomial], object] = {}
-        self._memo_k: Dict[Tuple[Monomial, Monomial], object] = {}
 
     def _pairing(self, n: int) -> _Pairing:
         pairing = self._pairings.get(n)
@@ -163,8 +162,7 @@ class FormEngine:
                       for i, row in zip(am.index_set, am.matrix.rows)}
             z_rows = {i: tuple((j, _field_div(v * d[i], d[j])) for j, v in row)
                       for i, row in s_rows.items()}
-            pairing = _Pairing(s_rows, {i: ((i, 1),) for i in am.index_set},
-                               z_rows)
+            pairing = _Pairing(s_rows, z_rows)
             self._pairings[n] = pairing
         return pairing
 
@@ -194,48 +192,9 @@ class FormEngine:
             levels.append((at, table))
         return levels[m]
 
-    # -- the monomial-pair recursion, the oracles' ------------------------
-
     def weight(self, mono: Monomial) -> int:
         """w(mono) = prod n / d_i over the factors (n, i) of mono."""
         return prod(n // self.data.d[i] for n, i in mono)
-
-    def weighted_k(self, left: Monomial, right: Monomial):
-        """K'(left, right) = (left, right)_K w(left)."""
-        return self._weighted("k_rows", self._memo_k, left, right)
-
-    def form_s_mono(self, left: Monomial, right: Monomial):
-        """(left, right)_S = S'(left, right) / w(left), exact."""
-        return _field_div(self._weighted("s_rows", self._memo_s, left, right),
-                          self.weight(left))
-
-    def form_k_mono(self, left: Monomial, right: Monomial):
-        """(left, right)_K = K'(left, right) / w(left), exact."""
-        return _field_div(self.weighted_k(left, right), self.weight(left))
-
-    def _weighted(self, rows, memo, left: Monomial, right: Monomial):
-        """S'(left, right) = sum_j c_ij mult S'(rest, right less one (n, j)),
-        memoized in ``memo``; an int wherever c is.  A pair of different
-        part shapes reaches an empty side or an unmatched factor: 0."""
-        if not left:
-            return 1 if not right else 0
-        key = (left, right)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        n, i = left[0]
-        rest = left[1:]
-        total = 0
-        for j, aij in getattr(self._pairing(n), rows)[i]:
-            mult = right.count((n, j))
-            if mult:
-                at = right.index((n, j))
-                child = self._weighted(rows, memo, rest,
-                                       right[:at] + right[at + 1:])
-                if child:
-                    total = total + aij * (mult * child)
-        memo[key] = total
-        return total
 
     def z_in_y(self, mono: Monomial) -> BPolynomial:
         """Expansion of a z-monomial in the y-basis."""
@@ -272,35 +231,29 @@ def transition_matrices(t: AffineType, d: int,
 def _y_gram(engine: FormEngine, basis):
     """([(ys, S'_lambda)], {y: K'(y, y)}, {y: w(y)},
     {(n, m): ({y_n: row}, S'_(n^m))}): the lambda-blocks ys of the basis in
-    basis order with their blocks of S'_y = W G_y, the diagonal of
-    K'_y = W K_y, the weights, and the pure block of each run n^m of a
-    lambda, straight from FormEngine.pure_s.  Since w(y) = prod_n w(y_n),
-    every lambda-block is their Kronecker product,
-    S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n]."""
+    basis order with their blocks of S'_y = W G_y, the diagonal
+    K'(y, y) = prod_f m_f! of K'_y = W K_y, the weights, and the pure block
+    of each run n^m of a lambda, straight from FormEngine.pure_s.  Since
+    w(y) = prod_n w(y_n), every lambda-block is their Kronecker product,
+    S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n], with the largest part
+    slowest as in the basis order.  The all-pairs recursion of both forms
+    in tests/oracles.py is the oracle for the blocks and the diagonal."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
     pure = {}
 
-    def block(shape, ys):
-        runs = _runs(shape)
-        cuts = list(accumulate((m for _, m in runs), initial=0))
-        pure.update((run, engine.pure_s(*run)) for run in runs)
-        order, kron_rows = [], []  # the row of y in the Kronecker product
-        for y in ys:
-            c, want = 0, None
-            for run, lo, hi in zip(runs, cuts, cuts[1:]):  # y[lo:hi] is y_n
-                rows, G = pure[run]
-                q = rows[y[lo:hi]]
-                c = c * len(rows) + q
-                want = G[q] if want is None else [
-                    u * v if u and v else 0 for u in want for v in G[q]]
-            order.append(c)
-            kron_rows.append(want or [1])  # the empty shape: G_() = [[1]]
-        return ys, [[want[c] for c in order] for want in kron_rows]
+    def block(shape):
+        kron_rows = [[1]]  # the empty shape: G_() = [[1]]
+        for run in _runs(shape):
+            pure[run] = engine.pure_s(*run)
+            kron_rows = [[u * v if u and v else 0 for u in want for v in row]
+                         for want in kron_rows for row in pure[run][1]]
+        return kron_rows
 
-    return ([block(shape, ys) for shape, ys in members.items()],
-            {y: engine.weighted_k(y, y) for y in basis},
+    return ([(ys, block(shape)) for shape, ys in members.items()],
+            {y: prod(map(factorial, multiplicities(y).values()))
+             for y in basis},
             {y: engine.weight(y) for y in basis}, pure)
 
 
@@ -330,9 +283,9 @@ def _gram(t: AffineType, d: int, basis, y_gram, x_rows):
     back exactly before its integrality check."""
     blocks, k_values, w, _ = y_gram
     # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
-    # row b of P is the int vector p_rows[b] over scale[b], S'_y and K'_y
-    # are the recursion's values as they are (ints wherever A^(n) is), and
-    # w(y) divides every coefficient of y in P.
+    # row b of P is the int vector p_rows[b] over scale[b], S'_y is the
+    # recursion's values as they are (ints wherever A^(n) is), K'_y is
+    # ints, and w(y) divides every coefficient of y in P.
     p_rows, scale = zip(*x_rows)
     g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]
               for ys, g in blocks for y, row in zip(ys, g)}  # nonzero S'(y, z)

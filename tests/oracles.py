@@ -3,25 +3,35 @@
 gram.transition_matrices builds Q row by row from the z-expansions.
 tiled_q builds it independently, from dense D A^(n) D^-1 matrices, as
 block-diagonal tiles Q_lambda = kron of Sym^m blocks in partition order.
-bilinear extends FormEngine's monomial-pair forms to polynomials, which
-the brute-force Gram assembly and the hand-value tests pair term by term.
-lambda_blocks runs the S-recursion on every pair of a lambda-block, which
-gram._y_gram builds as Kronecker products of pure blocks instead.
-coloring_series counts the colored partitions with their parts marked by
-divisibility, whose marker derivatives the series tests compare with
-ab_series.
+FormOracle evaluates the S- and K-forms on any pair of y-monomials by the
+all-pairs memo recursion, with its own rows of A^(n) from roots.a_matrix;
+gram.FormEngine runs the S-recursion on the pure blocks only, as level
+tables, and takes the K-diagonal in closed form.  bilinear extends the
+oracle's monomial-pair forms to polynomials, which the brute-force Gram
+assembly and the hand-value tests pair term by term.  lambda_blocks runs
+the S-recursion on every pair of a lambda-block, which gram._y_gram
+builds as Kronecker products of pure blocks instead.  identity is the
+n x n identity ExactMatrix.  coloring_series counts the colored
+partitions with their parts marked by divisibility, whose marker
+derivatives the series tests compare with ab_series.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import prod
 from typing import Dict, List, Tuple
 
-from shapdet.exact import ExactMatrix
+from shapdet.exact import ExactMatrix, _field_div
 from shapdet.partitions import _runs, enumerate_basis, enumerate_partitions
-from shapdet.roots import AffineType, a_matrix
+from shapdet.roots import AffineType, a_matrix, finite_root_data
 from shapdet.series import TruncSeries
 
 Monomial = Tuple[int, int]  # (t-exponent, u-exponent)
+
+
+def identity(n: int) -> ExactMatrix:
+    return ExactMatrix([[1 if i == j else 0 for j in range(n)]
+                        for i in range(n)])
 
 
 def sym_power(m: ExactMatrix, k: int) -> ExactMatrix:
@@ -115,6 +125,82 @@ def tiled_q(engine, d: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+class FormOracle:
+    """The S- and K-forms of one type on every pair of y-monomials by the
+    memo recursion
+
+        (y_n^(i) * rest, f) = (d_i / n) * sum_j c_{ij} (rest, df/dy_n^(j))
+
+    with c = A^(n) for S, its nonzero entries read from roots.a_matrix,
+    and c = the identity for K.  The memo tables hold
+    S'(left, right) = (left, right) w(left) and K' alike, with
+    w(left) = prod n / d_i, so the recursion drops the factor d_i / n;
+    form_s_mono and form_k_mono divide w(left) out.  The memo is grow-only
+    with idempotent inserts, so any evaluation order gives bit-identical
+    results.  ``data`` may override the built-in root data.
+    """
+
+    def __init__(self, t: AffineType, data=None):
+        self.type = t
+        self.data = data if data is not None else finite_root_data(t)
+        self._rows: dict = {}
+        self._memo_s: dict = {}
+        self._memo_k: dict = {}
+
+    def _tables(self, n: int):
+        """(S rows, K rows) of part size n: {i: ((j, c_ij), ...)} over the
+        nonzero entries of A^(n) and of the identity."""
+        tables = self._rows.get(n)
+        if tables is None:
+            am = a_matrix(self.type, n, self.data)
+            s_rows = {i: tuple((j, v) for j, v in zip(am.index_set, row) if v)
+                      for i, row in zip(am.index_set, am.matrix.rows)}
+            tables = self._rows[n] = (s_rows, {i: ((i, 1),) for i in s_rows})
+        return tables
+
+    def weight(self, mono) -> int:
+        """w(mono) = prod n / d_i over the factors (n, i) of mono."""
+        return prod(n // self.data.d[i] for n, i in mono)
+
+    def weighted_k(self, left, right):
+        """K'(left, right) = (left, right)_K w(left)."""
+        return self._weighted(1, self._memo_k, left, right)
+
+    def form_s_mono(self, left, right):
+        """(left, right)_S = S'(left, right) / w(left), exact."""
+        return _field_div(self._weighted(0, self._memo_s, left, right),
+                          self.weight(left))
+
+    def form_k_mono(self, left, right):
+        """(left, right)_K = K'(left, right) / w(left), exact."""
+        return _field_div(self.weighted_k(left, right), self.weight(left))
+
+    def _weighted(self, which, memo, left, right):
+        """S'(left, right) = sum_j c_ij mult S'(rest, right less one (n, j)),
+        memoized in ``memo``, with c the table ``which`` of _tables (0 for
+        S, 1 for K).  A pair of different part shapes reaches an empty side
+        or an unmatched factor: 0."""
+        if not left:
+            return 1 if not right else 0
+        key = (left, right)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        n, i = left[0]
+        rest = left[1:]
+        total = 0
+        for j, aij in self._tables(n)[which][i]:
+            mult = right.count((n, j))
+            if mult:
+                at = right.index((n, j))
+                child = self._weighted(which, memo, rest,
+                                       right[:at] + right[at + 1:])
+                if child:
+                    total = total + aij * (mult * child)
+        memo[key] = total
+        return total
+
+
 def bilinear(form_mono, f, g):
     """Extend a monomial-pair form bilinearly; a monomial stands for
     {mono: 1}."""
@@ -129,14 +215,14 @@ def bilinear(form_mono, f, g):
     return total
 
 
-def lambda_blocks(engine, basis):
+def lambda_blocks(oracle, basis):
     """[(ys, G_lambda)]: the monomials ys of each part-size shape lambda in
-    basis order, and the S-form on all their pairs by the engine's
+    basis order, and the S-form on all their pairs by the FormOracle's
     recursion."""
     members: dict = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
-    return [(ys, [[engine.form_s_mono(y, z) for z in ys] for y in ys])
+    return [(ys, [[oracle.form_s_mono(y, z) for z in ys] for y in ys])
             for ys in members.values()]
 
 

@@ -20,7 +20,7 @@ from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponents)
 from shapdet.roots import ROSTER, FiniteRootData, finite_root_data, parse_type
 
-from oracles import bilinear, lambda_blocks, q_block, tiled_q
+from oracles import FormOracle, bilinear, lambda_blocks, q_block, tiled_q
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -103,7 +103,7 @@ def test_x_monomial_products_collect():
 # ---------------------------------------------------------------------------
 
 def test_form_s_hand_values():
-    form_s = partial(bilinear, FormEngine(A1).form_s_mono)
+    form_s = partial(bilinear, FormOracle(A1).form_s_mono)
     assert form_s(y1(1), y1(1)) == 2
     assert form_s(y1(2), y1(2)) == 1
     sq = ((1, 1), (1, 1))
@@ -112,7 +112,7 @@ def test_form_s_hand_values():
 
 
 def test_form_k_hand_values():
-    form_k = partial(bilinear, FormEngine(A1).form_k_mono)
+    form_k = partial(bilinear, FormOracle(A1).form_k_mono)
     assert form_k(y1(1), y1(1)) == 1
     assert form_k(y1(2), y1(2)) == Fraction(1, 2)
     sq = ((1, 1), (1, 1))
@@ -122,7 +122,7 @@ def test_form_k_hand_values():
 
 def test_form_k_scaled_periods():
     t = parse_type("D4^3")
-    e = FormEngine(t)
+    e = FormOracle(t)
     assert e.form_k_mono(((3, 2),), ((3, 2),)) == 1       # d_i/n = 3/3
     assert e.form_k_mono(((3, 1),), ((3, 1),)) == Fraction(1, 3)
     assert e.form_k_mono(((3, 1),), ((3, 2),)) == 0
@@ -130,7 +130,7 @@ def test_form_k_scaled_periods():
 
 def test_degree_orthogonality():
     for t in ALL_TYPES[:6]:
-        e = FormEngine(t)
+        e = FormOracle(t)
         for d1 in range(4):
             for d2 in range(4):
                 if d1 == d2:
@@ -142,7 +142,7 @@ def test_degree_orthogonality():
 
 
 def test_forms_bilinear_over_polynomials():
-    e = FormEngine(A1)
+    e = FormOracle(A1)
     f = {y1(2): Fraction(2), ((1, 1), (1, 1)): Fraction(1, 3)}
     g = {y1(2): 1}
     # (y2,y2)=1, cross term orthogonal
@@ -161,8 +161,8 @@ def test_memoized_and_plain_engines_agree():
     rng = random.Random(2024)
     for name in ("A5^2", "D4^3", "E6^2"):
         t = parse_type(name)
-        fast = FormEngine(t)
-        slow = FormEngine(t)
+        fast = FormOracle(t)
+        slow = FormOracle(t)
         slow._memo_s, slow._memo_k = _Forgetful(), _Forgetful()
         pool = [m for d in range(5) for m in enumerate_basis(t, d)]
         for _ in range(60):
@@ -176,7 +176,7 @@ def test_forms_vanish_across_shapes():
     # The shape-blocked Gram assembly evaluates only same-shape pairs; both
     # forms must vanish on every pair of monomials with different shapes.
     for t in ALL_TYPES:
-        e = FormEngine(t)
+        e = FormOracle(t)
         for d in range(5):
             basis = enumerate_basis(t, d)
             for f in basis:
@@ -190,36 +190,36 @@ def test_forms_vanish_across_shapes():
 def test_lemma_f2_small():
     for name in ("A1^1", "A2^2", "A5^2", "D4^3"):
         t = parse_type(name)
-        e = FormEngine(t)
+        e, oracle = FormEngine(t), FormOracle(t)
         for d in range(4):
             basis = enumerate_basis(t, d)
             for left in basis:
                 z = e.z_in_y(left)
                 for f in basis:
-                    assert e.form_s_mono(left, f) == \
-                        bilinear(e.form_k_mono, z, f)
+                    assert oracle.form_s_mono(left, f) == \
+                        bilinear(oracle.form_k_mono, z, f)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_form_s_is_symmetric(data):
-    # The memo holds S'(f, g) = (f, g) w(f), weighted on the left only, so
-    # S' itself is not symmetric where w(f) != w(g), and form_s_mono
-    # divides w(f) out again.  On the twisted types colors of one part size
-    # carry different d_i, so w(f) != w(g) inside a block.
+    # The oracle's memo holds S'(f, g) = (f, g) w(f), weighted on the left
+    # only, so S' itself is not symmetric where w(f) != w(g), and
+    # form_s_mono divides w(f) out again.  On the twisted types colors of
+    # one part size carry different d_i, so w(f) != w(g) inside a block.
     t = parse_type(data.draw(st.sampled_from(["E6^1", "A5^2", "E6^2",
                                               "D4^3"])))
     basis = enumerate_basis(t, data.draw(st.integers(1, 4)))
     f = data.draw(st.sampled_from(basis))
     block = [g for g in basis if [n for n, _ in g] == [n for n, _ in f]]
     g = data.draw(st.one_of(st.sampled_from(basis), st.sampled_from(block)))
-    engine = FormEngine(t)
-    assert engine.form_s_mono(f, g) == engine.form_s_mono(g, f)
+    oracle = FormOracle(t)
+    assert oracle.form_s_mono(f, g) == oracle.form_s_mono(g, f)
 
 
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
-    # type, every S'- and K'-memo and level-table value, every lambda-block,
+    # type, every level-table value, every lambda-block,
     # pure block and K'-diagonal value and weight that _y_gram hands over,
     # and every coefficient and scale of the x-rows that _gram contracts is
     # an int.
@@ -248,14 +248,12 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         handed = [*(v for _, g in blocks for row in g for v in row),
                   *(v for _, G in pure.values() for row in G for v in row),
                   *k_values.values(), *w.values()]
-        values = [*engine._memo_s.values(), *engine._memo_k.values(),
-                  *(v for levels in engine._levels.values()
+        values = [*(v for levels in engine._levels.values()
                     for _, table in levels for row in table for v in row),
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert all(type(v) is int for v in handed + values)
-        # verify's S'-values come from the level tables alone.
-        assert engine._memo_s == {} and engine._levels
+        assert engine._levels
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +330,7 @@ def test_q_matches_tiled_oracle_on_corrupted_d4_3():
 
 def _brute_gram(t, d, data=None):
     """Reference assembly: every (x_a, x_b), a <= b, paired term by term."""
-    engine = FormEngine(t, data)
+    engine = FormOracle(t, data)
     basis = enumerate_basis(t, d)
     expansions = [x_in_y(t, mono) for mono in basis]
     size = len(basis)
@@ -437,9 +435,15 @@ def test_non_integer_gram_entry_failure_text(name, gram, d, value):
 
 def test_non_integer_k_value_failure_text(monkeypatch):
     # An integral M with a planted (y, y)_K = 1/2: N's entry stops verify.
-    # verify reads K'(y, y) = (y, y)_K w(y), and w(((1, 1),)) = 1.
-    monkeypatch.setattr(FormEngine, "weighted_k",
-                        lambda self, left, right: Fraction(1, 2))
+    # verify reads K'(y, y) = (y, y)_K w(y) from _y_gram, and
+    # w(((1, 1),)) = 1.
+    _y_gram = gram._y_gram
+
+    def planted(engine, basis):
+        blocks, k_values, w, pure = _y_gram(engine, basis)
+        return blocks, {**k_values, ((1, 1),): Fraction(1, 2)}, w, pure
+
+    monkeypatch.setattr(gram, "_y_gram", planted)
     rep = verify(A1, 1)
     assert rep.det_N is None
     assert rep.failures == ["non-integer Gram entry at A1^1 degree 1 "
@@ -734,16 +738,24 @@ def _runs_of(t, dmax):
 def _pure_blocks_match_memo(t, dmax, data=None):
     """FormEngine.pure_s(n, m) equals the memo recursion's form values
     (y, z)_S times w(y) on the colorings y, z of every run n^m up to dmax,
-    in basis order.  Returns the pure blocks."""
-    engine, memo = FormEngine(t, data), FormEngine(t, data)
+    in basis order.  At every degree d <= dmax, _y_gram's K'-diagonal
+    prod_f m_f! equals the recursion's K'(y, y), and its K' is 0 off the
+    diagonal inside each lambda-block.  Returns the pure blocks."""
+    engine, oracle = FormEngine(t, data), FormOracle(t, data)
     blocks = []
     for n, m in _runs_of(t, dmax):
         ys = [y for y in enumerate_basis(t, n * m) if {k for k, _ in y} == {n}]
         rows, S = engine.pure_s(n, m)
         assert rows == {y: r for r, y in enumerate(ys)}
-        assert S == [[memo.form_s_mono(y, z) * memo.weight(y) for z in ys]
+        assert S == [[oracle.form_s_mono(y, z) * oracle.weight(y) for z in ys]
                      for y in ys]
         blocks.append(S)
+    for d in range(dmax + 1):
+        basis = enumerate_basis(t, d)
+        lam_blocks, k_values = gram._y_gram(engine, basis)[:2]
+        assert k_values == {y: oracle.weighted_k(y, y) for y in basis}
+        assert all(oracle.weighted_k(y, z) == 0 for ys, _ in lam_blocks
+                   for y in ys for z in ys if y != z)
     return blocks
 
 
@@ -778,8 +790,9 @@ def _blocks_match_oracles(t, d, data=None):
     engine = FormEngine(t, data)
     basis = enumerate_basis(t, d)
     blocks, k_values, w, pure = gram._y_gram(engine, basis)
-    forms = lambda_blocks(FormEngine(t, data), basis)
-    assert w == {y: engine.weight(y) for y in basis}
+    oracle = FormOracle(t, data)
+    forms = lambda_blocks(oracle, basis)
+    assert w == {y: oracle.weight(y) for y in basis}
     assert blocks == [(ys, [[v * w[y] for v in row]
                             for y, row in zip(ys, g)]) for ys, g in forms]
     z_rows = [engine.z_in_y(y) for y in basis]
