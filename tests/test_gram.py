@@ -219,10 +219,9 @@ def test_form_s_is_symmetric(data):
 
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
-    # type, every level-table value, every lambda-block,
-    # pure block and K'-diagonal value and weight that _y_gram hands over,
-    # and every coefficient and scale of the x-rows that _gram contracts is
-    # an int.
+    # type, every level-table value, every lambda-block, pure block and
+    # K'-diagonal value and weight that _y_gram hands over, and every
+    # coefficient and scale of the x-rows that _gram contracts is an int.
     seen = []
     _y_gram, _gram = gram._y_gram, gram._gram
 
@@ -253,7 +252,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert all(type(v) is int for v in handed + values)
-        assert engine._levels
+        assert engine._levels  # verify's S'-values come from them
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +329,7 @@ def test_q_matches_tiled_oracle_on_corrupted_d4_3():
 
 def _brute_gram(t, d, data=None):
     """Reference assembly: every (x_a, x_b), a <= b, paired term by term."""
-    engine = FormOracle(t, data)
+    oracle = FormOracle(t, data)
     basis = enumerate_basis(t, d)
     expansions = [x_in_y(t, mono) for mono in basis]
     size = len(basis)
@@ -340,12 +339,12 @@ def _brute_gram(t, d, data=None):
         fa = expansions[a]
         for b in range(a, size):
             fb = expansions[b]
-            s_val = bilinear(engine.form_s_mono, fa, fb)
+            s_val = bilinear(oracle.form_s_mono, fa, fb)
             k_val = 0
             for mono, ca in fa.items():  # K is diagonal on monomials
                 cb = fb.get(mono)
                 if cb is not None:
-                    k_val = k_val + ca * cb * engine.form_k_mono(mono, mono)
+                    k_val = k_val + ca * cb * oracle.form_k_mono(mono, mono)
             try:
                 M[a][b] = M[b][a] = as_integer(s_val)
                 N[a][b] = N[b][a] = as_integer(k_val)
