@@ -5,8 +5,8 @@ blocks.  Everything is computed in exact arithmetic.
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, as_integer,
                     det_exact, invert)
-from .roots import (ROSTER, AffineType, AMatrix, FiniteRootData, a_matrix,
-                    det_a, finite_root_data, index_set, parse_type)
+from .roots import (ROSTER, AffineType, FiniteRootData, a_matrix, det_a,
+                    finite_root_data, index_set, parse_type)
 from .partitions import (enumerate_basis, enumerate_partitions, exponents,
                          exponent_totals, multiplicities)
 from .series import (TruncSeries, ab_series, cartan_series, dimension_series,

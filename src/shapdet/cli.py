@@ -20,8 +20,8 @@ from .blocks import cartan_exponent, enumerate_blocks
 from .exact import ExactMatrix, InternalCheckError
 from .gram import FormEngine, gram_matrices, transition_matrices, verify
 from .partitions import enumerate_partitions, exponent_totals, exponents
-from .roots import (ROSTER, FiniteRootData, det_a, det_a_expected,
-                    finite_root_data, parse_type)
+from .roots import (ROSTER, det_a, det_a_expected, finite_root_data,
+                    parse_type)
 from .series import ab_series, cartan_series, spin_cartan_series
 
 #: Degrees at which `gram --roster` verifies each built-in type.
@@ -49,15 +49,14 @@ def _read_fixture(path) -> dict:
     return raw
 
 
-def _root_data(t, fixture: dict) -> FiniteRootData:
-    """Built-in root data of t with the fixture's gram, if any, in place of
-    the Cartan matrix.  Only the gram's shape and entry types are checked:
+def _root_data(t, fixture: dict) -> ExactMatrix | None:
+    """The fixture's gram, which replaces the Cartan matrix of t, or None if
+    it has none.  Only the gram's shape and entry types are checked:
     mathematically wrong grams are the point of the hook."""
-    base = finite_root_data(t)
     gram = fixture.get("gram")
     if gram is None:
-        return base
-    size = len(base.nodes)
+        return None
+    size = t.N  # the nodes of X_N
     if not (isinstance(gram, list) and len(gram) == size
             and all(isinstance(row, list) and len(row) == size
                     for row in gram)):
@@ -65,8 +64,7 @@ def _root_data(t, fixture: dict) -> FiniteRootData:
                          % (size, size, t))
     if not all(type(x) is int for row in gram for x in row):
         raise SystemExit("--root-data gram entries must be integers")
-    return FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
-                          base.orbits, base.d, base.c)
+    return ExactMatrix(gram)
 
 
 def _matrix_payload(m) -> list | None:
@@ -110,9 +108,6 @@ class Envelope:
         if fmt == "json":
             print(json.dumps(self.data, indent=2), file=out)
         elif fmt == "csv":
-            if not self.csv_rows:
-                raise SystemExit("csv output is only available for series "
-                                 "and exponent tables")
             for row in self.csv_rows:
                 print(",".join(str(x) for x in row), file=out)
         else:
@@ -219,6 +214,8 @@ def _cmd_series(args, out) -> int:
         raise SystemExit("--max-degree must be >= 0, got %d" % D)
     if (args.type is None) == (args.p is None):
         raise SystemExit("series needs exactly one of TYPE or -p")
+    if args.spin and args.p is None:
+        raise SystemExit("--spin needs -p, not a type")
     if args.type is not None:
         t = parse_type(args.type)
         env = Envelope("series", t.name, {"max_degree": D})
@@ -266,16 +263,16 @@ def _cmd_gram(args, out) -> int:
     cases = []
     for name, d in jobs:
         t = parse_type(name)
-        data = None if fixture is None else _root_data(t, fixture)
-        cases.append((name, d, t, data))
+        gram = None if fixture is None else _root_data(t, fixture)
+        cases.append((name, d, t, gram))
     env = Envelope("gram", None if args.roster else args.type,
                    {"d": args.d, "roster": args.roster, "check": args.check})
     results = []
-    for name, d, t, data in cases:
-        report = verify(t, d, data)
+    for name, d, t, gram in cases:
+        report = verify(t, d, gram)
         payload = report.to_dict()
         if args.matrices:
-            engine = FormEngine(t, data)
+            engine = FormEngine(t, gram)
             try:
                 M, N = gram_matrices(t, d, engine)
             except InternalCheckError:  # verify recorded it as a failure
@@ -392,6 +389,10 @@ def main(argv=None) -> int:
     if getattr(args, "roster", False) and getattr(args, "type", None):
         print("error: --roster and an explicit type are mutually exclusive",
               file=sys.stderr)
+        return 2
+    if args.format == "csv" and args.cmd not in ("series", "exponents"):
+        print("error: csv output is only available for series and exponent "
+              "tables", file=sys.stderr)
         return 2
     # The output is rendered into a buffer so that a command refused with
     # exit 2 leaves an existing --out file untouched.

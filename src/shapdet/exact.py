@@ -111,15 +111,6 @@ class CycNumber:
             n >>= 1
         return result
 
-    def conjugate(self) -> "CycNumber":
-        """Image under zeta -> zeta^-1 (complex conjugation)."""
-        # conj(a + b z) = a + b z^2 = (a - b) - b z
-        return CycNumber(self.a - self.b, -self.b)
-
-    def norm(self) -> Fraction:
-        """Field norm down to Q; multiplicative."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
-
     def __bool__(self):
         return bool(self.a) or bool(self.b)
 

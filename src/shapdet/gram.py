@@ -58,7 +58,7 @@ from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
 from .partitions import (ColoredPartition, enumerate_basis,
                          enumerate_partitions, exponent_totals, multiplicities,
                          _runs)
-from .roots import AffineType, FiniteRootData, a_matrix, finite_root_data
+from .roots import AffineType, a_matrix, finite_root_data, index_set
 
 Monomial = ColoredPartition
 BPolynomial = Dict[Monomial, object]
@@ -143,23 +143,24 @@ class FormEngine:
     S' = (left, right) w(left) of the pure blocks, built bottom-up by
     pure_s.  The K-form needs no recursion, as K'(y, y) = prod_f m_f!; the
     all-pairs recursion of both forms is the tests' oracle
-    (tests/oracles.py).  ``data`` may override the built-in root data (the
-    CLI hook).
+    (tests/oracles.py).  ``gram`` may replace the Cartan form that A^(n)
+    is built from (the CLI's --root-data hook); d_i, mu and I(n) always
+    come from the type.
     """
 
-    def __init__(self, t: AffineType, data: Optional[FiniteRootData] = None):
-        self.type = t
-        self.data = data if data is not None else finite_root_data(t)
+    def __init__(self, t: AffineType, gram: Optional[ExactMatrix] = None):
+        self.type, self.gram = t, gram
+        self._d = finite_root_data(t).d
         self._pairings: Dict[int, _Pairing] = {}
         self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
 
     def _pairing(self, n: int) -> _Pairing:
         pairing = self._pairings.get(n)
         if pairing is None:
-            am = a_matrix(self.type, n, self.data)
-            d = self.data.d
-            s_rows = {i: tuple((j, v) for j, v in zip(am.index_set, row) if v)
-                      for i, row in zip(am.index_set, am.matrix.rows)}
+            idx, d = index_set(self.type, n), self._d
+            am = a_matrix(self.type, n, self.gram)
+            s_rows = {i: tuple((j, v) for j, v in zip(idx, row) if v)
+                      for i, row in zip(idx, am.rows)}
             z_rows = {i: tuple((j, _field_div(v * d[i], d[j])) for j, v in row)
                       for i, row in s_rows.items()}
             pairing = _Pairing(s_rows, z_rows)
@@ -194,7 +195,7 @@ class FormEngine:
 
     def weight(self, mono: Monomial) -> int:
         """w(mono) = prod n / d_i over the factors (n, i) of mono."""
-        return prod(n // self.data.d[i] for n, i in mono)
+        return prod(n // self._d[i] for n, i in mono)
 
     def z_in_y(self, mono: Monomial) -> BPolynomial:
         """Expansion of a z-monomial in the y-basis."""
@@ -213,8 +214,8 @@ def transition_matrices(t: AffineType, d: int,
     Row a of P is x_in_y(basis[a]) and row a of Q is engine.z_in_y(basis[a]),
     each written into the columns of its target y-monomials; rows and
     columns both follow the global basis order.  ``engine`` supplies the
-    z-coefficients (and with them any overriding root data); a fresh
-    engine on the built-in data is used when it is omitted.
+    z-coefficients (and with them any replaced gram); a fresh engine on
+    the built-in gram is used when it is omitted.
     """
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
@@ -433,7 +434,7 @@ class GramReport:
 
 
 def verify(t: AffineType, d: int,
-           data: Optional[FiniteRootData] = None) -> GramReport:
+           gram: Optional[ExactMatrix] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
     M and N stream row by row from _gram, which checks every entry to be an
@@ -444,12 +445,13 @@ def verify(t: AffineType, d: int,
     Failed checks (wrong determinant, an uncertified det M, which stays
     None, the identity with its witness entry, non-integer Gram entries, a
     non-unitriangular P) are recorded in the report rather than raised.
-    One FormEngine serves the Gram rows and the z-expansions.
+    One FormEngine, on ``gram`` in place of the Cartan form if given,
+    serves the Gram rows and the z-expansions.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
-    engine, basis = FormEngine(t, data), report.basis
+    engine, basis = FormEngine(t, gram), report.basis
     try:
         y_gram, x_rows = _y_gram(engine, basis), _x_rows(t, basis)
         for _ in _gram(t, d, basis, y_gram, x_rows):

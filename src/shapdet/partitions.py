@@ -17,7 +17,7 @@ from math import comb
 from typing import Dict, Tuple
 
 from .exact import InternalCheckError
-from .roots import AffineType, finite_root_data, index_set
+from .roots import AffineType, index_set
 
 Partition = Tuple[int, ...]
 ColoredPartition = Tuple[Tuple[int, int], ...]
@@ -126,16 +126,10 @@ def enumerate_basis(t: AffineType, d: int) -> Tuple[ColoredPartition, ...]:
     increasing color tuples drawn from I(part); the leftmost (largest)
     run varies slowest.
     """
-    data = finite_root_data(t)
     out = []
-    for lam in enumerate_partitions(d):
-        per_run = []
-        for n, m in _runs(lam):
-            colors = index_set(t, n, data)
-            per_run.append([c for c in combinations_with_replacement(colors, m)])
-        for choice in product(*per_run):
-            mono = []
-            for (n, m), colors in zip(_runs(lam), choice):
-                mono.extend((n, c) for c in colors)
-            out.append(tuple(mono))
+    for runs in _gen_runs(d):
+        colorings = [combinations_with_replacement(index_set(t, n), m)
+                     for n, m in runs]
+        out.extend(tuple((n, c) for (n, _), cs in zip(runs, choice) for c in cs)
+                   for choice in product(*colorings))
     return tuple(out)

@@ -59,19 +59,6 @@ class FiniteRootData:
     d: Dict[int, int]                   # node -> d_i in {1, r}
     c: Dict[int, int]                   # node -> c_i in {1, 2}
 
-    def pair(self, i: int, j: int) -> int:
-        """(alpha_i' | alpha_j')'."""
-        return self.gram.rows[self.nodes.index(i)][self.nodes.index(j)]
-
-
-@dataclass(frozen=True)
-class AMatrix:
-    """The twisted pairing matrix A^(n) over I(n) = {i in I : d_i | n}."""
-
-    n: int
-    index_set: Tuple[int, ...]
-    matrix: ExactMatrix
-
 
 _TYPE_RE = re.compile(r"^\s*([ADE])\s*(\d+)\s*\^\s*(\d+)\s*$", re.IGNORECASE)
 
@@ -236,10 +223,10 @@ def finite_root_data(t: AffineType) -> FiniteRootData:
     return data
 
 
-def index_set(t: AffineType, n: int, data: FiniteRootData | None = None) -> Tuple[int, ...]:
+def index_set(t: AffineType, n: int) -> Tuple[int, ...]:
     """I(n) = {i in I : d_i | n}, ascending."""
-    data = data or finite_root_data(t)
-    return tuple(i for i in t.I if n % data.d[i] == 0)
+    d = finite_root_data(t).d
+    return tuple(i for i in t.I if n % d[i] == 0)
 
 
 def _zeta_powers(t: AffineType):
@@ -253,18 +240,24 @@ def _zeta_powers(t: AffineType):
     return [CycNumber(1), z, z * z]
 
 
-def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatrix:
-    """The matrix A^(n) with entries (1/d_i) (alpha_i' | sum_k zeta^{nk} mu^k(alpha_j'))'.
+def a_matrix(t: AffineType, n: int,
+             gram: ExactMatrix | None = None) -> ExactMatrix:
+    """The matrix A^(n) over I(n) = index_set(t, n), with entries
+    (1/d_i) (alpha_i' | sum_k zeta^{nk} mu^k(alpha_j'))'.
 
-    An entry that is an integer in value is an int, whatever the twist;
-    any other (only a fixture gram gives one) stays a CycNumber for r = 3,
-    else a Fraction.  Every built-in A^(n) is integral.  This is the only
-    builder of A^(n); FormEngine caches its views per n.
+    ``gram`` replaces the Cartan form (alpha_i' | alpha_j')', indexed like
+    the nodes of X_N; the type alone fixes mu, d_i and I(n).  An entry that
+    is an integer in value is an int, whatever the twist; any other (only a
+    replaced gram gives one) stays a CycNumber for r = 3, else a Fraction.
+    Every built-in A^(n) is integral.  This is the only builder of A^(n);
+    FormEngine caches its views per n.
     """
     if n < 1:
         raise ValueError("A^(n) needs n >= 1")
-    data = data or finite_root_data(t)
-    idx = index_set(t, n, data)
+    data = finite_root_data(t)
+    g = (data.gram if gram is None else gram).rows
+    pos = {i: p for p, i in enumerate(data.nodes)}
+    idx = index_set(t, n)
     zp = _zeta_powers(t)
     mu_pow = [{i: i for i in data.nodes}]
     for _ in range(t.r - 1):
@@ -275,9 +268,9 @@ def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatr
         for j in idx:
             total = 0
             for kk in range(t.r):
-                g = data.pair(i, mu_pow[kk][j])
-                if g:
-                    total = total + zp[(n * kk) % t.r] * g
+                v = g[pos[i]][pos[mu_pow[kk][j]]]
+                if v:
+                    total = total + zp[(n * kk) % t.r] * v
             total = _field_div(total, data.d[i])
             try:
                 total = as_integer(total)
@@ -285,7 +278,7 @@ def a_matrix(t: AffineType, n: int, data: FiniteRootData | None = None) -> AMatr
                 pass  # not an integer in value: the field value stays
             row.append(total)
         rows.append(row)
-    return AMatrix(n, idx, ExactMatrix(rows))
+    return ExactMatrix(rows)
 
 
 def det_a_expected(t: AffineType, n: int) -> int:
@@ -296,11 +289,11 @@ def det_a_expected(t: AffineType, n: int) -> int:
     return t.alpha if n % t.r == 0 else t.beta
 
 
-def det_a(t: AffineType, n: int, data: FiniteRootData | None = None) -> int:
+def det_a(t: AffineType, n: int) -> int:
     """det A^(n), asserted to equal det_a_expected(t, n)."""
     if n < 0:
         raise ValueError("A^(n) index must be >= 0")
-    value = as_integer(det_exact(a_matrix(t, n if n >= 1 else t.r, data).matrix))
+    value = as_integer(det_exact(a_matrix(t, n if n >= 1 else t.r)))
     expected = det_a_expected(t, n)
     if value != expected:
         raise InternalCheckError(

@@ -6,7 +6,9 @@ block-diagonal tiles Q_lambda = kron of Sym^m blocks in partition order.
 FormOracle evaluates the S- and K-forms on any pair of y-monomials by the
 all-pairs memo recursion, with its own rows of A^(n) from roots.a_matrix;
 gram.FormEngine runs the S-recursion on the pure blocks only, as level
-tables, and takes the K-diagonal in closed form.  bilinear extends the
+tables, and takes the K-diagonal in closed form.  phi gives the S-form on
+two single x-generators as the coefficients of an exponential series in
+the entries of A^(n), with no recursion.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
 assembly and the hand-value tests pair term by term.  lambda_blocks runs
 the S-recursion on every pair of a lambda-block, which gram._y_gram
@@ -23,7 +25,7 @@ from typing import Dict, List, Tuple
 
 from shapdet.exact import ExactMatrix, _field_div
 from shapdet.partitions import _runs, enumerate_basis, enumerate_partitions
-from shapdet.roots import AffineType, a_matrix, finite_root_data
+from shapdet.roots import AffineType, a_matrix, finite_root_data, index_set
 from shapdet.series import TruncSeries
 
 Monomial = Tuple[int, int]  # (t-exponent, u-exponent)
@@ -93,11 +95,12 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def z_block(engine, n: int) -> ExactMatrix:
     """The column-normalized pairing matrix D A^(n) D^-1 over I(n), built
-    densely from roots.a_matrix on the engine's type and root data."""
-    am, d = a_matrix(engine.type, n, engine.data), engine.data.d
+    densely from roots.a_matrix on the engine's type and gram."""
+    t, idx = engine.type, index_set(engine.type, n)
+    am, d = a_matrix(t, n, engine.gram), finite_root_data(t).d
     return ExactMatrix([[v * Fraction(d[i], d[j]) if v and d[i] != d[j] else v
-                         for j, v in zip(am.index_set, row)]
-                        for i, row in zip(am.index_set, am.matrix.rows)])
+                         for j, v in zip(idx, row)]
+                        for i, row in zip(idx, am.rows)])
 
 
 def q_block(engine, lam) -> ExactMatrix:
@@ -137,12 +140,12 @@ class FormOracle:
     w(left) = prod n / d_i, so the recursion drops the factor d_i / n;
     form_s_mono and form_k_mono divide w(left) out.  The memo is grow-only
     with idempotent inserts, so any evaluation order gives bit-identical
-    results.  ``data`` may override the built-in root data.
+    results.  ``gram`` may replace the Cartan form that A^(n) is built
+    from, as for FormEngine; d_i and I(n) always come from the type.
     """
 
-    def __init__(self, t: AffineType, data=None):
-        self.type = t
-        self.data = data if data is not None else finite_root_data(t)
+    def __init__(self, t: AffineType, gram=None):
+        self.type, self.gram = t, gram
         self._rows: dict = {}
         self._memo_s: dict = {}
         self._memo_k: dict = {}
@@ -152,15 +155,17 @@ class FormOracle:
         nonzero entries of A^(n) and of the identity."""
         tables = self._rows.get(n)
         if tables is None:
-            am = a_matrix(self.type, n, self.data)
-            s_rows = {i: tuple((j, v) for j, v in zip(am.index_set, row) if v)
-                      for i, row in zip(am.index_set, am.matrix.rows)}
+            idx = index_set(self.type, n)
+            am = a_matrix(self.type, n, self.gram)
+            s_rows = {i: tuple((j, v) for j, v in zip(idx, row) if v)
+                      for i, row in zip(idx, am.rows)}
             tables = self._rows[n] = (s_rows, {i: ((i, 1),) for i in s_rows})
         return tables
 
     def weight(self, mono) -> int:
         """w(mono) = prod n / d_i over the factors (n, i) of mono."""
-        return prod(n // self.data.d[i] for n, i in mono)
+        d = finite_root_data(self.type).d
+        return prod(n // d[i] for n, i in mono)
 
     def weighted_k(self, left, right):
         """K'(left, right) = (left, right)_K w(left)."""
@@ -199,6 +204,27 @@ class FormOracle:
                     total = total + aij * (mult * child)
         memo[key] = total
         return total
+
+
+def phi(t: AffineType, i: int, j: int, D: int, gram=None) -> list:
+    """[phi_ij(0), ..., phi_ij(D)], the coefficients of
+    phi_ij = exp(sum_m (d_i / m) a^(m)_ij s^m) up to s^D, the sum over the
+    m with d_i | m and d_j | m and a^(m)_ij read from roots.a_matrix on
+    ``gram``.  Since x_n^(i) is the coefficient of s^n in
+    exp(sum_{d_i | m} y_m^(i) s^m) and the S-form pairs y_m^(i) with
+    y_m^(j) to (d_i / m) a^(m)_ij, phi_ij(n) = (x_n^(i), x_n^(j))_S."""
+    d = finite_root_data(t).d
+    g = [0] * (D + 1)  # the exponent
+    for m in range(1, D + 1):
+        idx = index_set(t, m)
+        if i in idx and j in idx:
+            a = a_matrix(t, m, gram).rows[idx.index(i)][idx.index(j)]
+            g[m] = _field_div(a * d[i], m)
+    f = [1] + [0] * D  # exp(g), by n f_n = sum_k k g_k f_(n-k)
+    for n in range(1, D + 1):
+        f[n] = _field_div(sum((k * g[k] * f[n - k] for k in range(1, n + 1)),
+                              0), n)
+    return f
 
 
 def bilinear(form_mono, f, g):

@@ -81,6 +81,17 @@ def test_csv_rejected_elsewhere(capsys):
     assert main(["info", "A1^1", "--format", "csv"]) == 2
 
 
+def test_csv_refused_before_any_work(capsys, monkeypatch):
+    def failing(*args):
+        raise AssertionError("verify ran before csv was refused")
+
+    monkeypatch.setattr(cli, "verify", failing)
+    assert main(["gram", "E6^1", "-d", "3", "--format", "csv"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: csv output is only available for series and "
+                   "exponent tables\n")
+
+
 def test_default_degree_ignores_environment(capsys, monkeypatch):
     monkeypatch.setenv("SHAPDET_MAX_DEGREE", "3")
     code, payload = run_json(capsys, "series", "-p", "2")
@@ -193,9 +204,10 @@ GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
     (None, ["series", "A1^1", "--max-degree", "-2"]),
     (None, ["gram", "--roster", "-d", "-1"]),
     (None, ["detA", "--roster", "--n", "3"]),
+    (None, ["series", "A1^1", "--spin"]),
 ], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
         "non-int", "bool", "unwritable-out", "negative-max-degree",
-        "roster-negative-degree", "deta-roster-n"])
+        "roster-negative-degree", "deta-roster-n", "series-type-spin"])
 def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     path = tmp_path / "fixture.json"
     if fixture is not None:

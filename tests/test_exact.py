@@ -52,8 +52,6 @@ def test_cyc_number_field_laws(xyz, q):
     assert x + 0 == x == x * 1 and x - x == 0 and x - y == x + (-y)
     assert x * q == q * x == x * CycNumber(q)
     assert CycNumber.zeta() ** 3 == 1
-    assert (x * y).norm() == x.norm() * y.norm()
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
     if y:
         assert y * y.inverse() == 1 and (x / y) * y == x
         assert x / y == x * (1 / y)
@@ -93,14 +91,12 @@ def test_cyc_field_axioms_randomized():
         assert x * (y + z) == x * y + x * z
         if x:
             assert x * x.inverse() == 1
-        assert (x * y).norm() == x.norm() * y.norm()
-        assert (x * y).conjugate() == x.conjugate() * y.conjugate()
 
 
 def test_cyc_rational_interop():
     assert Fraction(1, 2) * z3 == CycNumber(0, Fraction(1, 2))
     assert 2 - z3 == CycNumber(2, -1)
-    assert (3 / CycNumber(1, 1)).norm() == Fraction(9, 1)
+    assert 3 / CycNumber(1, 1) == CycNumber(0, -3)
 
 
 def test_as_integer():

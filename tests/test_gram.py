@@ -18,9 +18,10 @@ from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
                           verify, x_in_y)
 from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponents)
-from shapdet.roots import ROSTER, FiniteRootData, finite_root_data, parse_type
+from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
 
-from oracles import FormOracle, bilinear, lambda_blocks, q_block, tiled_q
+from oracles import (FormOracle, bilinear, identity, lambda_blocks, phi,
+                     q_block, tiled_q)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -148,6 +149,50 @@ def test_forms_bilinear_over_polynomials():
     # (y2,y2)=1, cross term orthogonal
     assert bilinear(e.form_s_mono, f, g) == 2 * 1
     assert bilinear(e.form_k_mono, f, g) == 2 * Fraction(1, 2)
+
+
+def _phi_matches_oracle(t, D, fixture=None):
+    """phi_ij(n) equals (x_n^(i), x_n^(j))_S of the FormOracle, paired term
+    by term over x_in_y, for every i, j in I(n) and 1 <= n <= D, and is 0
+    at every other n <= D.  Returns the number of pairings compared."""
+    oracle, compared = FormOracle(t, fixture), 0
+    for i, j in product(t.I, repeat=2):
+        series = phi(t, i, j, D, fixture)
+        for n in range(1, D + 1):
+            idx = index_set(t, n)
+            if i in idx and j in idx:
+                assert series[n] == bilinear(
+                    oracle.form_s_mono, x_in_y(t, (n, i)),
+                    x_in_y(t, (n, j))), (t, n, i, j)
+                compared += 1
+            else:
+                assert not series[n], (t, n, i, j)
+    return compared
+
+
+def test_phi_series_matches_the_memo_recursion():
+    # The roster types, and the D4^3 gram with Q(zeta_3) values, the
+    # asymmetric A2^1 gram and the D3^2 gram with A^(2)[1][2] = -3/2.
+    assert sum(_phi_matches_oracle(t, 6) for t in ALL_TYPES) == 645
+    fixtures = [_corrupted(name, gram_) for name, gram_ in [
+        ("D4^3", D4_3_ZETA3_GRAM), ("A2^1", [[2, -1], [-2, 2]]),
+        ("D3^2", [[2, -2, -1], [-1, 2, 0], [-1, 0, 2]])]]
+    assert sum(_phi_matches_oracle(t, 6, bad) for t, bad in fixtures) == 51
+
+
+def test_phi_k_series_is_the_identity():
+    # With c = the identity, which roots.a_matrix builds from the identity
+    # gram, phi^K_ij(n) = [i = j][d_i | n] for n >= 1: the single
+    # x-generators are orthonormal for the K-form.
+    for t in ALL_TYPES:
+        d, oracle = finite_root_data(t).d, FormOracle(t)
+        for i, j in product(t.I, repeat=2):
+            want = [int(i == j and n % d[i] == 0) for n in range(1, 7)]
+            assert phi(t, i, j, 6, identity(t.N))[1:] == want
+            for n in range(1, 7):
+                if n % d[i] == 0 and n % d[j] == 0:
+                    assert bilinear(oracle.form_k_mono, x_in_y(t, (n, i)),
+                                    x_in_y(t, (n, j))) == want[n - 1]
 
 
 class _Forgetful(dict):
@@ -314,12 +359,10 @@ def test_q_matches_tiled_oracle_on_corrupted_d4_3():
     # The -1/2 gram of the corrupted-data test, and an integer gram whose
     # z-coefficients leave Q: Q(zeta_3) entries with a genuine zeta_3 part.
     t = parse_type("D4^3")
-    base = finite_root_data(t)
     genuine = 0
     for gram in ([[2, -1, Fraction(-1, 2), 0], [-1, 2, -1, -1], [0, -1, 2, 0],
                   [0, -1, 0, 2]], D4_3_ZETA3_GRAM):
-        bad = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
-                             base.orbits, base.d, base.c)
+        bad = ExactMatrix(gram)
         for d in range(6):
             Q = _same_q(t, d, FormEngine(t, bad))
             genuine += any(isinstance(x, CycNumber) and x.b
@@ -327,9 +370,9 @@ def test_q_matches_tiled_oracle_on_corrupted_d4_3():
     assert genuine == 10  # d = 1..5 for both grams
 
 
-def _brute_gram(t, d, data=None):
+def _brute_gram(t, d, fixture=None):
     """Reference assembly: every (x_a, x_b), a <= b, paired term by term."""
-    oracle = FormOracle(t, data)
+    oracle = FormOracle(t, fixture)
     basis = enumerate_basis(t, d)
     expansions = [x_in_y(t, mono) for mono in basis]
     size = len(basis)
@@ -355,14 +398,14 @@ def _brute_gram(t, d, data=None):
     return ExactMatrix(M), ExactMatrix(N)
 
 
-def _fast_gram(t, d, data=None):
-    """gram_matrices through an engine on the root data ``data``."""
-    return gram_matrices(t, d, FormEngine(t, data))
+def _fast_gram(t, d, fixture=None):
+    """gram_matrices through an engine on the gram ``fixture``."""
+    return gram_matrices(t, d, FormEngine(t, fixture))
 
 
-def _outcome(assemble, t, d, data=None):
+def _outcome(assemble, t, d, fixture=None):
     try:
-        M, N = assemble(t, d, data)
+        M, N = assemble(t, d, fixture)
     except InternalCheckError as exc:
         return str(exc)
     assert all(type(x) is int for m in (M, N) for row in m.rows for x in row)
@@ -389,11 +432,8 @@ CORRUPTED_GRAMS = [("A1^1", [[Fraction(5, 2)]]),
 
 
 def _corrupted(name, gram):
-    """The type and its built-in root data with gram in place of its own."""
-    t = parse_type(name)
-    base = finite_root_data(t)
-    return t, FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
-                             base.orbits, base.d, base.c)
+    """The type and gram as the ExactMatrix that replaces its Cartan form."""
+    return parse_type(name), ExactMatrix(gram)
 
 
 def test_gram_matches_brute_force_on_corrupted_data():
@@ -487,20 +527,20 @@ def test_verify_builds_each_a_matrix_once(monkeypatch):
     built = []
     a_matrix = gram.a_matrix
 
-    def counting(t, n, data=None):
+    def counting(t, n, gram=None):
         built.append(n)
-        return a_matrix(t, n, data)
+        return a_matrix(t, n, gram)
 
     monkeypatch.setattr(gram, "a_matrix", counting)
     assert verify(parse_type("E6^1"), 3).ok
     assert sorted(built) == [1, 2, 3]
 
 
-def _agrees_with_oracles(report, data=None):
+def _agrees_with_oracles(report, fixture=None):
     """verify's lambda-block certificate against its oracles: the dense
     M == P Q P^-1 N and, where that holds, the Bareiss determinants of the
-    full M and N.  data is the root data verify ran on."""
-    engine = FormEngine(report.type, data)
+    full M and N.  fixture is the gram verify ran on."""
+    engine = FormEngine(report.type, fixture)
     M, N = gram_matrices(report.type, report.d, engine)
     P, Q = transition_matrices(report.type, report.d, engine)
     assert report.identity_ok == (M == P @ Q @ invert(P) @ N)
@@ -555,7 +595,7 @@ def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
     pairing = FormEngine._pairing
 
     def mutated(self, n):
-        views, d = pairing(self, n), self.data.d
+        views, d = pairing(self, n), finite_root_data(self.type).d
         return views._replace(z_rows={
             i: tuple((j, v * Fraction(d[j], d[i]) ** 2) for j, v in row)
             for i, row in views.z_rows.items()})
@@ -734,13 +774,13 @@ def _runs_of(t, dmax):
                    for run in _runs(tuple(n for n, _ in y))})
 
 
-def _pure_blocks_match_memo(t, dmax, data=None):
+def _pure_blocks_match_memo(t, dmax, fixture=None):
     """FormEngine.pure_s(n, m) equals the memo recursion's form values
     (y, z)_S times w(y) on the colorings y, z of every run n^m up to dmax,
     in basis order.  At every degree d <= dmax, _y_gram's K'-diagonal
     prod_f m_f! equals the recursion's K'(y, y), and its K' is 0 off the
     diagonal inside each lambda-block.  Returns the pure blocks."""
-    engine, oracle = FormEngine(t, data), FormOracle(t, data)
+    engine, oracle = FormEngine(t, fixture), FormOracle(t, fixture)
     blocks = []
     for n, m in _runs_of(t, dmax):
         ys = [y for y in enumerate_basis(t, n * m) if {k for k, _ in y} == {n}]
@@ -779,17 +819,17 @@ def test_content_free_det_matches_full_bareiss_at_roster_degrees():
             assert gram._pure_det(S) == det_exact(ExactMatrix(S))
 
 
-def _blocks_match_oracles(t, d, data=None):
+def _blocks_match_oracles(t, d, fixture=None):
     """_y_gram's product-built lambda-blocks S'_lambda at degree d equal the
     all-pairs recursion's form values G_lambda times w(y) entry for entry,
     and the certificate's det of each block, from the block's pure blocks
     only, equals the field Bareiss of the whole G_lambda, or is None where
     G_lambda is not symmetric.  Returns the counts of blocks with several
     part sizes and of asymmetric ones."""
-    engine = FormEngine(t, data)
+    engine = FormEngine(t, fixture)
     basis = enumerate_basis(t, d)
     blocks, k_values, w, pure = gram._y_gram(engine, basis)
-    oracle = FormOracle(t, data)
+    oracle = FormOracle(t, fixture)
     forms = lambda_blocks(oracle, basis)
     assert w == {y: oracle.weight(y) for y in basis}
     assert blocks == [(ys, [[v * w[y] for v in row]
@@ -961,10 +1001,7 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
 
 def test_verify_catches_corrupted_gram():
     t = parse_type("A1^1")
-    base = finite_root_data(t)
-    bad = FiniteRootData(base.nodes, ExactMatrix([[3]]), base.mu,
-                         base.orbits, base.d, base.c)
-    rep = verify(t, 2, bad)
+    rep = verify(t, 2, ExactMatrix([[3]]))
     assert not rep.ok
     assert any("det M" in f or "Gram entry" in f for f in rep.failures)
 

@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from shapdet import roots
 from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
                            as_integer, det_exact)
 from shapdet.roots import (ROSTER, a_matrix, det_a, finite_root_data,
@@ -54,9 +55,10 @@ def test_finite_data_e6_2():
     assert [data.d[i] for i in t.I] == [1, 1, 2, 2]
     assert data.mu == {1: 6, 6: 1, 2: 5, 5: 2, 3: 3, 4: 4}
     # paper numbering: 4 hangs off 3, and 3-5 are joined
-    assert data.pair(3, 4) == -1
-    assert data.pair(3, 5) == -1
-    assert data.pair(4, 5) == 0
+    g = data.gram.rows  # nodes 1..6 at positions 0..5
+    assert g[2][3] == -1
+    assert g[2][4] == -1
+    assert g[3][4] == 0
 
 
 def test_finite_data_d4_3():
@@ -79,21 +81,21 @@ def test_orbit_structure():
 
 def test_a_matrix_examples():
     t = parse_type("A2^2")
-    assert a_matrix(t, 1).matrix.rows == [[3]]
-    assert a_matrix(t, 2).matrix.rows == [[1]]
+    assert a_matrix(t, 1).rows == [[3]]
+    assert a_matrix(t, 2).rows == [[1]]
     t = parse_type("A4^1")
     am = a_matrix(t, 3)
-    assert am.matrix == finite_root_data(t).gram
-    assert as_integer(det_exact(am.matrix)) == 5
+    assert am == finite_root_data(t).gram
+    assert as_integer(det_exact(am)) == 5
 
 
 def test_a_matrix_d4_3():
     t = parse_type("D4^3")
-    assert a_matrix(t, 1).index_set == (1,)
-    assert a_matrix(t, 1).matrix.rows == [[2]]
+    assert index_set(t, 1) == (1,)
+    assert a_matrix(t, 1).rows == [[2]]
     am = a_matrix(t, 3)
-    assert am.index_set == (1, 2)
-    assert [[x for x in row] for row in am.matrix.rows] == [[2, -3], [-1, 2]]
+    assert index_set(t, 3) == (1, 2)
+    assert [[x for x in row] for row in am.rows] == [[2, -3], [-1, 2]]
 
 
 def test_det_a_examples():
@@ -111,22 +113,20 @@ def test_det_a_roster():
             assert det_a(t, n) == expected
 
 
-def test_det_a_flags_corrupted_data():
+def test_det_a_flags_corrupted_data(monkeypatch):
     t = parse_type("A1^1")
-    data = finite_root_data(t)
-    from shapdet.roots import FiniteRootData
-    bad = FiniteRootData(data.nodes, ExactMatrix([[3]]), data.mu,
-                         data.orbits, data.d, data.c)
+    monkeypatch.setattr(roots, "a_matrix",
+                        lambda t, n, gram=None: ExactMatrix([[3]]))
     with pytest.raises(InternalCheckError):
-        det_a(t, 1, bad)
+        det_a(t, 1)
 
 
 def test_a_matrix_periodicity():
     for t in ALL_TYPES:
         for n in range(1, 3 * t.r + 1):
             rep = n % t.r or t.r
-            assert a_matrix(t, n).matrix == a_matrix(t, rep).matrix
-            assert a_matrix(t, n).index_set == a_matrix(t, rep).index_set
+            assert a_matrix(t, n) == a_matrix(t, rep)
+            assert index_set(t, n) == index_set(t, rep)
 
 
 def test_a_matrix_entries_are_ints():
@@ -134,7 +134,7 @@ def test_a_matrix_entries_are_ints():
     # as an int, also on D4^3 where it is summed in Q(zeta_3).
     for t in ALL_TYPES + [parse_type("E7^1"), parse_type("E8^1")]:
         for n in range(1, 13):
-            rows = a_matrix(t, n).matrix.rows
+            rows = a_matrix(t, n).rows
             assert all(type(x) is int for row in rows for x in row), (t, n)
 
 
@@ -142,30 +142,23 @@ def test_a_matrix_keeps_field_entries_of_fixtures():
     # A genuine zeta_3 part stays a CycNumber, a non-integral value a
     # CycNumber for r = 3 and a Fraction else; an integral entry beside
     # them is still an int.
-    from shapdet.roots import FiniteRootData
     t = parse_type("D4^3")
-    base = finite_root_data(t)
     gram = [[2, -1, -1, 0], [-1, 2, -1, -1], [-1, -1, 2, 0], [0, -1, 0, 2]]
-    data = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
-                          base.orbits, base.d, base.c)
-    assert a_matrix(t, 1, data).matrix.rows == [[CycNumber(2, -1)]]
-    assert type(a_matrix(t, 1, data).matrix.rows[0][0]) is CycNumber
-    assert a_matrix(t, 3, data).matrix.rows == [[1, -3], [-1, 2]]
+    g = ExactMatrix(gram)
+    assert a_matrix(t, 1, g).rows == [[CycNumber(2, -1)]]
+    assert type(a_matrix(t, 1, g).rows[0][0]) is CycNumber
+    assert a_matrix(t, 3, g).rows == [[1, -3], [-1, 2]]
     assert all(type(x) is int
-               for row in a_matrix(t, 3, data).matrix.rows for x in row)
+               for row in a_matrix(t, 3, g).rows for x in row)
     # A non-integral entry on a row with d_i = 3 keeps its division by d_i:
     # (g(2,1) + g(2,3) + g(2,4)) / 3 = (-2 - 1 - 1) / 3.
     gram[1][0] = -2
-    data = FiniteRootData(base.nodes, ExactMatrix(gram), base.mu,
-                          base.orbits, base.d, base.c)
-    assert a_matrix(t, 3, data).matrix.rows == [
+    g = ExactMatrix(gram)
+    assert a_matrix(t, 3, g).rows == [
         [1, -3], [CycNumber(Fraction(-4, 3)), 2]]
     t = parse_type("A2^1")
-    base = finite_root_data(t)
-    data = FiniteRootData(base.nodes, ExactMatrix([[2, Fraction(-1, 2)],
-                                                   [-1, 2]]),
-                          base.mu, base.orbits, base.d, base.c)
-    assert [[type(x) for x in row] for row in a_matrix(t, 1, data).matrix.rows
+    g = ExactMatrix([[2, Fraction(-1, 2)], [-1, 2]])
+    assert [[type(x) for x in row] for row in a_matrix(t, 1, g).rows
             ] == [[int, Fraction], [int, int]]
 
 
