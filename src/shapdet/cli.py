@@ -49,13 +49,13 @@ def _read_fixture(path) -> dict:
     return raw
 
 
-def _root_data(t, fixture: dict) -> ExactMatrix | None:
-    """The fixture's gram, which replaces the Cartan matrix of t, or None if
-    it has none.  Only the gram's shape and entry types are checked:
-    mathematically wrong grams are the point of the hook."""
+def _root_data(t, fixture: dict) -> ExactMatrix:
+    """The fixture's gram, which replaces the Cartan matrix of t.  Only the
+    gram's presence, shape and entry types are checked: mathematically
+    wrong grams are the point of the hook."""
     gram = fixture.get("gram")
     if gram is None:
-        return None
+        raise SystemExit('--root-data fixture has no "gram" key')
     size = t.N  # the nodes of X_N
     if not (isinstance(gram, list) and len(gram) == size
             and all(isinstance(row, list) and len(row) == size

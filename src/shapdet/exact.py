@@ -126,23 +126,12 @@ class CycNumber:
             return hash(self.a)
         return hash((self.a, self.b))
 
-    def __str__(self):
+    def __str__(self):  # a+b*z3, with a = 0 and b = +-1 written short
         if not self.b:
             return str(self.a)
-        z = "z3"
-        if not self.a:
-            head = ""
-        else:
-            head = str(self.a)
-        if self.b == 1:
-            tail = z
-        elif self.b == -1:
-            tail = "-" + z
-        else:
-            tail = "%s*%s" % (self.b, z)
-        if head and not tail.startswith("-"):
-            return head + "+" + tail
-        return head + tail
+        tail = {1: "z3", -1: "-z3"}.get(self.b, "%s*z3" % self.b)
+        head = str(self.a) if self.a else ""
+        return head + ("+" if head and tail[0] != "-" else "") + tail
 
     def __repr__(self):
         return "CycNumber(%s, %s)" % (self.a, self.b)

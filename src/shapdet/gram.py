@@ -14,33 +14,26 @@ D A^(n) D^-1, which leaves every block determinant unchanged; with
 those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
 the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
-(z-) monomial basis[a], so enumerate_basis alone owns the order; verify
-checks P and Q on those rows, and only transition_matrices makes them
-dense.  A FormEngine builds A^(n) once per n through roots.a_matrix and
-derives all of these views from it as sparse rows; verify shares one.
+(z-) monomial basis[a], so enumerate_basis alone owns the order.  A
+FormEngine builds A^(n) once per n through roots.a_matrix and derives
+all of these views from it as sparse rows; verify shares one.
 
 Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
-block-diagonal by the part-size shape lambda (the Heisenberg grading), and
-each lambda-block is the Kronecker product of pure blocks, G_lambda =
-kron_n G_(n^m_n), largest part slowest, which is the basis order of its
-monomials.  The S-recursion runs on the pure blocks only, as one level
-table per part size; M = P G_y P^T and N = P K_y P^T stream row by row
-from the x-expansions (verify keeps no row, gram_matrices keeps all); P
-is upper unitriangular, so verify certifies det M = prod_lambda
-det G_lambda (from the pure dets) and det N = prod_y K_y(y, y), and
-checks M = P Q P^-1 N as G_y = Q K_y.  The all-pairs memo recursion of
-both forms (in tests/oracles.py), the full-matrix Bareiss determinants
-and the dense P Q P^-1 N are the tests' oracles.
-
-The level tables hold S'(left, right) = (left, right) w(left), with
-w(left) = prod n / d_i over the factors of left (FormEngine.weight), so
-the recursion drops the factor d_i / n and runs on ints wherever A^(n)
-is integral, as roots.a_matrix makes it for every built-in type.  verify
-uses only S'_y = W G_y and K'_y = W K_y, whose diagonal is
-K'(y, y) = prod_f m_f!: _gram contracts M = (P W^-1) S'_y P^T, and the
-certificate works on H = S'_y W = W G_y W and divides prod w(y) out of
-its determinants once.  The x-expansions are int coefficients over
-prod (n / d_i)!, each its prefix times one generator.
+block-diagonal by the part-size shape lambda, and each lambda-block is the
+Kronecker product of pure blocks G_(n^m), largest part slowest, which is
+the basis order of its monomials.  The S-recursion runs on the pure
+blocks only, as level tables of S'(left, right) = (left, right) w(left),
+w(left) = prod n / d_i over the factors of left, so it runs on ints
+wherever A^(n) is integral, as roots.a_matrix makes it for every built-in
+type; the x-expansions are int coefficients over prod (n / d_i)!.  verify
+certifies M and N integral from the one-generator pairings phi_ij(n)
+(_phi), and, P being upper unitriangular, det M = prod_lambda det G_lambda
+from the pure dets and det N = prod_y K_y(y, y), and checks
+M = P Q P^-1 N as G_y = Q K_y.  Only gram_matrices contracts
+M = P G_y P^T and N = P K_y P^T, for printing and, where some phi is not
+an int, to name verify's first non-integer entry.  The all-pairs memo
+recursion, the transport sum over phi and the full-matrix Bareiss and
+P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -49,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import factorial, gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -64,10 +57,6 @@ Monomial = ColoredPartition
 BPolynomial = Dict[Monomial, object]
 
 
-def _mono_sorted(factors) -> Monomial:
-    return tuple(sorted(factors, key=lambda f: (-f[0], f[1])))
-
-
 def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
     out: BPolynomial = {}
     for m1, c1 in p1.items():
@@ -75,7 +64,7 @@ def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
             # Canonical unless m2 starts before m1 ends in the order (-n, i).
             key = m1 + m2
             if m1 and m2 and (m2[0][0], -m2[0][1]) > (m1[-1][0], -m1[-1][1]):
-                key = _mono_sorted(key)
+                key = tuple(sorted(key, key=lambda f: (-f[0], f[1])))
             c = c1 * c2
             cur = out.get(key)
             val = c if cur is None else cur + c
@@ -138,14 +127,10 @@ class FormEngine:
 
     The S-recursion runs over a row table per part size n, the nonzero
     entries of A^(n); the z-expansions (the rows of Q) use those of
-    D A^(n) D^-1.  Both sparse row tables are derived from roots.a_matrix
-    once per n and cached on the engine.  verify's S-values are the
-    S' = (left, right) w(left) of the pure blocks, built bottom-up by
-    pure_s.  The K-form needs no recursion, as K'(y, y) = prod_f m_f!; the
-    all-pairs recursion of both forms is the tests' oracle
-    (tests/oracles.py).  ``gram`` may replace the Cartan form that A^(n)
-    is built from (the CLI's --root-data hook); d_i, mu and I(n) always
-    come from the type.
+    D A^(n) D^-1.  Both are derived from roots.a_matrix once per n and
+    cached, and pure_s builds the pure blocks of S' bottom-up.  ``gram``
+    may replace the Cartan form that A^(n) is built from (the CLI's
+    --root-data hook); d_i, mu and I(n) always come from the type.
     """
 
     def __init__(self, t: AffineType, gram: Optional[ExactMatrix] = None):
@@ -212,10 +197,8 @@ def transition_matrices(t: AffineType, d: int,
     """The x-to-y matrix P and the block-diagonal z-to-y matrix Q at degree d.
 
     Row a of P is x_in_y(basis[a]) and row a of Q is engine.z_in_y(basis[a]),
-    each written into the columns of its target y-monomials; rows and
-    columns both follow the global basis order.  ``engine`` supplies the
-    z-coefficients (and with them any replaced gram); a fresh engine on
-    the built-in gram is used when it is omitted.
+    both in the global basis order.  ``engine`` supplies the z-coefficients
+    (and any replaced gram); a fresh one on the built-in gram by default.
     """
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
@@ -237,8 +220,7 @@ def _y_gram(engine: FormEngine, basis):
     of each run n^m of a lambda, straight from FormEngine.pure_s.  Since
     w(y) = prod_n w(y_n), every lambda-block is their Kronecker product,
     S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n], with the largest part
-    slowest as in the basis order.  The all-pairs recursion of both forms
-    in tests/oracles.py is the oracle for the blocks and the diagonal."""
+    slowest as in the basis order."""
     members: Dict[Tuple[int, ...], List[Monomial]] = {}
     for y in basis:
         members.setdefault(tuple(n for n, _ in y), []).append(y)
@@ -261,40 +243,25 @@ def _y_gram(engine: FormEngine, basis):
 def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
                   ) -> Tuple[ExactMatrix, ExactMatrix]:
     """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d,
-    dense: the rows that _gram streams, mirrored.  ``engine`` is as for
-    transition_matrices.  A non-integer entry raises InternalCheckError,
-    since it can only come from a recursion or root-data bug.
+    dense, row a being its mirrored column a and then its entries b >= a:
+    row a of P G_y (of P K_y) is contracted first, then paired with every
+    x_b, b >= a.  ``engine`` is as for transition_matrices.  A non-integer
+    entry raises InternalCheckError at once, since it can only come from a
+    recursion or root-data bug.
     """
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
-    M = [[0] * len(basis) for _ in basis]
-    N = [[0] * len(basis) for _ in basis]
-    for a, m_row, n_row in _gram(t, d, basis, _y_gram(engine, basis),
-                                 _x_rows(t, basis)):
-        for b, (u, v) in enumerate(zip(m_row, n_row), a):
-            M[a][b] = M[b][a] = u
-            N[a][b] = N[b][a] = v
-    return ExactMatrix(M), ExactMatrix(N)
-
-
-def _gram(t: AffineType, d: int, basis, y_gram, x_rows):
-    """Yields (a, M[a][a:], N[a][a:]) for each a in basis order.  G_y is
-    block-diagonal by the part-size shape lambda and K_y is diagonal; y_gram
-    holds S'_y = W G_y and K'_y = W K_y, and row a of P G_y is contracted
-    first, then its pairing with every x_b, b >= a; each entry is divided
-    back exactly before its integrality check."""
-    blocks, k_values, w, _ = y_gram
+    blocks, k_values, w, _ = _y_gram(engine, basis)
     # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
-    # row b of P is the int vector p_rows[b] over scale[b], S'_y is the
-    # recursion's values as they are (ints wherever A^(n) is), K'_y is
-    # ints, and w(y) divides every coefficient of y in P.
-    p_rows, scale = zip(*x_rows)
+    # row b of P is the int vector p_rows[b] over scale[b], and w(y)
+    # divides every coefficient of y in it.
+    p_rows, scale = zip(*_x_rows(t, basis))
     g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]
               for ys, g in blocks for y, row in zip(ys, g)}  # nonzero S'(y, z)
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
     for b, p_row in enumerate(p_rows):
         for z, cb in p_row.items():
             columns.setdefault(z, []).append((b, cb))
-    size = len(basis)
+    size, M, N = len(basis), [], []
     for a in range(size):
         hs: BPolynomial = {}  # row a of P G_y, times scale[a]
         hk: BPolynomial = {}  # row a of P K_y, times scale[a]
@@ -310,18 +277,48 @@ def _gram(t: AffineType, d: int, basis, y_gram, x_rows):
                 col = columns[z]  # ascending in b: start at the first b >= a
                 for b, cb in col[bisect_left(col, (a,)):]:
                     out[b] = out[b] + h * cb
-        m_row, n_row = [0] * (size - a), [0] * (size - a)
         for b in range(a, size):
             if s_row[b] or k_row[b]:
                 den = scale[a] * scale[b]
                 try:
-                    m_row[b - a] = as_integer(_field_div(s_row[b], den))
-                    n_row[b - a] = as_integer(_field_div(k_row[b], den))
+                    s_row[b] = as_integer(_field_div(s_row[b], den))
+                    k_row[b] = as_integer(_field_div(k_row[b], den))
                 except InternalCheckError as exc:
                     raise InternalCheckError(
                         "non-integer Gram entry at %s degree %d (%s, %s): %s"
                         % (t, d, basis[a], basis[b], exc)) from exc
-        yield a, m_row, n_row
+        M.append([row[a] for row in M] + s_row[a:])
+        N.append([row[a] for row in N] + k_row[a:])
+    return ExactMatrix(M), ExactMatrix(N)
+
+
+def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
+    """{(n, i, j): phi_ij(n)} for 1 <= n <= d and every ordered pair i, j of
+    I(n), where phi_ij(n) = (x_n^(i), x_n^(j))_S pairs two single
+    generators.  x_n^(i) is sum_y c_y y / m! over color-i monomials y
+    (_x_generator), and y pairs only with y', the color-j monomial of its
+    part shape, to S'(y, y') / w(y), which is the product over the runs
+    k^m of y of S'_(k^m)[(k, i)^m][(k, j)^m] (pure_s) over w(y)."""
+    t, out = engine.type, {}
+    for n in range(1, d + 1):
+        gens = {}  # i: ({shape of y: (runs, c_y / w(y), c_y)}, m!)
+        for i in index_set(t, n):
+            x, scale = _x_generator(t, n, i)
+            gens[i] = {tuple(k for k, _ in y): (
+                _runs(tuple(k for k, _ in y)), _exact_div(c, engine.weight(y)),
+                c) for y, c in x.items()}, scale
+        for (i, (xi, si)), (j, (xj, sj)) in product(gens.items(), repeat=2):
+            total = 0
+            for shape, (runs, cw, _) in xi.items():
+                hit = xj.get(shape)
+                if hit:
+                    v = cw * hit[2]
+                    for k, m in runs:
+                        at, S = engine.pure_s(k, m)
+                        v = v * S[at[((k, i),) * m]][at[((k, j),) * m]]
+                    total = total + v
+            out[n, i, j] = _field_div(total, si * sj)
+    return out
 
 
 def _certificate(y_gram, z_rows, index):
@@ -437,28 +434,42 @@ def verify(t: AffineType, d: int,
            gram: Optional[ExactMatrix] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    M and N stream row by row from _gram, which checks every entry to be an
-    integer; then, once P is checked to be upper unitriangular on the same
-    x-rows, one pass over the lambda-blocks of G_y, the diagonal of K_y and
-    the rows of Q (the z-expansions) certifies det M and det N and checks
-    M = P Q P^-1 N as G_y = Q K_y = G_y^T.  No dense M, N, P or Q is built.
+    M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S with
+    n <= d is an int (_phi, from the pipeline's own x-generators and pure
+    blocks).  The x-basis is group-like: sum_m x_(m d_i)^(i) s^(m d_i) =
+    exp(sum_k y_(k d_i)^(i) s^(k d_i)), and for any A^(n), symmetric or
+    not, the adjoint of multiplication by y_n^(i) is the derivation
+    (d_i / n) sum_j a^(n)_ij d/dy_n^(j).  Moving the left factors across
+    one at a time makes every entry of M a transportation sum,
+    (x_(n_1)^(i_1) ... x_(n_k)^(i_k), x_(m_1)^(j_1) ... x_(m_l)^(j_l)) =
+    sum_C prod_(p,q) phi_(i_p j_q)(c_pq) over the non-negative integer
+    matrices C with row sums n_p and column sums m_q, phi(0) = 1.  N is the
+    same sum with the identity for A^(n), whose phi^K_ij(n) = [i = j]
+    [d_i | n] are ints, so N needs no check.  Only where some phi is not an
+    int does gram_matrices contract M and N, to name the first non-integer
+    entry.  This certifies the Z-form, not the theorem: once P is checked
+    to be upper unitriangular on the x-rows, one pass over the
+    lambda-blocks of G_y, the diagonal of K_y and the rows of Q (the
+    z-expansions) certifies det M and det N from the pure blocks and checks
+    M = P Q P^-1 N as G_y = Q K_y = G_y^T, which also ties the G_y behind
+    phi to the true form.  No dense M, N, P or Q is built on a pass.
     Failed checks (wrong determinant, an uncertified det M, which stays
     None, the identity with its witness entry, non-integer Gram entries, a
     non-unitriangular P) are recorded in the report rather than raised.
     One FormEngine, on ``gram`` in place of the Cartan form if given,
-    serves the Gram rows and the z-expansions.
+    serves phi, the Gram blocks and the z-expansions.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
     engine, basis = FormEngine(t, gram), report.basis
     try:
-        y_gram, x_rows = _y_gram(engine, basis), _x_rows(t, basis)
-        for _ in _gram(t, d, basis, y_gram, x_rows):
-            pass
+        if any(type(v) is not int for v in _phi(engine, d).values()):
+            gram_matrices(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
+    y_gram, x_rows = _y_gram(engine, basis), _x_rows(t, basis)
 
     index = {y: a for a, y in enumerate(basis)}
     # The first (a, b), b <= a, with P[a][b] != [a = b]; a missing term is 0.

@@ -8,7 +8,8 @@ all-pairs memo recursion, with its own rows of A^(n) from roots.a_matrix;
 gram.FormEngine runs the S-recursion on the pure blocks only, as level
 tables, and takes the K-diagonal in closed form.  phi gives the S-form on
 two single x-generators as the coefficients of an exponential series in
-the entries of A^(n), with no recursion.  bilinear extends the
+the entries of A^(n), with no recursion, and transport_gram builds M
+and N from those pairings alone, with no P and no G_y.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
 assembly and the hand-value tests pair term by term.  lambda_blocks runs
 the S-recursion on every pair of a lambda-block, which gram._y_gram
@@ -19,6 +20,7 @@ derivatives the series tests compare with ab_series.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import prod
 from typing import Dict, List, Tuple
@@ -225,6 +227,54 @@ def phi(t: AffineType, i: int, j: int, D: int, gram=None) -> list:
         f[n] = _field_div(sum((k * g[k] * f[n - k] for k in range(1, n + 1)),
                               0), n)
     return f
+
+
+def _splits(n: int, caps):
+    """Every tuple c with sum n and 0 <= c[q] <= caps[q], c[0] slowest."""
+    if not caps:
+        if n == 0:
+            yield ()
+        return
+    for c in range(min(n, caps[0]) + 1):
+        for rest in _splits(n - c, caps[1:]):
+            yield (c,) + rest
+
+
+def transport_gram(t: AffineType, d: int, gram=None):
+    """(M, N) on the x-basis at degree d from the one-generator pairings
+    alone: the upper triangle, mirrored as gram.gram_matrices does, of
+    (x_(n_1)^(i_1) ... x_(n_k)^(i_k), x_(m_1)^(j_1) ... x_(m_l)^(j_l)) =
+    sum_C prod_(p,q) phi_(i_p j_q)(c_pq), C over the non-negative integer
+    matrices with row sums n_p and column sums m_q, phi(0) = 1.  Since the
+    x-generators are group-like, the adjoint of multiplication by
+    x_(n_1)^(i_1) spreads its degree over the right factors: the sum is a
+    recursion on the first left factor, whose row of C is split over the
+    right factors' remaining parts, memoized on (rest, remaining parts).
+    phi is the exp series of phi() on ``gram`` for M and on the identity
+    gram for N.  No P, no G_y and no Fraction outside phi."""
+    basis = enumerate_basis(t, d)
+    size, out = len(basis), []
+    for g in (gram, identity(t.N)):
+        table = {(i, j): phi(t, i, j, d, g) for i in t.I for j in t.I}
+
+        @lru_cache(maxsize=None)
+        def transport(left, right):
+            if not left:
+                return int(not any(m for m, _ in right))
+            (n, i), rest, total = left[0], left[1:], 0
+            for split in _splits(n, [m for m, _ in right]):
+                v = prod(table[i, j][c] for c, (_, j) in zip(split, right))
+                if v:
+                    total = total + v * transport(rest, tuple(
+                        (m - c, j) for c, (m, j) in zip(split, right)))
+            return total
+
+        rows = [[0] * size for _ in range(size)]
+        for a in range(size):
+            for b in range(a, size):
+                rows[a][b] = rows[b][a] = transport(basis[a], basis[b])
+        out.append(ExactMatrix(rows))
+    return tuple(out)
 
 
 def bilinear(form_mono, f, g):

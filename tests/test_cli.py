@@ -205,9 +205,12 @@ GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
     (None, ["gram", "--roster", "-d", "-1"]),
     (None, ["detA", "--roster", "--n", "3"]),
     (None, ["series", "A1^1", "--spin"]),
+    ('{"Gram": [[3]]}', GRAM_A1),
+    ("{}", GRAM_A1),
 ], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
         "non-int", "bool", "unwritable-out", "negative-max-degree",
-        "roster-negative-degree", "deta-roster-n", "series-type-spin"])
+        "roster-negative-degree", "deta-roster-n", "series-type-spin",
+        "misspelled-gram-key", "no-gram-key"])
 def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     path = tmp_path / "fixture.json"
     if fixture is not None:

@@ -21,7 +21,7 @@ from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
 from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
 
 from oracles import (FormOracle, bilinear, identity, lambda_blocks, phi,
-                     q_block, tiled_q)
+                     q_block, tiled_q, transport_gram)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -264,31 +264,39 @@ def test_form_s_is_symmetric(data):
 
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
-    # type, every level-table value, every lambda-block, pure block and
-    # K'-diagonal value and weight that _y_gram hands over, and every
-    # coefficient and scale of the x-rows that _gram contracts is an int.
+    # type, every phi value that certifies M and N integral, every
+    # level-table value, every lambda-block, pure block and K'-diagonal
+    # value and weight that _y_gram hands over, and every coefficient and
+    # scale of the x-rows that verify reads is an int.
     seen = []
-    _y_gram, _gram = gram._y_gram, gram._gram
+    _phi, _y_gram, _x_rows = gram._phi, gram._y_gram, gram._x_rows
 
-    def recording_y_gram(engine, basis):
-        out = _y_gram(engine, basis)
+    def recording_phi(engine, d):
+        out = _phi(engine, d)
         seen.append([engine, out])
         return out
 
-    def recording(t, d, basis, y_gram, x_rows):
-        assert y_gram is seen[-1][1]  # _gram contracts what _y_gram handed
-        seen[-1].append(x_rows)
-        return _gram(t, d, basis, y_gram, x_rows)
+    def recording_y_gram(engine, basis):
+        assert engine is seen[-1][0]  # phi read the blocks _y_gram hands
+        out = _y_gram(engine, basis)
+        seen[-1].append(out)
+        return out
 
+    def recording_x_rows(t, monos):
+        out = _x_rows(t, monos)
+        seen[-1].append(out)
+        return out
+
+    monkeypatch.setattr(gram, "_phi", recording_phi)
     monkeypatch.setattr(gram, "_y_gram", recording_y_gram)
-    monkeypatch.setattr(gram, "_gram", recording)
-    cases = (("E6^1", 4, 1000), ("A1^1", 12, 1000), ("D4^3", 4, 20),
-             ("E6^2", 4, 100))  # and a floor for the number of values
-    for name, d, _ in cases:
+    monkeypatch.setattr(gram, "_x_rows", recording_x_rows)
+    cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 1000, 12),
+             ("D4^3", 4, 20, 7), ("E6^2", 4, 100, 40))  # floors for counts
+    for name, d, _, _ in cases:
         assert verify(parse_type(name), d).ok
     assert len(seen) == len(cases)
-    for (engine, (blocks, k_values, w, pure), x_rows), case in zip(seen,
-                                                                   cases):
+    for (engine, phis, (blocks, k_values, w, pure), x_rows), case in zip(
+            seen, cases):
         handed = [*(v for _, g in blocks for row in g for v in row),
                   *(v for _, G in pure.values() for row in G for v in row),
                   *k_values.values(), *w.values()]
@@ -296,7 +304,9 @@ def test_integer_pipeline_stays_integral(monkeypatch):
                     for _, table in levels for row in table for v in row),
                   *(c for x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
+        assert len(phis) >= case[3]
         assert all(type(v) is int for v in handed + values)
+        assert all(type(v) is int for v in phis.values())
         assert engine._levels  # verify's S'-values come from them
 
 
@@ -449,6 +459,91 @@ def test_gram_matches_brute_force_on_corrupted_data():
     assert failures == 15  # the failure path is really exercised
 
 
+def test_transport_oracle_matches_gram_matrices_at_roster_degrees():
+    # M and N from the exp-series phi alone, with no P and no G_y.
+    cases = 0
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        for d in range(dmax + 1):
+            assert transport_gram(t, d) == gram_matrices(t, d), (name, d)
+            cases += 1
+    assert cases == 61
+
+
+def test_verify_phi_matches_the_exp_series():
+    # verify's phi, from the x-generators and the pure blocks, against the
+    # exp series in the entries of A^(n), on every ordered pair of I(n).
+    fixtures = [(parse_type(name), None, dmax)
+                for name, dmax in ROSTER_DEGREES.items()]
+    fixtures += [(*_corrupted(name, gram_), 4) for name, gram_ in
+                 CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]]
+    compared = 0
+    for t, fixture, d in fixtures:
+        got = gram._phi(FormEngine(t, fixture), d)
+        series = {(i, j): phi(t, i, j, d, fixture) for i in t.I for j in t.I}
+        assert got == {(n, i, j): series[i, j][n] for n in range(1, d + 1)
+                       for i in index_set(t, n) for j in index_set(t, n)}
+        compared += len(got)
+    assert compared == 447
+
+
+def _integral(v):
+    try:
+        as_integer(v)
+    except InternalCheckError:
+        return False
+    return True
+
+
+def test_transport_oracle_on_corrupted_grams():
+    # Where gram_matrices raises, some phi_ij(n) with n <= d is not an
+    # integer (the premise of verify's phi check), and the oracle's first
+    # non-integer entry, row by row over b >= a, is the one it names.
+    raised = passed = 0
+    for name, gram_ in CORRUPTED_GRAMS + [
+            ("D4^3", D4_3_ZETA3_GRAM),
+            ("D3^2", [[2, -2, -1], [-1, 2, 0], [-1, 0, 2]])]:
+        t, bad = _corrupted(name, gram_)
+        for d in range(1, 5):
+            M, N = transport_gram(t, d, bad)
+            assert N == gram_matrices(t, d)[1]  # N does not see the gram
+            try:
+                want = gram_matrices(t, d, FormEngine(t, bad))
+            except InternalCheckError as exc:
+                raised += 1
+                assert not all(_integral(v) for i in t.I for j in t.I
+                               for v in phi(t, i, j, d, bad)), (name, d)
+                basis = enumerate_basis(t, d)
+                a, b = min((a, b) for a in range(len(basis))
+                           for b in range(a, len(basis))
+                           if not _integral(M.rows[a][b]))
+                assert str(exc) == (
+                    "non-integer Gram entry at %s degree %d (%s, %s): "
+                    "expected an integer, got %s"
+                    % (name, d, basis[a], basis[b], M.rows[a][b]))
+            else:
+                assert (M, N) == want, (name, d)
+                # a non-integral phi need not make M non-integral
+                passed += not all(_integral(v) for i in t.I for j in t.I
+                                  for v in phi(t, i, j, d, bad))
+    # 15 of CORRUPTED_GRAMS, the zeta_3 gram at d = 1..4, D3^2 at d = 2, 4
+    assert raised == 21
+    assert passed == 2  # A2^1 with a^(1)_21 = -1/2 at d = 1, D3^2 at d = 3
+
+
+def test_verify_skips_the_contraction_when_phi_is_integral(monkeypatch):
+    def failing(*args):
+        raise AssertionError("verify ran the Gram contraction")
+
+    monkeypatch.setattr(gram, "gram_matrices", failing)
+    cases = [(name, d) for name, dmax in ROSTER_DEGREES.items()
+             for d in range(dmax + 1)]
+    assert len(cases) == 61
+    for name, d in cases + [("E6^1", 4), ("A1^1", 12)]:
+        rep = verify(parse_type(name), d)
+        assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
+
+
 @pytest.mark.parametrize("name, gram, d, value", [
     # an int contraction with a remainder, on M's diagonal and off it
     ("A1^1", [[Fraction(5, 2)]], 2, "(((2, 1),), ((2, 1),)): expected an "
@@ -461,9 +556,20 @@ def test_gram_matches_brute_force_on_corrupted_data():
     # A^(2)[1][2] = (g(1,2) + g(1,3)) / d_1 = -3/2 on the fixed node, d_1 = 2
     ("D3^2", [[2, -2, -1], [-1, 2, 0], [-1, 0, 2]], 2, "(((2, 1),), ((2, 2),)):"
      " expected an integer, got -3/2")])
-def test_non_integer_gram_entry_failure_text(name, gram, d, value):
+def test_non_integer_gram_entry_failure_text(monkeypatch, name, gram, d,
+                                             value):
+    # A non-integral phi sends verify to the contraction, once, which
+    # names the first non-integer entry.
     t, bad = _corrupted(name, gram)
+    contracted = []
+
+    def counting(*args):
+        contracted.append(args)
+        return gram_matrices(*args)
+
+    monkeypatch.setattr("shapdet.gram.gram_matrices", counting)
     rep = verify(t, d, bad)
+    assert len(contracted) == 1
     assert not rep.identity_ok and rep.det_M is None
     assert rep.failures == ["non-integer Gram entry at %s degree %d %s"
                             % (name, d, value)]
@@ -473,9 +579,10 @@ def test_non_integer_gram_entry_failure_text(name, gram, d, value):
 
 
 def test_non_integer_k_value_failure_text(monkeypatch):
-    # An integral M with a planted (y, y)_K = 1/2: N's entry stops verify.
-    # verify reads K'(y, y) = (y, y)_K w(y) from _y_gram, and
-    # w(((1, 1),)) = 1.
+    # An integral M with a planted (y, y)_K = 1/2, where w(((1, 1),)) = 1.
+    # phi^K_ij(n) = [i = j][d_i | n] certifies N integral without reading
+    # K', so verify meets the 1/2 in the det N certificate and in
+    # G_y = Q K_y, and the contraction names it as N's entry.
     _y_gram = gram._y_gram
 
     def planted(engine, basis):
@@ -484,13 +591,16 @@ def test_non_integer_k_value_failure_text(monkeypatch):
 
     monkeypatch.setattr(gram, "_y_gram", planted)
     rep = verify(A1, 1)
-    assert rep.det_N is None
-    assert rep.failures == ["non-integer Gram entry at A1^1 degree 1 "
-                            "(((1, 1),), ((1, 1),)): expected an integer, "
-                            "got 1/2"]
+    assert rep.det_N is None and rep.det_M is None and not rep.identity_ok
+    assert rep.failures == [
+        "det M, det N certificate: expected an integer, got 1/2",
+        "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (((1, 1),), "
+        "((1, 1),)) in lambda-block (1,)"]
     with pytest.raises(InternalCheckError) as exc:
         gram_matrices(A1, 1)
-    assert rep.failures == [str(exc.value)]
+    assert str(exc.value) == ("non-integer Gram entry at A1^1 degree 1 "
+                              "(((1, 1),), ((1, 1),)): expected an integer, "
+                              "got 1/2")
 
 
 def test_gram_a1_degree2():
@@ -690,7 +800,7 @@ def test_verify_builds_no_dense_transition_matrices(monkeypatch):
 
 def test_verify_keeps_no_dense_gram_matrix():
     # M and N of E6^1 d=4 (dim 315) would take about 1.6 MB as dense lists;
-    # verify drains their rows and keeps none, which halves its peak.
+    # verify builds neither, as phi certifies them integral.
     t = parse_type("E6^1")
     tracemalloc.start()
     try:
