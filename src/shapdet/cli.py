@@ -383,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):  # print dets of any length
+        sys.set_int_max_str_digits(0)
     if getattr(args, "needs_type", False) and not getattr(args, "type", None):
         print("error: this command requires a type argument", file=sys.stderr)
         return 2

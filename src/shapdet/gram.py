@@ -25,8 +25,10 @@ the basis order of its monomials.  The S-recursion runs on the pure
 blocks only, as level tables of S'(left, right) = (left, right) w(left),
 w(left) = prod n / d_i over the factors of left, so it runs on ints
 wherever A^(n) is integral, as roots.a_matrix makes it for every built-in
-type; the x-expansions are int coefficients over prod (n / d_i)!.  verify
-certifies M and N integral from the one-generator pairings phi_ij(n)
+type; the x-expansions are int coefficients over prod (n / d_i)!.  The
+x-rows are walked along one prefix chain (_x_rows) and the lambda-blocks
+one at a time (_lambda_blocks), so verify holds one row or block at once.
+verify certifies M and N integral from the one-generator pairings phi_ij(n)
 (_phi), and, P being upper unitriangular, det M = prod_lambda det G_lambda
 from the pure dets and det N = prod_y K_y(y, y), and checks
 M = P Q P^-1 N as G_y = Q K_y.  Only gram_matrices contracts
@@ -42,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, prod
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
@@ -90,28 +92,29 @@ def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
     return out, factorial(m)
 
 
-def _x_rows(t: AffineType, monos) -> List[Tuple[BPolynomial, int]]:
-    """x_in_y of each monomial as (int coefficients, scale): the expansion
-    is coefficients / scale.  Each is built from its prefix mono[:-1] times
-    one generator, and the prefixes are shared."""
-    cache = {(): ({(): 1}, 1)}
-
-    def expand(mono):
-        hit = cache.get(mono)
-        if hit is None:
-            poly, scale = expand(mono[:-1])
-            gen, den = _x_generator(t, *mono[-1])
-            hit = cache[mono] = (poly_mul(poly, gen), scale * den)
-        return hit
-
-    return [expand(mono) for mono in monos]
+def _x_rows(t: AffineType, monos):
+    """Yield (position, coefficients, scale) for each monomial of monos: its
+    x_in_y expansion is the int coefficients over scale.  The monomials are
+    walked in lexicographic order, where the extensions of each prefix are
+    contiguous, along one chain of (prefix, coefficients, scale): a prefix
+    is expanded once, as its own prefix times one generator, and at most
+    len(mono) + 1 expansions are alive."""
+    chain = [((), {(): 1}, 1)]
+    for pos, mono in sorted(enumerate(monos), key=lambda item: item[1]):
+        while mono[:len(chain[-1][0])] != chain[-1][0]:
+            chain.pop()
+        for k in range(len(chain), len(mono) + 1):
+            _, poly, scale = chain[-1]
+            gen, den = _x_generator(t, *mono[k - 1])
+            chain.append((mono[:k], poly_mul(poly, gen), scale * den))
+        yield pos, chain[-1][1], chain[-1][2]
 
 
 def x_in_y(t: AffineType, item) -> BPolynomial:
     """The y-expansion, with Fraction coefficients, of a single
     x-generator (n, i) or a whole colored partition."""
     item = (item,) if item and isinstance(item[0], int) else tuple(item)
-    (poly, scale), = _x_rows(t, [item])
+    (_, poly, scale), = _x_rows(t, [item])
     return {y: Fraction(c, scale) for y, c in poly.items()}
 
 
@@ -204,40 +207,34 @@ def transition_matrices(t: AffineType, d: int,
     index = {mono: pos for pos, mono in enumerate(basis)}
     P = [[0] * len(basis) for _ in basis]
     Q = [[0] * len(basis) for _ in basis]
-    for a, (mono, (x, scale)) in enumerate(zip(basis, _x_rows(t, basis))):
+    for a, x, scale in _x_rows(t, basis):
         for target, coeff in x.items():
             P[a][index[target]] = Fraction(coeff, scale)
-        for target, coeff in engine.z_in_y(mono).items():
+        for target, coeff in engine.z_in_y(basis[a]).items():
             Q[a][index[target]] = coeff
     return ExactMatrix(P), ExactMatrix(Q)
 
 
-def _y_gram(engine: FormEngine, basis):
-    """([(ys, S'_lambda)], {y: K'(y, y)}, {y: w(y)},
-    {(n, m): ({y_n: row}, S'_(n^m))}): the lambda-blocks ys of the basis in
-    basis order with their blocks of S'_y = W G_y, the diagonal
-    K'(y, y) = prod_f m_f! of K'_y = W K_y, the weights, and the pure block
-    of each run n^m of a lambda, straight from FormEngine.pure_s.  Since
-    w(y) = prod_n w(y_n), every lambda-block is their Kronecker product,
-    S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n], with the largest part
-    slowest as in the basis order."""
-    members: Dict[Tuple[int, ...], List[Monomial]] = {}
-    for y in basis:
-        members.setdefault(tuple(n for n, _ in y), []).append(y)
-    pure = {}
+def _k_prime(y: Monomial) -> int:
+    """K'(y, y) = prod_f m_f! over the distinct factors f of y, each m_f times
+    in y: the diagonal of K'_y = W K_y, which is 0 off it."""
+    return prod(map(factorial, multiplicities(y).values()))
 
-    def block(shape):
+
+def _lambda_blocks(engine: FormEngine, basis):
+    """Yield (ys, S'_lambda) for each part shape lambda of the basis, in basis
+    order: its monomials ys, which enumerate_basis lists contiguously, and
+    the block of S'_y = W G_y on them.  Since w(y) = prod_n w(y_n), the block
+    is the Kronecker product of the pure blocks S'_(n^m) of the runs n^m of
+    lambda (FormEngine.pure_s), S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n],
+    with the largest part slowest as in the basis order."""
+    for shape, ys in groupby(basis, key=lambda y: tuple(n for n, _ in y)):
         kron_rows = [[1]]  # the empty shape: G_() = [[1]]
         for run in _runs(shape):
-            pure[run] = engine.pure_s(*run)
+            pure = engine.pure_s(*run)[1]
             kron_rows = [[u * v if u and v else 0 for u in want for v in row]
-                         for want in kron_rows for row in pure[run][1]]
-        return kron_rows
-
-    return ([(ys, block(shape)) for shape, ys in members.items()],
-            {y: prod(map(factorial, multiplicities(y).values()))
-             for y in basis},
-            {y: engine.weight(y) for y in basis}, pure)
+                         for want in kron_rows for row in pure]
+        yield list(ys), kron_rows
 
 
 def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
@@ -250,13 +247,15 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
     recursion or root-data bug.
     """
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
-    blocks, k_values, w, _ = _y_gram(engine, basis)
+    w = {y: engine.weight(y) for y in basis}
+    k_values = {y: _k_prime(y) for y in basis}
     # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
     # row b of P is the int vector p_rows[b] over scale[b], and w(y)
     # divides every coefficient of y in it.
-    p_rows, scale = zip(*_x_rows(t, basis))
-    g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]
-              for ys, g in blocks for y, row in zip(ys, g)}  # nonzero S'(y, z)
+    _, p_rows, scale = zip(*sorted(_x_rows(t, basis)))  # by position b
+    g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]  # nonzero S'(y, z)
+              for ys, g in _lambda_blocks(engine, basis)
+              for y, row in zip(ys, g)}
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
     for b, p_row in enumerate(p_rows):
         for z, cb in p_row.items():
@@ -321,56 +320,55 @@ def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
     return out
 
 
-def _certificate(y_gram, z_rows, index):
-    """(witness, det M, det N, doubt) from one pass over the lambda-blocks,
-    valid when P is unitriangular; z_rows[index[y]] = z_in_y(y), row y of Q.
-    It works on H = S'_y W = W G_y W, which is symmetric iff G_y is; and
-    G_y = Q K_y iff H[y][z] = w(y) Q[y][z] K'(z, z).
-    M mirrors the upper triangle of P G_y P^T and N = P K_y P^T, so
-    M = P Q P^-1 N holds when G_y = Q K_y = G_y^T (with Q = 0 outside the
-    blocks) and fails when only G_y = Q K_y holds.
-    The witness is the first (a, c) in basis order where H[a][c] differs
-    from w(a) Q[a][c] K'(c, c) or, if c < a, from H[c][a], visiting only the
-    block entries and the terms of Q's rows.  A symmetric G_y gives
-    M = P G_y P^T and det M = prod_lambda det S'_lambda / prod_y w(y), where
+def _certificate(engine: FormEngine, blocks, index):
+    """(witness, det M, det N, doubt) from one pass over the lambda-blocks
+    (ys, S'_lambda) in basis order, as _lambda_blocks yields them, valid when
+    P is unitriangular; engine gives w, the pure blocks and row y of Q
+    (z_in_y), and index[y] is y's basis position.  It works on
+    H = S'_y W = W G_y W, which is symmetric iff G_y is; and G_y = Q K_y iff
+    H[y][z] = w(y) Q[y][z] K'(z, z).  M mirrors the upper triangle of
+    P G_y P^T and N = P K_y P^T, so M = P Q P^-1 N holds when
+    G_y = Q K_y = G_y^T (with Q = 0 outside the blocks) and fails when only
+    G_y = Q K_y holds.  The witness is the first (a, c) in basis order where
+    H[a][c] differs from w(a) Q[a][c] K'(c, c) or, if c < a, from H[c][a],
+    visiting only the block entries and the terms of Q's rows up to the
+    first failing row.  A symmetric G_y gives M = P G_y P^T and
+    det M = prod_lambda det S'_lambda / prod_y w(y), where
     det S'_lambda = prod_n det(S'_(n^m))^(dim S'_lambda / dim S'_(n^m)) over
-    the runs n^m of lambda, by _pure_det on the pure blocks only; else doubt
+    the runs n^m of lambda, by _pure_det once per pure block; else doubt
     says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  The
     products run over the monomials y of the blocks, and neither det is yet
     checked to be an integer."""
-    blocks, k_values, w, pure = y_gram
-    dets = {run: _pure_det(S) for run, (_, S) in pure.items()}
-    found = []
-    det_m, det_n, w_all, doubt = 1, 1, 1, None
+    dets = {}  # run n^m: (det S'_(n^m), dim S'_(n^m))
+    witness, det_m, det_n, w_all, doubt = None, 1, 1, 1, None
     for ys, s in blocks:
         cols = [index[z] for z in ys]
         at = {z: c for c, z in enumerate(ys)}
-        ws = [w[z] for z in ys]
+        ws, ks = [engine.weight(z) for z in ys], [_k_prime(z) for z in ys]
         h = [[v * wz for v, wz in zip(row, ws)] for row in s]  # H = S'_y W
-        for r, (a, h_row) in enumerate(zip(cols, h)):  # rows in basis order
-            qk_row, bad = [0] * len(ys), []  # row a of W Q K'_y in the block
-            for z, q in z_rows[a].items():
+        for r, h_row in enumerate([] if witness else h):  # rows in basis order
+            qk_row, bad = [0] * len(ys), []  # row r of W Q K'_y in the block
+            for z, q in engine.z_in_y(ys[r]).items():
                 c = at.get(z)
                 if c is not None:
-                    qk_row[c] = ws[r] * q * k_values[z]
+                    qk_row[c] = ws[r] * q * ks[c]
                 elif q:  # Q[a][c] != 0 outside the block
                     bad.append(index[z])
             bad += [c for c, v, u in zip(cols, h_row, qk_row) if v != u]
             bad += [cols[c] for c in range(r) if h_row[c] != h[c][r]]
             if bad:
-                found.append((a, min(bad)))
+                witness = cols[r], min(bad)
                 break
-        det_n *= prod(k_values[z] for z in ys)
+        det_n *= prod(ks)
         w_all *= prod(ws)
-        if doubt is not None:
-            continue
-        if h != [list(col) for col in zip(*h)]:
+        if doubt is None and h != [list(col) for col in zip(*h)]:
             doubt = "G_y is not symmetric, so M != P G_y P^T"
-            continue
-        det_m = det_m * prod(dets[run] ** (len(ys) // len(pure[run][0]))
-                             for run in _runs(tuple(n for n, _ in ys[0])))
-    return (min(found, default=None),
-            None if doubt else _field_div(det_m, w_all),
+        for run in () if doubt else _runs(tuple(n for n, _ in ys[0])):
+            if run not in dets:
+                rows, S = engine.pure_s(*run)
+                dets[run] = _pure_det(S), len(rows)
+            det_m = det_m * dets[run][0] ** (len(ys) // dets[run][1])
+    return (witness, None if doubt else _field_div(det_m, w_all),
             _field_div(det_n, w_all), doubt)
 
 
@@ -469,26 +467,25 @@ def verify(t: AffineType, d: int,
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
-    y_gram, x_rows = _y_gram(engine, basis), _x_rows(t, basis)
-
     index = {y: a for a, y in enumerate(basis)}
-    # The first (a, b), b <= a, with P[a][b] != [a = b]; a missing term is 0.
-    off = min([(a, index[z]) for a, (x, _) in enumerate(x_rows)
-               for z, c in x.items() if c and index[z] < a]
-              + [(a, a) for a, (y, (x, scale)) in enumerate(zip(basis, x_rows))
-                 if x.get(y, 0) != scale], default=None)
+    off = None  # the first (a, b), b <= a, with P[a][b] != [a = b], and row a
+    for a, x, scale in _x_rows(t, basis):
+        bad = [index[z] for z, c in x.items() if c and index[z] < a]
+        bad += [a] if x.get(basis[a], 0) != scale else []  # a missing term: 0
+        if bad and (off is None or (a, min(bad)) < off[0]):
+            off = (a, min(bad)), x, scale
     if off is not None:
         # The certificate and G_y = Q K_y both rest on a unitriangular P.
-        (a, b), (x, scale) = off, x_rows[off[0]]
+        (a, b), x, scale = off
         report.failures.append(
             "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
             % (a, b, Fraction(x.get(basis[b], 0), scale), basis[a], basis[b]))
     else:
         witness, det_m, det_n, doubt = _certificate(
-            y_gram, [engine.z_in_y(y) for y in basis], index)
-        try:
-            report.det_M, report.det_N = (None if doubt else as_integer(det_m),
-                                          as_integer(det_n))
+            engine, _lambda_blocks(engine, basis), index)
+        try:  # a non-integer det N leaves a certified det M standing
+            report.det_M = None if doubt else as_integer(det_m)
+            report.det_N = as_integer(det_n)
         except InternalCheckError as exc:
             report.failures.append("det M, det N certificate: %s" % exc)
         if report.det_N not in (None, 1):

@@ -12,8 +12,8 @@ the entries of A^(n), with no recursion, and transport_gram builds M
 and N from those pairings alone, with no P and no G_y.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
 assembly and the hand-value tests pair term by term.  lambda_blocks runs
-the S-recursion on every pair of a lambda-block, which gram._y_gram
-builds as Kronecker products of pure blocks instead.  identity is the
+the S-recursion on every pair of a lambda-block, which
+gram._lambda_blocks builds as Kronecker products of pure blocks instead.  identity is the
 n x n identity ExactMatrix.  coloring_series counts the colored
 partitions with their parts marked by divisibility, whose marker
 derivatives the series tests compare with ab_series.

@@ -5,6 +5,8 @@ import pytest
 from shapdet import cli
 from shapdet.cli import main
 from shapdet.exact import InternalCheckError
+from shapdet.partitions import exponent_totals
+from shapdet.roots import parse_type
 
 
 def run(capsys, *argv):
@@ -53,6 +55,15 @@ def test_exponents(capsys):
     assert payload["result"]["a"] == 3 and payload["result"]["b"] == 0
     assert payload["result"]["determinant"] == 8
     assert payload["pass"] is True
+
+    # 2^b(22) of D4^3 has 4412 digits, past Python's default limit of 4300
+    # for int-to-str conversion; it is printed in full in both formats.
+    det = 2 ** exponent_totals(parse_type("D4^3"), 22)[1]
+    assert det.bit_length() > 4300 * 3.33
+    code, payload = run_json(capsys, "exponents", "D4^3", "-d", "22")
+    assert code == 0 and payload["result"]["determinant"] == det
+    code, out = run(capsys, "exponents", "D4^3", "-d", "22")
+    assert code == 0 and "det = %d\n" % det in out
 
 
 def test_series_type_and_p(capsys):

@@ -6,6 +6,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, prod
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -97,6 +99,51 @@ def test_x_monomial_products_collect():
                     ((1, 1), (1, 1), (1, 1)): Fraction(1, 2)}
     cube = x_in_y(A1, ((1, 1), (1, 1), (1, 1)))
     assert cube == {((1, 1), (1, 1), (1, 1)): 1}
+
+
+def _shuffled_bases():
+    """(t, basis, a shuffled copy) at every roster type's top degree and at
+    D4^3 d=8, where the monomials have up to 8 factors."""
+    rng = random.Random(18)
+    for name, d in [*ROSTER_DEGREES.items(), ("D4^3", 8)]:
+        t = parse_type(name)
+        basis = enumerate_basis(t, d)
+        yield t, basis, rng.sample(basis, len(basis))
+
+
+def test_x_rows_yield_each_row_at_its_position_in_any_order():
+    # Walked along one prefix chain, each row equals the monomial's own
+    # expansion from scratch (x_in_y), whatever the order of the input.
+    for t, basis, shuffled in _shuffled_bases():
+        got = {shuffled[a]: (x, scale) for a, x, scale in
+               gram._x_rows(t, shuffled)}
+        assert got == {basis[a]: (x, scale) for a, x, scale in
+                       gram._x_rows(t, basis)}
+        assert sorted(a for a, _, _ in gram._x_rows(t, shuffled)) == list(
+            range(len(basis)))
+        for mono in basis[::7]:
+            x, scale = got[mono]
+            assert {y: Fraction(c, scale) for y, c in x.items()} == x_in_y(
+                t, mono)
+
+
+def test_x_rows_multiply_once_per_prefix(monkeypatch):
+    # The memo's work and no more: one generator product per distinct
+    # non-empty prefix of the monomials, in any input order.
+    calls = []
+    poly_mul = gram.poly_mul
+
+    def counting(p1, p2):
+        calls.append(1)
+        return poly_mul(p1, p2)
+
+    monkeypatch.setattr(gram, "poly_mul", counting)
+    for t, basis, shuffled in _shuffled_bases():
+        calls.clear()
+        assert len(list(gram._x_rows(t, shuffled))) == len(basis)
+        prefixes = {mono[:k] for mono in basis
+                    for k in range(1, len(mono) + 1)}
+        assert len(calls) == len(prefixes) > len(basis) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -265,44 +312,61 @@ def test_form_s_is_symmetric(data):
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
     # type, every phi value that certifies M and N integral, every
-    # level-table value, every lambda-block, pure block and K'-diagonal
-    # value and weight that _y_gram hands over, and every coefficient and
-    # scale of the x-rows that verify reads is an int.
-    seen = []
-    _phi, _y_gram, _x_rows = gram._phi, gram._y_gram, gram._x_rows
+    # level-table value, every lambda-block the walk yields, every pure
+    # block, K'-diagonal value and weight that verify reads, and every
+    # coefficient and scale of the x-rows that verify reads is an int.
+    seen = []  # per case: engine, phi, {kind: values handed over}, x-rows
+    _phi, _lambda_blocks = gram._phi, gram._lambda_blocks
+    _x_rows, k_prime = gram._x_rows, gram._k_prime
+    pure_s, weight = FormEngine.pure_s, FormEngine.weight
 
     def recording_phi(engine, d):
-        out = _phi(engine, d)
-        seen.append([engine, out])
-        return out
+        kinds = {"blocks": [], "pure": [], "k": [], "w": []}
+        seen.append([engine, None, kinds, []])
+        seen[-1][1] = _phi(engine, d)
+        return seen[-1][1]
 
-    def recording_y_gram(engine, basis):
-        assert engine is seen[-1][0]  # phi read the blocks _y_gram hands
-        out = _y_gram(engine, basis)
-        seen[-1].append(out)
-        return out
+    def recording_lambda_blocks(engine, basis):
+        assert engine is seen[-1][0]  # phi read the blocks the walk yields
+        for ys, g in _lambda_blocks(engine, basis):
+            seen[-1][2]["blocks"] += [v for row in g for v in row]
+            yield ys, g
+
+    def recording_pure_s(self, n, m):
+        rows, S = pure_s(self, n, m)
+        seen[-1][2]["pure"] += [v for row in S for v in row]
+        return rows, S
+
+    def recording_k_prime(y):
+        seen[-1][2]["k"].append(k_prime(y))
+        return seen[-1][2]["k"][-1]
+
+    def recording_weight(self, y):
+        seen[-1][2]["w"].append(weight(self, y))
+        return seen[-1][2]["w"][-1]
 
     def recording_x_rows(t, monos):
-        out = _x_rows(t, monos)
-        seen[-1].append(out)
-        return out
+        for row in _x_rows(t, monos):
+            seen[-1][3].append(row)
+            yield row
 
     monkeypatch.setattr(gram, "_phi", recording_phi)
-    monkeypatch.setattr(gram, "_y_gram", recording_y_gram)
+    monkeypatch.setattr(gram, "_lambda_blocks", recording_lambda_blocks)
+    monkeypatch.setattr(FormEngine, "pure_s", recording_pure_s)
+    monkeypatch.setattr(gram, "_k_prime", recording_k_prime)
+    monkeypatch.setattr(FormEngine, "weight", recording_weight)
     monkeypatch.setattr(gram, "_x_rows", recording_x_rows)
     cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 1000, 12),
              ("D4^3", 4, 20, 7), ("E6^2", 4, 100, 40))  # floors for counts
     for name, d, _, _ in cases:
         assert verify(parse_type(name), d).ok
     assert len(seen) == len(cases)
-    for (engine, phis, (blocks, k_values, w, pure), x_rows), case in zip(
-            seen, cases):
-        handed = [*(v for _, g in blocks for row in g for v in row),
-                  *(v for _, G in pure.values() for row in G for v in row),
-                  *k_values.values(), *w.values()]
+    for (engine, phis, handed, x_rows), case in zip(seen, cases):
+        assert all(handed.values())
+        handed = [v for kind in handed.values() for v in kind]
         values = [*(v for levels in engine._levels.values()
                     for _, table in levels for row in table for v in row),
-                  *(c for x, scale in x_rows for c in (*x.values(), scale))]
+                  *(c for _, x, scale in x_rows for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert len(phis) >= case[3]
         assert all(type(v) is int for v in handed + values)
@@ -583,15 +647,15 @@ def test_non_integer_k_value_failure_text(monkeypatch):
     # phi^K_ij(n) = [i = j][d_i | n] certifies N integral without reading
     # K', so verify meets the 1/2 in the det N certificate and in
     # G_y = Q K_y, and the contraction names it as N's entry.
-    _y_gram = gram._y_gram
+    # det M = 2 is certified from the pure blocks all the same.
+    k_prime = gram._k_prime
 
-    def planted(engine, basis):
-        blocks, k_values, w, pure = _y_gram(engine, basis)
-        return blocks, {**k_values, ((1, 1),): Fraction(1, 2)}, w, pure
+    def planted(y):
+        return Fraction(1, 2) if y == ((1, 1),) else k_prime(y)
 
-    monkeypatch.setattr(gram, "_y_gram", planted)
+    monkeypatch.setattr(gram, "_k_prime", planted)
     rep = verify(A1, 1)
-    assert rep.det_N is None and rep.det_M is None and not rep.identity_ok
+    assert rep.det_N is None and rep.det_M == 2 and not rep.identity_ok
     assert rep.failures == [
         "det M, det N certificate: expected an integer, got 1/2",
         "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (((1, 1),), "
@@ -728,23 +792,29 @@ def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
 
 @lru_cache(maxsize=None)
 def _certificate_case():
-    """y_gram (S'_y, K'_y and w), the rows of Q and the basis of E6^2 at
-    degree 3: 14 monomials in lambda-blocks of 2, 8 and 4, with fractional
-    entries in Q and weights 1 and 2 in one block."""
+    """The engine, its lambda-blocks (ys, S'_lambda), the rows of Q and the
+    basis of E6^2 at degree 3: 14 monomials in lambda-blocks of 2, 8 and 4,
+    with fractional entries in Q and weights 1 and 2 in one block."""
     t = parse_type("E6^2")
     engine = FormEngine(t)
     basis = enumerate_basis(t, 3)
-    return (gram._y_gram(engine, basis), [engine.z_in_y(y) for y in basis],
-            basis)
+    return (engine, list(gram._lambda_blocks(engine, basis)),
+            [engine.z_in_y(y) for y in basis], basis)
+
+
+def _with_q(engine, q_rows, index):
+    """engine as the certificate reads it, with q_rows[index[y]] as row y
+    of Q."""
+    return SimpleNamespace(pure_s=engine.pure_s, weight=engine.weight,
+                           z_in_y=lambda y: q_rows[index[y]])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    (blocks, k_values, w, pure), z_rows, basis = _certificate_case()
+    engine, blocks, z_rows, basis = _certificate_case()
     index = {y: a for a, y in enumerate(basis)}
-    assert gram._certificate((blocks, k_values, w, pure), z_rows,
-                             index)[0] is None
+    assert gram._certificate(engine, blocks, index)[0] is None
     where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
              for r, y in enumerate(ys)}
     in_g = st.sampled_from([(index[y], index[z], "G") for ys, _ in blocks
@@ -763,7 +833,7 @@ def test_certificate_names_first_perturbed_entry(data):
             g_blocks[b][1][r][s] += delta
         else:
             q_rows[a][basis[c]] = q_rows[a].get(basis[c], 0) + delta
-    witness = gram._certificate((g_blocks, k_values, w, pure), q_rows,
+    witness = gram._certificate(_with_q(engine, q_rows, index), g_blocks,
                                 index)[0]
     assert witness == min(spot[:2] for spot in spots)
 
@@ -812,6 +882,20 @@ def test_verify_keeps_no_dense_gram_matrix():
     assert peak < 3 * 2 ** 20  # 4.3-4.5 MB when verify kept M and N
 
 
+def test_verify_walks_the_x_rows_in_bounded_memory():
+    # D4^3 d=16 (dim 493): a memo of every prefix's expansion peaked at
+    # 9.3 MB here; the prefix chain keeps one expansion per level, 0.8 MB.
+    t = parse_type("D4^3")
+    tracemalloc.start()
+    try:
+        rep = verify(t, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and len(rep.basis) == 493
+    assert peak < 2 * 2 ** 20
+
+
 @pytest.mark.parametrize("name", ["E7^1", "E8^1"])
 def test_verify_e7_e8_up_to_degree_3(name):
     # Beyond ROSTER, whose envelopes the goldens pin.
@@ -849,8 +933,9 @@ def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
 def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
     # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
-    # Bareiss gets each int block S' = W G as _y_gram hands it, with the
-    # gcd r_i of each row and then the gcd c_j of each column divided out.
+    # Bareiss gets each int block S' = W G as _lambda_blocks yields it, with
+    # the gcd r_i of each row and then the gcd c_j of each column divided
+    # out.
     t = parse_type("E6^1")
     passed = []
 
@@ -861,7 +946,7 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     monkeypatch.setattr(gram, "det_exact", recording)
     assert verify(t, 4).ok
     blocks = {tuple(n for n, _ in ys[0]): ExactMatrix(g) for ys, g in
-              gram._y_gram(FormEngine(t), enumerate_basis(t, 4))[0]}
+              gram._lambda_blocks(FormEngine(t), enumerate_basis(t, 4))}
     assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
     pure = blocks[(1, 1, 1, 1)].rows
     r = [gcd(*row) for row in pure]
@@ -887,9 +972,10 @@ def _runs_of(t, dmax):
 def _pure_blocks_match_memo(t, dmax, fixture=None):
     """FormEngine.pure_s(n, m) equals the memo recursion's form values
     (y, z)_S times w(y) on the colorings y, z of every run n^m up to dmax,
-    in basis order.  At every degree d <= dmax, _y_gram's K'-diagonal
-    prod_f m_f! equals the recursion's K'(y, y), and its K' is 0 off the
-    diagonal inside each lambda-block.  Returns the pure blocks."""
+    in basis order.  At every degree d <= dmax, the certificate's
+    K'-diagonal prod_f m_f! (_k_prime) equals the recursion's K'(y, y), and
+    its K' is 0 off the diagonal inside each lambda-block the walk yields.
+    Returns the pure blocks."""
     engine, oracle = FormEngine(t, fixture), FormOracle(t, fixture)
     blocks = []
     for n, m in _runs_of(t, dmax):
@@ -901,8 +987,9 @@ def _pure_blocks_match_memo(t, dmax, fixture=None):
         blocks.append(S)
     for d in range(dmax + 1):
         basis = enumerate_basis(t, d)
-        lam_blocks, k_values = gram._y_gram(engine, basis)[:2]
-        assert k_values == {y: oracle.weighted_k(y, y) for y in basis}
+        lam_blocks = gram._lambda_blocks(engine, basis)
+        assert {y: gram._k_prime(y) for y in basis} == {
+            y: oracle.weighted_k(y, y) for y in basis}
         assert all(oracle.weighted_k(y, z) == 0 for ys, _ in lam_blocks
                    for y in ys for z in ys if y != z)
     return blocks
@@ -930,7 +1017,7 @@ def test_content_free_det_matches_full_bareiss_at_roster_degrees():
 
 
 def _blocks_match_oracles(t, d, fixture=None):
-    """_y_gram's product-built lambda-blocks S'_lambda at degree d equal the
+    """The walk's product-built lambda-blocks S'_lambda at degree d equal the
     all-pairs recursion's form values G_lambda times w(y) entry for entry,
     and the certificate's det of each block, from the block's pure blocks
     only, equals the field Bareiss of the whole G_lambda, or is None where
@@ -938,19 +1025,18 @@ def _blocks_match_oracles(t, d, fixture=None):
     part sizes and of asymmetric ones."""
     engine = FormEngine(t, fixture)
     basis = enumerate_basis(t, d)
-    blocks, k_values, w, pure = gram._y_gram(engine, basis)
+    blocks = list(gram._lambda_blocks(engine, basis))
     oracle = FormOracle(t, fixture)
     forms = lambda_blocks(oracle, basis)
+    w = {y: engine.weight(y) for y in basis}
     assert w == {y: oracle.weight(y) for y in basis}
     assert blocks == [(ys, [[v * w[y] for v in row]
                             for y, row in zip(ys, g)]) for ys, g in forms]
-    z_rows = [engine.z_in_y(y) for y in basis]
     index = {y: a for a, y in enumerate(basis)}
     mixed = asymmetric = 0
     for (ys, s), (_, g) in zip(blocks, forms):
         runs = _runs(tuple(n for n, _ in ys[0]))
-        own = ([(ys, s)], k_values, w, {run: pure[run] for run in runs})
-        det = gram._certificate(own, z_rows, index)[1]
+        det = gram._certificate(engine, [(ys, s)], index)[1]
         if g == [list(col) for col in zip(*g)]:
             assert det == det_exact(ExactMatrix(g))
         else:
@@ -961,7 +1047,7 @@ def _blocks_match_oracles(t, d, fixture=None):
 
 
 def test_block_determinants_match_full_bareiss_at_roster_degrees():
-    # _y_gram builds every lambda-block from its pure blocks, an assumption
+    # The walk builds every lambda-block from its pure blocks, an assumption
     # verify cannot check on its own: the all-pairs recursion checks it.
     mixed = 0
     for name, dmax in ROSTER_DEGREES.items():
@@ -1015,8 +1101,8 @@ def test_certificate_det_of_a_permuted_product(case):
     # det G_lambda = prod_n det(G_(n^m))^(dim G_lambda / dim G_(n^m)) in any
     # order of the block's monomials; with Q = G_y and K_y = 1 the identity
     # holds, so the certificate has neither witness nor doubt.  It is handed
-    # the weighted S' = W G and K' = W, with w(y) = prod n as if every
-    # color had d_i = 1.
+    # the weighted S' = W G and, through _k_prime, K' = W, with w(y) = prod n
+    # as if every color had d_i = 1.
     ys, g, factors = case
 
     def weight(y):
@@ -1029,11 +1115,12 @@ def test_certificate_det_of_a_permuted_product(case):
             ({y: r for r, y in enumerate(members)}, weighted(members, G))
             for members, G in factors}
     z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
-    w = {y: weight(y) for y in ys}
-    y_gram = ([(ys, weighted(ys, g))], w, w, pure)
     index = {y: a for a, y in enumerate(ys)}
-    assert gram._certificate(y_gram, z_rows, index) == (
-        None, det_exact(ExactMatrix(g)), 1, None)
+    engine = SimpleNamespace(pure_s=lambda n, m: pure[n, m], weight=weight)
+    with mock.patch.object(gram, "_k_prime", weight):
+        assert gram._certificate(_with_q(engine, z_rows, index),
+                                 [(ys, weighted(ys, g))], index) == (
+            None, det_exact(ExactMatrix(g)), 1, None)
 
 
 def test_verify_names_a_wrong_pure_block_entry(monkeypatch):
@@ -1078,12 +1165,13 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
     # Row a of P becomes 2 x_a, or x_a + x_0, or loses its diagonal term:
     # M stays integral, and with row a doubled even M = P Q P^-1 N holds
     # while det M is 4x the value a certificate that trusted P would report.
-    # The rows are int coefficients over a scale, as gram._x_rows gives them.
+    # The rows are int coefficients over a scale, with their positions, as
+    # gram._x_rows yields them.
     basis = enumerate_basis(A1, 4)
     x_rows = gram._x_rows
 
     def broken(t, monos):
-        rows = x_rows(t, monos)
+        rows = {pos: (poly, scale) for pos, poly, scale in x_rows(t, monos)}
         if monos == basis:
             (poly, scale), mono = rows[a], basis[a]
             if b is None:
@@ -1094,7 +1182,7 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
                         for m in {**poly, **extra}}
                 scale *= den
             rows[a] = poly, scale
-        return rows
+        return ((pos, *row) for pos, row in rows.items())
 
     monkeypatch.setattr(gram, "_x_rows", broken)
     rep = verify(A1, 4)
