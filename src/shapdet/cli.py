@@ -14,7 +14,6 @@ import io
 import json
 import sys
 import time
-from fractions import Fraction
 
 from .blocks import cartan_exponent, enumerate_blocks
 from .exact import ExactMatrix, InternalCheckError
@@ -122,14 +121,12 @@ class Envelope:
 
 
 def _jsonable(x):
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     return x
 
 
-def _cmd_info(args, out) -> int:
+def _cmd_info(args) -> Envelope:
     t = parse_type(args.type)
     data = finite_root_data(t)
     env = Envelope("info", t.name, {})
@@ -149,11 +146,10 @@ def _cmd_info(args, out) -> int:
         "d = %s" % ({i: data.d[i] for i in t.I},),
         "orbits = %s" % ([list(o) for o in data.orbits],),
     ]
-    env.finish(args.format, out)
-    return 0
+    return env
 
 
-def _cmd_deta(args, out) -> int:
+def _cmd_deta(args) -> Envelope:
     if args.roster:
         if args.n is not None:
             raise SystemExit("--roster and --n are mutually exclusive")
@@ -177,11 +173,10 @@ def _cmd_deta(args, out) -> int:
         env.lines.append("det A^(%d) for %s = %s (expected %s)"
                          % (n, name, value, expected))
     env.data["result"] = {"table": rows[1:]}
-    env.finish(args.format, out)
-    return 0 if env.passed else 1
+    return env
 
 
-def _cmd_exponents(args, out) -> int:
+def _cmd_exponents(args) -> Envelope:
     t = parse_type(args.type)
     d = args.d
     env = Envelope("exponents", t.name, {"d": d})
@@ -204,11 +199,10 @@ def _cmd_exponents(args, out) -> int:
                      (d, a_d, d, b_d, t.alpha ** a_d * t.beta ** b_d))
     env.csv_rows = [["partition", "a", "b"]] + [
         ["+".join(map(str, r["partition"])), r["a"], r["b"]] for r in table]
-    env.finish(args.format, out)
-    return 0 if env.passed else 1
+    return env
 
 
-def _cmd_series(args, out) -> int:
+def _cmd_series(args) -> Envelope:
     D = args.max_degree
     if D < 0:
         raise SystemExit("--max-degree must be >= 0, got %d" % D)
@@ -242,11 +236,10 @@ def _cmd_series(args, out) -> int:
         env.data["result"] = {"N": list(nq.coeffs)}
         env.lines = ["N(q) coefficients 0..%d: %s" % (D, list(nq.coeffs))]
         env.csv_rows = [["d", "N"]] + [[d, nq[d]] for d in range(D + 1)]
-    env.finish(args.format, out)
-    return 0 if env.passed else 1
+    return env
 
 
-def _cmd_gram(args, out) -> int:
+def _cmd_gram(args) -> Envelope:
     if args.d is not None and args.d < 0:
         raise SystemExit("-d must be >= 0, got %d" % args.d)
     if args.roster:
@@ -291,11 +284,10 @@ def _cmd_gram(args, out) -> int:
         if args.check:
             env.check("verify(%s,d=%d)" % (name, d), True, report.ok)
     env.data["result"] = results if args.roster else results[0]
-    env.finish(args.format, out)
-    return 0 if env.passed else 1
+    return env
 
 
-def _cmd_blocks(args, out) -> int:
+def _cmd_blocks(args) -> Envelope:
     env = Envelope("blocks", None, {"n": args.n, "p": args.p})
     records = enumerate_blocks(args.n, args.p)
     env.data["result"] = [{
@@ -314,8 +306,7 @@ def _cmd_blocks(args, out) -> int:
         env.lines.append("core=%s weight=%d members=%d det=%d^%d=%d"
                          % (list(b.core), b.weight, b.member_count,
                             args.p, b.cartan_exponent, b.cartan_det))
-    env.finish(args.format, out)
-    return 0 if env.passed else 1
+    return env
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,22 +376,20 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):  # print dets of any length
         sys.set_int_max_str_digits(0)
-    if getattr(args, "needs_type", False) and not getattr(args, "type", None):
-        print("error: this command requires a type argument", file=sys.stderr)
-        return 2
-    if getattr(args, "roster", False) and getattr(args, "type", None):
-        print("error: --roster and an explicit type are mutually exclusive",
-              file=sys.stderr)
-        return 2
-    if args.format == "csv" and args.cmd not in ("series", "exponents"):
-        print("error: csv output is only available for series and exponent "
-              "tables", file=sys.stderr)
-        return 2
     # The output is rendered into a buffer so that a command refused with
     # exit 2 leaves an existing --out file untouched.
     out = io.StringIO() if args.out else sys.stdout
     try:
-        code = args.func(args, out)
+        if args.needs_type and not args.type:
+            raise SystemExit("this command requires a type argument")
+        if getattr(args, "roster", False) and args.type:
+            raise SystemExit("--roster and an explicit type are mutually "
+                             "exclusive")
+        if args.format == "csv" and args.cmd not in ("series", "exponents"):
+            raise SystemExit("csv output is only available for series and "
+                             "exponent tables")
+        env = args.func(args)
+        env.finish(args.format, out)
     except SystemExit as exc:
         if isinstance(exc.code, str):
             print("error: %s" % exc.code, file=sys.stderr)
@@ -420,7 +409,7 @@ def main(argv=None) -> int:
             print("error: cannot write --out %s: %s"
                   % (args.out, exc.strerror or exc), file=sys.stderr)
             return 2
-    return code
+    return 0 if env.passed else 1
 
 
 def entry() -> None:

@@ -15,8 +15,8 @@ those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
 the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
 (z-) monomial basis[a], so enumerate_basis alone owns the order.  A
-FormEngine builds A^(n) once per n through roots.a_matrix and derives
-all of these views from it as sparse rows; verify shares one.
+FormEngine builds A^(n) once per n through roots.a_matrix and keeps its
+nonzero entries by row, which the S-form and z_in_y read; verify shares one.
 
 Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
 block-diagonal by the part-size shape lambda, and each lambda-block is the
@@ -46,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, prod
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
                     as_integer, det_exact)
@@ -118,42 +118,31 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
     return {y: Fraction(c, scale) for y, c in poly.items()}
 
 
-class _Pairing(NamedTuple):
-    """The views of A^(n) that the S-form and the z-basis use."""
-
-    s_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # nonzero a^(n)_{ij}
-    z_rows: Dict[int, Tuple[Tuple[int, object], ...]]  # a^(n)_{ij} d_i / d_j
-
-
 class FormEngine:
-    """The views of A^(n) and the S-form level tables for one type.
+    """The A^(n) row tables and the S-form level tables for one type.
 
-    The S-recursion runs over a row table per part size n, the nonzero
-    entries of A^(n); the z-expansions (the rows of Q) use those of
-    D A^(n) D^-1.  Both are derived from roots.a_matrix once per n and
-    cached, and pure_s builds the pure blocks of S' bottom-up.  ``gram``
-    may replace the Cartan form that A^(n) is built from (the CLI's
-    --root-data hook); d_i, mu and I(n) always come from the type.
+    The S-recursion and the z-expansions (the rows of Q) both walk one row
+    table per part size n, the nonzero entries of A^(n), derived from
+    roots.a_matrix once per n and cached; pure_s builds the pure blocks of
+    S' bottom-up.  ``gram`` may replace the Cartan form that A^(n) is built
+    from (the CLI's --root-data hook); d_i, mu and I(n) always come from
+    the type.
     """
 
     def __init__(self, t: AffineType, gram: Optional[ExactMatrix] = None):
         self.type, self.gram = t, gram
         self._d = finite_root_data(t).d
-        self._pairings: Dict[int, _Pairing] = {}
+        self._rows: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
         self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
 
-    def _pairing(self, n: int) -> _Pairing:
-        pairing = self._pairings.get(n)
-        if pairing is None:
-            idx, d = index_set(self.type, n), self._d
-            am = a_matrix(self.type, n, self.gram)
-            s_rows = {i: tuple((j, v) for j, v in zip(idx, row) if v)
-                      for i, row in zip(idx, am.rows)}
-            z_rows = {i: tuple((j, _field_div(v * d[i], d[j])) for j, v in row)
-                      for i, row in s_rows.items()}
-            pairing = _Pairing(s_rows, z_rows)
-            self._pairings[n] = pairing
-        return pairing
+    def _a_rows(self, n: int) -> Dict[int, Tuple[Tuple[int, object], ...]]:
+        """{i: ((j, a^(n)_ij), ...)}: the nonzero entries of A^(n) by row,
+        keyed by I(n) ascending."""
+        if n not in self._rows:
+            idx, am = index_set(self.type, n), a_matrix(self.type, n, self.gram)
+            self._rows[n] = {i: tuple((j, v) for j, v in zip(idx, row) if v)
+                             for i, row in zip(idx, am.rows)}
+        return self._rows[n]
 
     def pure_s(self, n: int, m: int):
         """({y: row}, S'_(n^m)): the pure block of the run n^m on the weakly
@@ -162,7 +151,7 @@ class FormEngine:
         S'(y, z) = sum_j a_ij mult_j(z) S'(y[1:], z - e_j), walking the
         nonzero entries c = z - e_j of row y[1:] up to z = c + e_j."""
         levels = self._levels.setdefault(n, [({(): 0}, [[1]])])
-        rows = self._pairing(n).s_rows  # keyed by I(n), ascending
+        rows = self._a_rows(n)
         while len(levels) <= m:
             index, prev = levels[-1]
             at = {tuple((n, c) for c in cs): r for r, cs in enumerate(
@@ -186,11 +175,13 @@ class FormEngine:
         return prod(n // self._d[i] for n, i in mono)
 
     def z_in_y(self, mono: Monomial) -> BPolynomial:
-        """Expansion of a z-monomial in the y-basis."""
+        """Expansion of a z-monomial in the y-basis, where z_n^(i) is
+        sum_j a^(n)_ij (d_i / d_j) y_n^(j), the rows of D A^(n) D^-1."""
         poly: BPolynomial = {(): 1}
+        d = self._d
         for n, i in mono:
-            poly = poly_mul(poly, {((n, j),): v
-                                   for j, v in self._pairing(n).z_rows[i]})
+            poly = poly_mul(poly, {((n, j),): _field_div(v * d[i], d[j])
+                                   for j, v in self._a_rows(n)[i]})
         return poly
 
 
@@ -374,15 +365,12 @@ def _certificate(engine: FormEngine, blocks, index):
 
 def _pure_det(S):
     """det S by Bareiss, on an int S after dividing each row by the gcd r_i
-    of its entries and then each column of that by its gcd c_j:
-    det S = prod r_i prod c_j det H for the content-free H."""
+    of its entries: det S = prod r_i det H for the row-reduced H."""
     if not all(type(v) is int for row in S for v in row):
         return det_exact(ExactMatrix(S))
-    r = [gcd(*row) or 1 for row in S]  # a zero row or column stays zero
+    r = [gcd(*row) or 1 for row in S]  # a zero row stays zero
     H = [[v // g for v in row] for row, g in zip(S, r)]
-    c = [gcd(*col) or 1 for col in zip(*H)]
-    H = [[v // g for v, g in zip(row, c)] for row in H]
-    return prod(r) * prod(c) * det_exact(ExactMatrix(H))
+    return prod(r) * det_exact(ExactMatrix(H))
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Tuple
 
 from .exact import (CycNumber, ExactMatrix, InternalCheckError, _field_div,
@@ -205,11 +206,7 @@ def finite_root_data(t: AffineType) -> FiniteRootData:
         for j in nodes:
             if gram.rows[pos[mu[i]]][pos[mu[j]]] != gram.rows[pos[i]][pos[j]]:
                 raise InternalCheckError("%s: mu is not a gram isometry" % (t,))
-    order = 1
-    perm = dict(mu)
-    while any(perm[i] != i for i in nodes):
-        perm = {i: mu[perm[i]] for i in nodes}
-        order += 1
+    order = lcm(*map(len, orbits))
     if order != t.r:
         raise InternalCheckError("%s: mu has order %d, expected %d" % (t, order, t.r))
     if any(d[i] not in (1, t.r) for i in nodes):
@@ -250,7 +247,7 @@ def a_matrix(t: AffineType, n: int,
     is an integer in value is an int, whatever the twist; any other (only a
     replaced gram gives one) stays a CycNumber for r = 3, else a Fraction.
     Every built-in A^(n) is integral.  This is the only builder of A^(n);
-    FormEngine caches its views per n.
+    FormEngine caches its nonzero rows per n.
     """
     if n < 1:
         raise ValueError("A^(n) needs n >= 1")

@@ -1,11 +1,14 @@
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapdet.blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core
+from shapdet.gram import verify
 from shapdet.partitions import _runs, enumerate_partitions
+from shapdet.roots import parse_type
 from shapdet.series import cartan_series, spin_cartan_series
 
 
@@ -216,3 +219,25 @@ def test_nonprime_p_is_allowed():
     blocks = enumerate_blocks(6, 4)
     assert sum(b.member_count for b in blocks) == len(enumerate_partitions(6))
     assert all(b.cartan_det == 4 ** b.cartan_exponent for b in blocks)
+
+
+@lru_cache(maxsize=None)
+def _det_m(name, w):
+    report = verify(parse_type(name), w)
+    assert report.ok
+    return report.det_M
+
+
+def test_block_determinants_equal_gram_determinants():
+    # The corollaries against the Gram engine rather than the series: det C
+    # of a weight-w block is det M_w of A_{p-1}^(1) (alpha = p, beta = 1),
+    # and p^N(w) for spin is det M_w of A_{p-1}^(2) (alpha = 1, beta = p).
+    blocks = [(p, b) for p in range(2, 6) for n in range(9)
+              for b in enumerate_blocks(n, p)]
+    assert len(blocks) == 104
+    for p, b in blocks:
+        assert b.cartan_det == _det_m("A%d^1" % (p - 1), b.weight)
+    for p in (3, 5):
+        for w in range(6):
+            assert (p ** cartan_exponent(p, w, spin=True)
+                    == _det_m("A%d^2" % (p - 1), w))

@@ -218,10 +218,14 @@ GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
     (None, ["series", "A1^1", "--spin"]),
     ('{"Gram": [[3]]}', GRAM_A1),
     ("{}", GRAM_A1),
+    (None, ["info"]),
+    (None, ["gram", "A1^1", "--roster", "-d", "1"]),
+    (None, ["detA", "A1^1", "--n", "2", "--format", "csv"]),
 ], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
         "non-int", "bool", "unwritable-out", "negative-max-degree",
         "roster-negative-degree", "deta-roster-n", "series-type-spin",
-        "misspelled-gram-key", "no-gram-key"])
+        "misspelled-gram-key", "no-gram-key", "missing-type",
+        "roster-and-type", "csv-outside-tables"])
 def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     path = tmp_path / "fixture.json"
     if fixture is not None:
@@ -234,7 +238,10 @@ def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
 @pytest.mark.parametrize("argv", [
     ["info", "A1^1", "--format", "csv"],
     ["gram", "A1^1", "-d", "2", "--root-data", "{tmp}/missing.json"],
-], ids=["csv-rejected", "missing-root-data"])
+    ["info"],
+    ["gram", "A1^1", "--roster", "-d", "1"],
+], ids=["csv-rejected", "missing-root-data", "missing-type",
+        "roster-and-type"])
 def test_refused_command_leaves_out_file_unchanged(capsys, tmp_path, argv):
     target = tmp_path / "keep.json"
     target.write_text('{"kept": true}\n')

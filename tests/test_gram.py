@@ -765,16 +765,15 @@ def test_identity_matches_dense_oracle_on_corrupted_grams():
 def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
     # Scaling the z rows by (d_j / d_i)^2 turns D A^(n) D^-1 into the
     # similar D^-1 A^(n) D: det Q_lambda and M stay, and only the identity
-    # can fail, wherever colors with different d_i pair.
-    pairing = FormEngine._pairing
+    # can fail, wherever colors with different d_i pair.  Per monomial the
+    # scale of the term y of z is (w(z) / w(y))^2, as w = prod n / d_i.
+    z_in_y = FormEngine.z_in_y
 
-    def mutated(self, n):
-        views, d = pairing(self, n), finite_root_data(self.type).d
-        return views._replace(z_rows={
-            i: tuple((j, v * Fraction(d[j], d[i]) ** 2) for j, v in row)
-            for i, row in views.z_rows.items()})
+    def mutated(self, mono):
+        return {y: v * Fraction(self.weight(mono), self.weight(y)) ** 2
+                for y, v in z_in_y(self, mono).items()}
 
-    monkeypatch.setattr(FormEngine, "_pairing", mutated)
+    monkeypatch.setattr(FormEngine, "z_in_y", mutated)
     failing = []
     for t in ALL_TYPES:
         for d in range(1, 4):
@@ -934,8 +933,8 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
     # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
     # Bareiss gets each int block S' = W G as _lambda_blocks yields it, with
-    # the gcd r_i of each row and then the gcd c_j of each column divided
-    # out.
+    # the gcd r_i of each row divided out; no column of the row-reduced
+    # (1^4) block has content left.
     t = parse_type("E6^1")
     passed = []
 
@@ -950,12 +949,12 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
     pure = blocks[(1, 1, 1, 1)].rows
     r = [gcd(*row) for row in pure]
-    c = [gcd(*(v // g for v, g in zip(col, r))) for col in zip(*pure)]
-    content_free = ExactMatrix([[v // (g * h) for v, h in zip(row, c)]
+    content_free = ExactMatrix([[v // g for v in row]
                                 for row, g in zip(pure, r)])
+    assert all(gcd(*col) == 1 for col in zip(*content_free.rows))
     assert content_free != blocks[(1, 1, 1, 1)]
     assert [m for m in passed if m.nrows == 126] == [content_free]
-    assert prod(r) * prod(c) * det_exact(content_free) == det_exact(
+    assert prod(r) * det_exact(content_free) == det_exact(
         blocks[(1, 1, 1, 1)])
     assert blocks[(1, 1, 1, 1)] != blocks[(2, 1, 1)]
     mixed = [shape for shape in blocks if len(set(shape)) > 1]

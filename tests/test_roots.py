@@ -121,6 +121,22 @@ def test_det_a_flags_corrupted_data(monkeypatch):
         det_a(t, 1)
 
 
+def test_mu_of_wrong_order_is_refused(monkeypatch):
+    # Swapping the outer nodes 1 and 3 of D4 is a gram isometry of order 2,
+    # not the triality of order 3 that D4^3 needs.
+    diagram = roots._diagram
+
+    def swapped(t):
+        nodes, edges, _ = diagram(t)
+        return nodes, edges, {1: 3, 3: 1, 2: 2, 4: 4}
+
+    monkeypatch.setattr(roots, "_diagram", swapped)
+    finite_root_data.cache_clear()
+    with pytest.raises(InternalCheckError) as exc:
+        finite_root_data(parse_type("D4^3"))
+    assert str(exc.value) == "D4^3: mu has order 2, expected 3"
+
+
 def test_a_matrix_periodicity():
     for t in ALL_TYPES:
         for n in range(1, 3 * t.r + 1):
