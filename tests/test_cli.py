@@ -261,3 +261,74 @@ def test_stray_internal_check_error_exits_1_with_one_line(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.err == "error: internal check failed: planted\n"
     assert captured.out == ""
+
+
+SERIES_A4_2_PLAIN = """\
+a(q) coefficients 0..6: [0, 0, 1, 2, 7, 14, 32]
+b(q) coefficients 0..6: [0, 1, 3, 9, 20, 44, 87]
+check coefficients_match_sums[d=0] expected=[0, 0] computed=[0, 0] ok
+check coefficients_match_sums[d=1] expected=[0, 1] computed=[0, 1] ok
+check coefficients_match_sums[d=2] expected=[1, 3] computed=[1, 3] ok
+check coefficients_match_sums[d=3] expected=[2, 9] computed=[2, 9] ok
+check coefficients_match_sums[d=4] expected=[7, 20] computed=[7, 20] ok
+check coefficients_match_sums[d=5] expected=[14, 44] computed=[14, 44] ok
+check coefficients_match_sums[d=6] expected=[32, 87] computed=[32, 87] ok
+pass: True
+"""
+
+SERIES_P5_SPIN_PLAIN = """\
+N(q) coefficients 0..6: [0, 1, 3, 9, 20, 44, 87]
+check coefficient_matches_closed_form[d=0] expected=0 computed=0 ok
+check coefficient_matches_closed_form[d=1] expected=1 computed=1 ok
+check coefficient_matches_closed_form[d=2] expected=3 computed=3 ok
+check coefficient_matches_closed_form[d=3] expected=9 computed=9 ok
+check coefficient_matches_closed_form[d=4] expected=20 computed=20 ok
+check coefficient_matches_closed_form[d=5] expected=44 computed=44 ok
+check coefficient_matches_closed_form[d=6] expected=87 computed=87 ok
+pass: True
+"""
+
+
+@pytest.mark.parametrize("argv, plain, csv", [
+    (("series", "A4^2"), SERIES_A4_2_PLAIN,
+     "d,a,b\n0,0,0\n1,0,1\n2,1,3\n3,2,9\n4,7,20\n5,14,44\n6,32,87\n"),
+    (("series", "-p", "5", "--spin"), SERIES_P5_SPIN_PLAIN,
+     "d,N\n0,0\n1,1\n2,3\n3,9\n4,20\n5,44\n6,87\n"),
+])
+def test_series_plain_and_csv_text(capsys, argv, plain, csv):
+    argv = argv + ("--max-degree", "6")
+    assert run(capsys, *argv) == (0, plain)
+    assert run(capsys, *argv, "--format", "csv") == (0, csv)
+
+
+def _wrong_at_2(f):
+    def wrong(*args):
+        value = f(*args)
+        if args[1] != 2:
+            return value
+        return (value[0] + 1, value[1]) if isinstance(value, tuple) else value + 1
+    return wrong
+
+
+@pytest.mark.parametrize("name, argv, line", [
+    ("exponent_totals", ("series", "A4^2"),
+     "check coefficients_match_sums[d=2] expected=[1, 3] computed=[2, 3] "
+     "MISMATCH"),
+    ("cartan_exponent", ("series", "-p", "5", "--spin"),
+     "check coefficient_matches_closed_form[d=2] expected=4 computed=3 "
+     "MISMATCH"),
+])
+def test_series_stops_at_the_first_mismatch(capsys, monkeypatch, name, argv,
+                                            line):
+    # The check loop stops at the first failing d and asks nothing past it.
+    calls = []
+    f = _wrong_at_2(getattr(cli, name))
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a[1]) or f(*a))
+    argv = argv + ("--max-degree", "6")
+    code, payload = run_json(capsys, *argv)
+    assert code == 1 and payload["pass"] is False
+    assert [c["pass"] for c in payload["checks"]] == [True, True, False]
+    assert calls == [0, 1, 2]
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert line in out.splitlines() and out.endswith("pass: False\n")
