@@ -10,7 +10,7 @@ from .roots import (ROSTER, AffineType, FiniteRootData, a_matrix, det_a,
 from .partitions import (enumerate_basis, enumerate_partitions, exponents,
                          exponent_totals, multiplicities)
 from .series import (TruncSeries, ab_series, cartan_series, dimension_series,
-                     divisor_series, partition_series, spin_cartan_series)
+                     divisor_series, partition_series)
 from .gram import (FormEngine, GramReport, gram_matrices, transition_matrices,
                    verify, x_in_y)
 from .blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core

@@ -11,12 +11,10 @@ of those types; p need not be prime (Hecke algebras).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Tuple
 
 from .exact import InternalCheckError
 from .partitions import Partition, enumerate_partitions, exponent_totals
-from .roots import AffineType
 from .series import ab_series, cartan_family
 
 
@@ -71,16 +69,11 @@ def cartan_exponent(p: int, d: int, spin: bool = False) -> int:
     """
     t, which = cartan_family(p, spin)
     total = exponent_totals(t, d)[which]
-    if total != _series_coefficient(t, which, d):
+    if total != ab_series(t, d)[which][d]:
         raise InternalCheckError(
             "closed-form Cartan exponent disagrees with the series at "
             "p=%d d=%d spin=%s" % (p, d, spin))
     return total
-
-
-@lru_cache(maxsize=None)
-def _series_coefficient(t: AffineType, which: int, d: int) -> int:
-    return ab_series(t, d)[which][d]
 
 
 def enumerate_blocks(n: int, p: int) -> List[BlockRecord]:

@@ -21,7 +21,7 @@ from .gram import FormEngine, gram_matrices, transition_matrices, verify
 from .partitions import enumerate_partitions, exponent_totals, exponents
 from .roots import (ROSTER, det_a, det_a_expected, finite_root_data,
                     parse_type)
-from .series import ab_series, cartan_series, spin_cartan_series
+from .series import ab_series, cartan_series
 
 #: Degrees at which `gram --roster` verifies each built-in type.
 ROSTER_DEGREES = {
@@ -90,8 +90,8 @@ class Envelope:
         ok = expected == computed
         self.data["checks"].append({
             "name": name,
-            "expected": _jsonable(expected),
-            "computed": _jsonable(computed),
+            "expected": expected,
+            "computed": computed,
             "pass": ok,
         })
         return ok
@@ -118,12 +118,6 @@ class Envelope:
                          "ok" if c["pass"] else "MISMATCH"), file=out)
             if self.data["checks"]:
                 print("pass: %s" % self.passed, file=out)
-
-
-def _jsonable(x):
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _cmd_info(args) -> Envelope:
@@ -160,7 +154,7 @@ def _cmd_deta(args) -> Envelope:
         pairs = [(args.type, args.n)]
     env = Envelope("detA", None if args.roster else args.type,
                    {"n": args.n, "roster": args.roster})
-    rows = [["type", "n", "det", "expected"]]
+    rows = []
     for name, n in pairs:
         t = parse_type(name)
         expected = det_a_expected(t, n)
@@ -172,7 +166,7 @@ def _cmd_deta(args) -> Envelope:
         rows.append([name, n, value, expected])
         env.lines.append("det A^(%d) for %s = %s (expected %s)"
                          % (n, name, value, expected))
-    env.data["result"] = {"table": rows[1:]}
+    env.data["result"] = {"table": rows}
     return env
 
 
@@ -185,18 +179,19 @@ def _cmd_exponents(args) -> Envelope:
         a, b = exponents(t, lam)
         table.append({"partition": list(lam), "a": a, "b": b})
     a_d, b_d = exponent_totals(t, d)
+    det = t.alpha ** a_d * t.beta ** b_d
     aq, bq = ab_series(t, d)
     env.check("sum_a_equals_series", aq[d], a_d)
     env.check("sum_b_equals_series", bq[d], b_d)
     env.data["result"] = {
         "table": table, "a": a_d, "b": b_d,
-        "determinant": t.alpha ** a_d * t.beta ** b_d,
+        "determinant": det,
         "factored": "%d^%d * %d^%d" % (t.alpha, a_d, t.beta, b_d),
     }
     env.lines = ["%-20s a=%-6d b=%d" % ("+".join(map(str, r["partition"])) or "0",
                                         r["a"], r["b"]) for r in table]
     env.lines.append("totals: a(%d)=%d b(%d)=%d  det = %d" %
-                     (d, a_d, d, b_d, t.alpha ** a_d * t.beta ** b_d))
+                     (d, a_d, d, b_d, det))
     env.csv_rows = [["partition", "a", "b"]] + [
         ["+".join(map(str, r["partition"])), r["a"], r["b"]] for r in table]
     return env
@@ -214,28 +209,26 @@ def _cmd_series(args) -> Envelope:
         t = parse_type(args.type)
         env = Envelope("series", t.name, {"max_degree": D})
         aq, bq = ab_series(t, D)
-        for d in range(D + 1):
-            a_d, b_d = exponent_totals(t, d)
-            if not env.check("coefficients_match_sums[d=%d]" % d,
-                             (aq[d], bq[d]), (a_d, b_d)):
-                break
-        env.data["result"] = {"a": list(aq.coeffs), "b": list(bq.coeffs)}
-        env.lines = ["a(q) coefficients 0..%d: %s" % (D, list(aq.coeffs)),
-                     "b(q) coefficients 0..%d: %s" % (D, list(bq.coeffs))]
-        env.csv_rows = [["d", "a", "b"]] + [[d, aq[d], bq[d]]
-                                            for d in range(D + 1)]
+        series = {"a": aq, "b": bq}
+        checks = (("coefficients_match_sums[d=%d]" % d, [aq[d], bq[d]],
+                   list(exponent_totals(t, d))) for d in range(D + 1))
     else:
         p = args.p
         env = Envelope("series", None,
                        {"p": p, "spin": args.spin, "max_degree": D})
-        nq = spin_cartan_series(p, D) if args.spin else cartan_series(p, D)
-        for d in range(D + 1):
-            if not env.check("coefficient_matches_closed_form[d=%d]" % d,
-                             cartan_exponent(p, d, args.spin), nq[d]):
-                break
-        env.data["result"] = {"N": list(nq.coeffs)}
-        env.lines = ["N(q) coefficients 0..%d: %s" % (D, list(nq.coeffs))]
-        env.csv_rows = [["d", "N"]] + [[d, nq[d]] for d in range(D + 1)]
+        nq = cartan_series(p, D, args.spin)
+        series = {"N": nq}
+        checks = (("coefficient_matches_closed_form[d=%d]" % d,
+                   cartan_exponent(p, d, args.spin), nq[d])
+                  for d in range(D + 1))
+    for check in checks:  # lazy: nothing past the first failing d is computed
+        if not env.check(*check):
+            break
+    env.data["result"] = {name: list(s.coeffs) for name, s in series.items()}
+    env.lines = ["%s(q) coefficients 0..%d: %s" % (name, D, list(s.coeffs))
+                 for name, s in series.items()]
+    env.csv_rows = [["d", *series]] + [[d] + [s[d] for s in series.values()]
+                                       for d in range(D + 1)]
     return env
 
 

@@ -158,13 +158,8 @@ def cartan_family(p: int, spin: bool = False) -> Tuple[AffineType, int]:
     return parse_type("A%d^1" % (p - 1)), 0
 
 
-def cartan_series(p: int, D: int) -> TruncSeries:
-    """N(q) = T(q) P(q)^(p-1): Cartan exponents of weight-d blocks."""
-    t, which = cartan_family(p)
-    return ab_series(t, D)[which]
-
-
-def spin_cartan_series(p: int, D: int) -> TruncSeries:
-    """N(q) = (T(q) - T(q^2)) P(q)^((p-1)/2) for spin superblocks."""
-    t, which = cartan_family(p, spin=True)
+def cartan_series(p: int, D: int, spin: bool = False) -> TruncSeries:
+    """N(q): Cartan exponents of weight-d blocks, T(q) P(q)^(p-1), or for
+    spin superblocks (T(q) - T(q^2)) P(q)^((p-1)/2)."""
+    t, which = cartan_family(p, spin)
     return ab_series(t, D)[which]

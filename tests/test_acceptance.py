@@ -21,7 +21,7 @@ from shapdet.partitions import (enumerate_basis, enumerate_partitions,
                                 exponent_totals, exponents)
 from shapdet.roots import ROSTER, det_a, parse_type
 from shapdet.series import (ab_series, cartan_series, dimension_series,
-                            partition_series, spin_cartan_series)
+                            partition_series)
 
 from oracles import FormOracle, kron, sym_power, z_block
 
@@ -143,12 +143,12 @@ def test_criterion_06_cartan_corollary():
 def test_criterion_07_spin_corollary():
     ok = True
     for p in (3, 5, 7):
-        nq = spin_cartan_series(p, 15)
+        nq = cartan_series(p, 15, spin=True)
         t = parse_type("A%d^2" % (p - 1))
         for d in range(16):
             n_d = cartan_exponent(p, d, spin=True)
             ok = ok and n_d == nq[d] == exponent_totals(t, d)[1]
-    ok = ok and spin_cartan_series(3, 4).coeffs == [0, 1, 2, 5, 8]
+    ok = ok and cartan_series(3, 4, spin=True).coeffs == [0, 1, 2, 5, 8]
     report(7, ok, "spin N(d) = (T(q)-T(q^2))P(q)^((p-1)/2) = b(d) of "
                   "A_(2l)^(2), p in {3,5,7}, d <= 15")
 

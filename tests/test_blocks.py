@@ -9,7 +9,7 @@ from shapdet.blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_cor
 from shapdet.gram import verify
 from shapdet.partitions import _runs, enumerate_partitions
 from shapdet.roots import parse_type
-from shapdet.series import cartan_series, spin_cartan_series
+from shapdet.series import cartan_series
 
 
 def hook_lengths(lam):
@@ -169,7 +169,7 @@ def test_cartan_exponent_examples():
     with pytest.raises(ValueError):
         cartan_exponent(6, 2, spin=True)
     with pytest.raises(ValueError):
-        spin_cartan_series(6, 4)
+        cartan_series(6, 4, spin=True)
 
 
 def _closed_form_exponent(p, d, spin=False):
@@ -199,7 +199,7 @@ def test_cartan_exponent_matches_series():
         for d in range(19):
             assert cartan_exponent(p, d) == N[d] == _closed_form_exponent(p, d)
     for p in range(3, 12, 2):
-        N = spin_cartan_series(p, 18)
+        N = cartan_series(p, 18, spin=True)
         for d in range(19):
             assert (cartan_exponent(p, d, spin=True) == N[d]
                     == _closed_form_exponent(p, d, spin=True))

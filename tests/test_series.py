@@ -5,8 +5,7 @@ import pytest
 from shapdet.partitions import enumerate_partitions
 from shapdet.roots import ROSTER, parse_type
 from shapdet.series import (TruncSeries, ab_series, cartan_series,
-                            dimension_series, divisor_series, partition_series,
-                            spin_cartan_series)
+                            dimension_series, divisor_series, partition_series)
 
 from oracles import coloring_series
 
@@ -83,12 +82,12 @@ def test_ab_series_examples():
 
 def test_cartan_series_examples():
     assert cartan_series(2, 4).coeffs == [0, 1, 3, 6, 12]
-    assert spin_cartan_series(3, 4).coeffs == [0, 1, 2, 5, 8]
+    assert cartan_series(3, 4, spin=True).coeffs == [0, 1, 2, 5, 8]
     assert cartan_series(3, 1)[1] == 1
     with pytest.raises(ValueError):
         cartan_series(1, 5)
     with pytest.raises(ValueError):
-        spin_cartan_series(4, 5)
+        cartan_series(4, 5, spin=True)
 
 
 def test_cartan_series_matches_untwisted_a():
@@ -100,7 +99,7 @@ def test_cartan_series_matches_untwisted_a():
 def test_spin_series_matches_twisted_b():
     for p in (3, 5, 7):
         want = ab_series(parse_type("A%d^2" % (p - 1)), 20)[1]
-        assert spin_cartan_series(p, 20) == want
+        assert cartan_series(p, 20, spin=True) == want
 
 
 def test_coloring_series_counts():
