@@ -16,7 +16,10 @@ the S-recursion on every pair of a lambda-block, which
 gram._lambda_blocks builds as Kronecker products of pure blocks instead.  identity is the
 n x n identity ExactMatrix.  coloring_series counts the colored
 partitions with their parts marked by divisibility, whose marker
-derivatives the series tests compare with ab_series.
+derivatives the series tests compare with ab_series.  FockSpace computes
+the LLT canonical basis, whose values at v = 1 are the decomposition
+matrices of the Hecke algebras that the block tests compare with
+blocks.cartan_exponent and with the Gram engine.
 """
 
 from fractions import Fraction
@@ -392,3 +395,119 @@ def coloring_series(t: AffineType, D: int) -> TwoVarSeries:
             for _ in range(t.k):
                 G = G * factor * numer
     return G
+
+
+Laurent = Dict[int, int]  # exponent of v -> coefficient
+
+
+def _laurent_mul(a: Laurent, b: Laurent) -> Laurent:
+    out: Laurent = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: x for k, x in out.items() if x}
+
+
+def _laurent_div(a: Laurent, b: Laurent) -> Laurent:
+    """The exact quotient a / b; b has leading coefficient 1."""
+    a, q = dict(a), {}
+    top, lowest = max(b), min(a) - min(b)
+    while a:
+        k = max(a) - top
+        assert k >= lowest, "inexact Laurent division"
+        q[k] = c = a[k + top]
+        for j, y in b.items():
+            a[k + j] = a.get(k + j, 0) - c * y
+            if not a[k + j]:
+                del a[k + j]
+    return q
+
+
+def _add_term(vec: dict, lam, poly: Laurent) -> None:
+    total = dict(vec.get(lam, {}))
+    for k, x in poly.items():
+        total[k] = total.get(k, 0) + x
+    total = {k: x for k, x in total.items() if x}
+    if total:
+        vec[lam] = total
+    else:
+        vec.pop(lam, None)
+
+
+class FockSpace:
+    """The level-1 Fock space of U_v(sl_e^) and its canonical basis, by the
+    Lascoux-Leclerc-Thibon algorithm (Comm. Math. Phys. 181, 1996).
+
+    A vector is {partition: Laurent polynomial in v}.  The node (r, c) is
+    0-indexed and has residue (c - r) mod e.  f_i adds an addable i-node
+    gamma of lam with weight v^N, N = #addable - #removable i-nodes of lam
+    beyond gamma, where `beyond` says which side counts (larger content).
+    For an e-regular mu, A(mu) applies f_i^(k) = f_i^k / [k]! along James's
+    ladders `ladder(r, c)` = r + (e-1)c in increasing order, each with
+    residue -ladder mod e and k its number of nodes in mu; the
+    bar-invariant subtraction then leaves G(mu) = sum_lam d_lam,mu(v) lam.
+    By Ariki's theorem d_lam,mu(1) is the decomposition matrix of the Hecke
+    algebra of S_n at a primitive e-th root of unity.
+    """
+
+    def __init__(self, e: int):
+        self.e = e
+
+    def ladder(self, r: int, c: int) -> int:
+        return r + (self.e - 1) * c
+
+    def beyond(self, content: int, gamma: int) -> bool:
+        return content > gamma
+
+    def f(self, vec: dict, i: int) -> dict:
+        out: dict = {}
+        for lam, poly in vec.items():
+            rows = list(lam) + [0]
+            add = [(r, c - r) for r, c in enumerate(rows)
+                   if (r == 0 or rows[r - 1] > c) and (c - r) % self.e == i]
+            rem = [c - 1 - r for r, c in enumerate(lam)
+                   if rows[r + 1] < c and (c - 1 - r) % self.e == i]
+            for r, gamma in add:
+                n = (sum(self.beyond(x, gamma) for _, x in add)
+                     - sum(self.beyond(x, gamma) for x in rem))
+                mu = tuple(rows[:r]) + (rows[r] + 1,) + tuple(lam[r + 1:])
+                _add_term(out, mu, {k + n: x for k, x in poly.items()})
+        return out
+
+    def f_divided(self, vec: dict, i: int, k: int) -> dict:
+        factorial: Laurent = {0: 1}
+        for j in range(1, k + 1):
+            factorial = _laurent_mul(
+                factorial, {j - 1 - 2 * m: 1 for m in range(j)})
+            vec = self.f(vec, i)
+        return {lam: _laurent_div(p, factorial) for lam, p in vec.items()}
+
+    def canonical_basis(self, n: int) -> Dict[tuple, dict]:
+        """{mu: G(mu)} for the e-regular partitions mu of n."""
+        G: Dict[tuple, dict] = {}
+        regular = sorted(mu for mu in enumerate_partitions(n)
+                         if all(m < self.e for _, m in _runs(mu)))
+        for mu in regular:  # increasing lex order: every G(lam < mu) is known
+            ladders: Dict[int, int] = {}
+            for r, row in enumerate(mu):
+                for c in range(row):
+                    ell = self.ladder(r, c)
+                    ladders[ell] = ladders.get(ell, 0) + 1
+            vec: dict = {(): {0: 1}}
+            for ell in sorted(ladders):
+                vec = self.f_divided(vec, -ell % self.e, ladders[ell])
+            assert vec.get(mu) == {0: 1} and max(vec) == mu, \
+                "A(%s) is not unitriangular" % (mu,)
+            while True:
+                bad = [lam for lam, p in vec.items() if lam != mu and min(p) <= 0]
+                if not bad:
+                    break
+                lam = max(bad)
+                assert lam in G, "no canonical basis vector for %s" % (lam,)
+                a = vec[lam]
+                alpha = {k: -x for k, x in a.items() if k <= 0}
+                alpha.update({-k: -x for k, x in a.items() if k < 0})
+                for nu, p in G[lam].items():
+                    _add_term(vec, nu, _laurent_mul(alpha, p))
+            G[mu] = vec
+        return G

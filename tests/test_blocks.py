@@ -5,7 +5,9 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import FockSpace
 from shapdet.blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core
+from shapdet.exact import ExactMatrix, det_exact
 from shapdet.gram import verify
 from shapdet.partitions import _runs, enumerate_partitions
 from shapdet.roots import parse_type
@@ -241,3 +243,56 @@ def test_block_determinants_equal_gram_determinants():
         for w in range(6):
             assert (p ** cartan_exponent(p, w, spin=True)
                     == _det_m("A%d^2" % (p - 1), w))
+
+
+def _check_llt(fock, n):
+    """Check the LLT decomposition matrix of S_n at e = fock.e: d_mu,mu = 1,
+    d_lam,mu in vN[v] off the diagonal, lam and mu in one e-block, and
+    det(D^T D) of every block equal to its cartan_det and, up to weight 4,
+    to det M of A_{e-1}^1.  Returns the number of blocks."""
+    e = fock.e
+    G = fock.canonical_basis(n)
+    cores = {mu: p_core(mu, e)[0] for mu in G}
+    for mu, column in G.items():
+        assert column[mu] == {0: 1}
+        for lam, poly in column.items():
+            assert p_core(lam, e)[0] == cores[mu]
+            assert lam == mu or (min(poly) >= 1
+                                 and all(x > 0 for x in poly.values()))
+    records = enumerate_blocks(n, e)
+    for b in records:
+        columns = [G[mu] for mu in G if cores[mu] == b.core]
+        D = [[sum(column.get(lam, {}).values()) for column in columns]
+             for lam in {lam for column in columns for lam in column}]
+        C = [[sum(row[i] * row[j] for row in D) for j in range(len(columns))]
+             for i in range(len(columns))]
+        det = det_exact(ExactMatrix(C))
+        assert det == b.cartan_det
+        if b.weight <= 4:
+            assert det == _det_m("A%d^1" % (e - 1), b.weight)
+    return len(records)
+
+
+def test_hecke_cartan_determinants_from_the_canonical_basis():
+    # Both halves of the Hecke corollary against a brute-force Cartan
+    # matrix: e = 4 is not prime.
+    assert sum(_check_llt(FockSpace(e), n)
+               for e in range(2, 6) for n in range(13)) == 228
+
+
+class _SteepLadders(FockSpace):
+    def ladder(self, r, c):
+        return r + self.e * c
+
+
+class _SmallerContent(FockSpace):
+    def beyond(self, content, gamma):
+        return content < gamma
+
+
+@pytest.mark.parametrize("e", [2, 3])
+@pytest.mark.parametrize("fock", [_SteepLadders, _SmallerContent])
+def test_canonical_basis_oracle_bites(fock, e):
+    with pytest.raises(AssertionError):
+        for n in range(4):
+            _check_llt(fock(e), n)
