@@ -301,15 +301,6 @@ def test_series_plain_and_csv_text(capsys, argv, plain, csv):
     assert run(capsys, *argv, "--format", "csv") == (0, csv)
 
 
-def _wrong_at_2(f):
-    def wrong(*args):
-        value = f(*args)
-        if args[1] != 2:
-            return value
-        return (value[0] + 1, value[1]) if isinstance(value, tuple) else value + 1
-    return wrong
-
-
 @pytest.mark.parametrize("name, argv, line", [
     ("exponent_totals", ("series", "A4^2"),
      "check coefficients_match_sums[d=2] expected=[1, 3] computed=[2, 3] "
@@ -322,8 +313,16 @@ def test_series_stops_at_the_first_mismatch(capsys, monkeypatch, name, argv,
                                             line):
     # The check loop stops at the first failing d and asks nothing past it.
     calls = []
-    f = _wrong_at_2(getattr(cli, name))
-    monkeypatch.setattr(cli, name, lambda *a: calls.append(a[1]) or f(*a))
+    real = getattr(cli, name)
+
+    def wrong_at_2(*args):
+        calls.append(args[1])
+        value = real(*args)
+        if args[1] != 2:
+            return value
+        return (value[0] + 1, value[1]) if isinstance(value, tuple) else value + 1
+
+    monkeypatch.setattr(cli, name, wrong_at_2)
     argv = argv + ("--max-degree", "6")
     code, payload = run_json(capsys, *argv)
     assert code == 1 and payload["pass"] is False
