@@ -14,28 +14,18 @@ D A^(n) D^-1, which leaves every block determinant unchanged; with
 those, (y_c, f)_S = (z_c, f)_K holds on the nose and the Gram matrix of
 the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
-(z-) monomial basis[a], so enumerate_basis alone owns the order.  A
-FormEngine builds A^(n) once per n through roots.a_matrix and keeps its
-nonzero entries by row, which the S-form and z_in_y read; verify shares one.
+(z-) monomial basis[a], so enumerate_basis alone owns the order.
 
 Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
-block-diagonal by the part-size shape lambda, and each lambda-block is the
-Kronecker product of pure blocks G_(n^m), largest part slowest, which is
-the basis order of its monomials.  The S-recursion runs on the pure
-blocks only, as level tables of S'(left, right) = (left, right) w(left),
-w(left) = prod n / d_i over the factors of left, so it runs on ints
-wherever A^(n) is integral, as roots.a_matrix makes it for every built-in
-type; the x-expansions are int coefficients over prod (n / d_i)!.  The
-x-rows are walked along one prefix chain (_x_rows) and the lambda-blocks
-one at a time (_lambda_blocks), so verify holds one row or block at once.
-verify certifies M and N integral from the one-generator pairings phi_ij(n)
-(_phi), and, P being upper unitriangular, det M = prod_lambda det G_lambda
-from the pure dets and det N = prod_y K_y(y, y), and checks
-M = P Q P^-1 N as G_y = Q K_y.  Only gram_matrices contracts
-M = P G_y P^T and N = P K_y P^T, for printing and, where some phi is not
-an int, to name verify's first non-integer entry.  The all-pairs memo
-recursion, the transport sum over phi and the full-matrix Bareiss and
-P Q P^-1 N are the tests' oracles (tests/oracles.py).
+block-diagonal by the part-size shape lambda, each block the Kronecker
+product of pure blocks G_(n^m), on which alone the S-recursion runs, as
+level tables of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
+factors of y: ints wherever A^(n) is, as for every built-in type.  The
+x-expansions are int coefficients over prod (n / d_i)!; verify certifies P
+from the generators and holds one lambda-block at a time, and only the
+printing paths walk the x-rows.  The all-pairs memo recursion, the
+transport sum over phi, the x-row walk for P and the full-matrix Bareiss
+and P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, groupby, pairwise, product
 from math import factorial, gcd, prod
 from typing import Dict, List, Optional, Tuple
 
@@ -93,12 +83,11 @@ def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
 
 
 def _x_rows(t: AffineType, monos):
-    """Yield (position, coefficients, scale) for each monomial of monos: its
-    x_in_y expansion is the int coefficients over scale.  The monomials are
-    walked in lexicographic order, where the extensions of each prefix are
-    contiguous, along one chain of (prefix, coefficients, scale): a prefix
-    is expanded once, as its own prefix times one generator, and at most
-    len(mono) + 1 expansions are alive."""
+    """Yield (position, coefficients, scale), the x_in_y expansion of each
+    monomial of monos as int coefficients over scale, for x_in_y,
+    transition_matrices and gram_matrices.  The walk runs in lexicographic
+    order along one chain: each prefix is expanded once, from its parent
+    times one generator, and at most len(mono) + 1 expansions are alive."""
     chain = [((), {(): 1}, 1)]
     for pos, mono in sorted(enumerate(monos), key=lambda item: item[1]):
         while mono[:len(chain[-1][0])] != chain[-1][0]:
@@ -116,6 +105,24 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
     item = (item,) if item and isinstance(item[0], int) else tuple(item)
     (_, poly, scale), = _x_rows(t, [item])
     return {y: Fraction(c, scale) for y, c in poly.items()}
+
+
+def _check_p(t: AffineType, d: int, basis) -> None:
+    """Raise InternalCheckError at the first failure of (a) or (b) in verify."""
+    for n, i in ((n, i) for n in range(1, d + 1) for i in index_set(t, n)):
+        (x, scale), di = _x_generator(t, n, i), finite_root_data(t).d[i]
+        lead, ok = ((n, i),), {tuple((k * di, i) for k in lam)
+                               for lam in enumerate_partitions(n // di)}
+        for y, c in [(lead, x.get(lead, 0)), *x.items()]:
+            if c != scale if y == lead else c and y not in ok:
+                raise InternalCheckError(
+                    "P is not upper unitriangular: x_%d^(%d) holds %s with "
+                    "coefficient %s" % (n, i, y, Fraction(c, scale)))
+    shapes = (tuple(k for k, _ in y) for y in basis)
+    for a, (prev, shape) in enumerate(pairwise(shapes), 1):
+        if shape > prev:
+            raise InternalCheckError("P is not upper unitriangular: basis[%d] "
+                                     "has shape %s after %s" % (a, shape, prev))
 
 
 class FormEngine:
@@ -196,8 +203,7 @@ def transition_matrices(t: AffineType, d: int,
     """
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
-    P = [[0] * len(basis) for _ in basis]
-    Q = [[0] * len(basis) for _ in basis]
+    P, Q = ([[0] * len(basis) for _ in basis] for _ in "PQ")
     for a, x, scale in _x_rows(t, basis):
         for target, coeff in x.items():
             P[a][index[target]] = Fraction(coeff, scale)
@@ -375,9 +381,8 @@ def _pure_det(S):
 
 @dataclass
 class GramReport:
-    """Everything the degree-d verification produced, plus the verdicts.
-    M, N, P and Q are not kept: gram_matrices and transition_matrices build
-    them for printing."""
+    """Everything the degree-d verification produced, plus the verdicts; it
+    keeps no M, N, P or Q, which gram_matrices and transition_matrices build."""
 
     type: AffineType
     d: int
@@ -420,6 +425,16 @@ def verify(t: AffineType, d: int,
            gram: Optional[ExactMatrix] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
+    P is upper unitriangular when (a) every generator x_n^(i), n <= d, is
+    y_n^(i) plus terms of at least two parts, all of color i, divisible by
+    d_i and summing to n (as _x_generator builds it), and (b) the part
+    shapes of the basis never increase along it.  A term of
+    x_lambda = prod_k x_(n_k)^(i_k) picks one term per factor: the leading
+    ones give y_lambda with coefficient 1, and any other pick splits a part,
+    so its shape strictly refines lambda's, is lexicographically smaller
+    and by (b) sits strictly later.  _check_p checks (a) and (b) first, from
+    the type alone: the argument for M below rests on the same generators.
+
     M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S with
     n <= d is an int (_phi, from the pipeline's own x-generators and pure
     blocks).  The x-basis is group-like: sum_m x_(m d_i)^(i) s^(m d_i) =
@@ -433,59 +448,44 @@ def verify(t: AffineType, d: int,
     same sum with the identity for A^(n), whose phi^K_ij(n) = [i = j]
     [d_i | n] are ints, so N needs no check.  Only where some phi is not an
     int does gram_matrices contract M and N, to name the first non-integer
-    entry.  This certifies the Z-form, not the theorem: once P is checked
-    to be upper unitriangular on the x-rows, one pass over the
+    entry.  This certifies the Z-form, not the theorem: one pass over the
     lambda-blocks of G_y, the diagonal of K_y and the rows of Q (the
     z-expansions) certifies det M and det N from the pure blocks and checks
     M = P Q P^-1 N as G_y = Q K_y = G_y^T, which also ties the G_y behind
     phi to the true form.  No dense M, N, P or Q is built on a pass.
-    Failed checks (wrong determinant, an uncertified det M, which stays
-    None, the identity with its witness entry, non-integer Gram entries, a
-    non-unitriangular P) are recorded in the report rather than raised.
-    One FormEngine, on ``gram`` in place of the Cartan form if given,
-    serves phi, the Gram blocks and the z-expansions.
+    Failed checks are recorded in the report rather than raised.  One
+    FormEngine, on ``gram`` in place of the Cartan form if given, serves
+    phi, the Gram blocks and the z-expansions.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
     engine, basis = FormEngine(t, gram), report.basis
     try:
+        _check_p(t, d, basis)
         if any(type(v) is not int for v in _phi(engine, d).values()):
             gram_matrices(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
-    index = {y: a for a, y in enumerate(basis)}
-    off = None  # the first (a, b), b <= a, with P[a][b] != [a = b], and row a
-    for a, x, scale in _x_rows(t, basis):
-        bad = [index[z] for z, c in x.items() if c and index[z] < a]
-        bad += [a] if x.get(basis[a], 0) != scale else []  # a missing term: 0
-        if bad and (off is None or (a, min(bad)) < off[0]):
-            off = (a, min(bad)), x, scale
-    if off is not None:
-        # The certificate and G_y = Q K_y both rest on a unitriangular P.
-        (a, b), x, scale = off
+    witness, det_m, det_n, doubt = _certificate(
+        engine, _lambda_blocks(engine, basis),
+        {y: a for a, y in enumerate(basis)})
+    try:  # a non-integer det N leaves a certified det M standing
+        report.det_M = None if doubt else as_integer(det_m)
+        report.det_N = as_integer(det_n)
+    except InternalCheckError as exc:
+        report.failures.append("det M, det N certificate: %s" % exc)
+    if report.det_N not in (None, 1):
+        report.failures.append("det N = %d, expected 1" % report.det_N)
+    report.identity_ok = witness is None
+    if witness is not None:
+        y, z = (basis[a] for a in witness)
         report.failures.append(
-            "P is not upper unitriangular: P[%d][%d] = %s at (%s, %s)"
-            % (a, b, Fraction(x.get(basis[b], 0), scale), basis[a], basis[b]))
-    else:
-        witness, det_m, det_n, doubt = _certificate(
-            engine, _lambda_blocks(engine, basis), index)
-        try:  # a non-integer det N leaves a certified det M standing
-            report.det_M = None if doubt else as_integer(det_m)
-            report.det_N = as_integer(det_n)
-        except InternalCheckError as exc:
-            report.failures.append("det M, det N certificate: %s" % exc)
-        if report.det_N not in (None, 1):
-            report.failures.append("det N = %d, expected 1" % report.det_N)
-        report.identity_ok = witness is None
-        if witness is not None:
-            y, z = (basis[a] for a in witness)
-            report.failures.append(
-                "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
-                "lambda-block %s" % (y, z, tuple(n for n, _ in y)))
-        if doubt:
-            report.failures.append("det M not certified: %s" % doubt)
+            "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
+            "lambda-block %s" % (y, z, tuple(n for n, _ in y)))
+    if doubt:
+        report.failures.append("det M not certified: %s" % doubt)
     if report.det_M not in (None, predicted):
         report.failures.append("det M = %d, predicted %d (= %d^%d * %d^%d)"
                                % (report.det_M, predicted, t.alpha, a_d,

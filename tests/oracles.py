@@ -11,7 +11,9 @@ two single x-generators as the coefficients of an exponential series in
 the entries of A^(n), with no recursion, and transport_gram builds M
 and N from those pairings alone, with no P and no G_y.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
-assembly and the hand-value tests pair term by term.  lambda_blocks runs
+assembly and the hand-value tests pair term by term.  p_witness expands
+every x-row to find P's first entry off the unit upper triangle, which
+gram.verify certifies from the generators instead.  lambda_blocks runs
 the S-recursion on every pair of a lambda-block, which
 gram._lambda_blocks builds as Kronecker products of pure blocks instead.  identity is the
 n x n identity ExactMatrix.  coloring_series counts the colored
@@ -19,7 +21,9 @@ partitions with their parts marked by divisibility, whose marker
 derivatives the series tests compare with ab_series.  FockSpace computes
 the LLT canonical basis, whose values at v = 1 are the decomposition
 matrices of the Hecke algebras that the block tests compare with
-blocks.cartan_exponent and with the Gram engine.
+blocks.cartan_exponent and with the Gram engine.  restricted_p_strict,
+residue_content, spin_defect and p_bar_core sort the spin simples of the
+double covers of S_n into blocks, for the basis sizes of A_(p-1)^(2).
 """
 
 from fractions import Fraction
@@ -28,6 +32,7 @@ from itertools import combinations_with_replacement
 from math import prod
 from typing import Dict, List, Tuple
 
+from shapdet import gram
 from shapdet.exact import ExactMatrix, _field_div
 from shapdet.partitions import _runs, enumerate_basis, enumerate_partitions
 from shapdet.roots import AffineType, a_matrix, finite_root_data, index_set
@@ -294,6 +299,21 @@ def bilinear(form_mono, f, g):
     return total
 
 
+def p_witness(t: AffineType, basis):
+    """The first (a, b) in row-major order with b <= a and P[a][b] != [a = b]
+    for the x-to-y matrix P on basis, from every x-row that gram._x_rows
+    expands (a missing diagonal term is P[a][a] = 0), or None.  A term
+    outside basis counts as b = -1: P is then not square on basis."""
+    index = {y: a for a, y in enumerate(basis)}
+    off = []
+    for a, x, scale in gram._x_rows(t, basis):  # in lexicographic order
+        bad = [index.get(z, -1) for z, c in x.items() if c]
+        bad = [b for b in bad if b < a]
+        bad += [a] if x.get(basis[a], 0) != scale else []
+        off += [(a, min(bad))] if bad else []
+    return min(off, default=None)
+
+
 def lambda_blocks(oracle, basis):
     """[(ys, G_lambda)]: the monomials ys of each part-size shape lambda in
     basis order, and the S-form on all their pairs by the FormOracle's
@@ -303,6 +323,70 @@ def lambda_blocks(oracle, basis):
         members.setdefault(tuple(n for n, _ in y), []).append(y)
     return [(ys, [[oracle.form_s_mono(y, z) for z in ys] for y in ys])
             for ys in members.values()]
+
+
+def residue_content(lam, p: int) -> tuple:
+    """(c_0, ..., c_l): the boxes of lam of each spin residue for
+    p = 2l + 1.  Along every row the residues run 0, 1, ..., l, ..., 1, 0
+    and then again, with period p (Brundan-Kleshchev)."""
+    out = [0] * ((p + 1) // 2)
+    for row in lam:
+        for c in range(row):
+            out[min(c % p, p - 1 - c % p)] += 1
+    return tuple(out)
+
+
+def restricted_p_strict(n: int, p: int, swapped: bool = False) -> list:
+    """The restricted p-strict partitions of n: a part repeats only if p
+    divides it, and lam_k - lam_(k+1) < p where p | lam_k, <= p elsewhere,
+    with lam_(h+1) = 0.  ``swapped`` exchanges the two inequalities."""
+    out = []
+    for lam in enumerate_partitions(n):
+        rows = lam + (0,)
+        if all((lam[k] % p == 0 or lam[k] != rows[k + 1])
+               and rows[k] - rows[k + 1] < p + ((lam[k] % p != 0) != swapped)
+               for k in range(len(lam))):
+            out.append(lam)
+    return out
+
+
+def spin_form(p: int) -> List[List[int]]:
+    """The symmetrized Cartan matrix (alpha_i | alpha_j) of A_(p-1)^(2) on
+    the residues 0..l: 1 at node 0, which carries Lambda_0, 4 at node l and
+    2 between, -1 on the edges but -2 on (l - 1, l).  Its radical is
+    delta = 2 alpha_0 + ... + 2 alpha_(l-1) + alpha_l, the content of a
+    p-bar, and (Lambda_0 | alpha_i) = [i = 0] / 2, so (Lambda_0 | delta) = 1."""
+    ell = (p - 1) // 2
+    form = [[0] * (ell + 1) for _ in range(ell + 1)]
+    for i in range(ell + 1):
+        form[i][i] = 1 if i == 0 else 4 if i == ell else 2
+    for i in range(ell):
+        form[i][i + 1] = form[i + 1][i] = -2 if i == ell - 1 else -1
+    return form
+
+
+def spin_defect(gamma, p: int) -> int:
+    """w = ((Lambda_0 | gamma) - (gamma | gamma) / 2) / (Lambda_0 | delta)
+    for the residue content gamma, in spin_form."""
+    form = spin_form(p)
+    twice = gamma[0] - sum(gi * form[i][j] * gj for i, gi in enumerate(gamma)
+                           for j, gj in enumerate(gamma))
+    assert twice % 2 == 0 and twice >= 0, (gamma, p)
+    return twice // 2
+
+
+def p_bar_core(lam, p: int) -> tuple:
+    """The p-bar core of a strict partition: remove p-bars while any is
+    left, by taking p off a part when the difference is not already a part
+    (0 is none), or by removing two parts that sum to p."""
+    parts = set(lam)
+    while True:
+        x = next((x for x in sorted(parts)
+                  if x >= p and x - p not in parts or p - x in parts), None)
+        if x is None:
+            return tuple(sorted(parts, reverse=True))
+        parts -= {x, p - x} if p - x in parts else {x}
+        parts |= {x - p} if x > p else set()
 
 
 class TwoVarSeries:

@@ -5,11 +5,12 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import FockSpace
+from oracles import (FockSpace, p_bar_core, residue_content,
+                     restricted_p_strict, spin_defect, spin_form)
 from shapdet.blocks import BlockRecord, cartan_exponent, enumerate_blocks, p_core
 from shapdet.exact import ExactMatrix, det_exact
 from shapdet.gram import verify
-from shapdet.partitions import _runs, enumerate_partitions
+from shapdet.partitions import _runs, enumerate_basis, enumerate_partitions
 from shapdet.roots import parse_type
 from shapdet.series import cartan_series
 
@@ -296,3 +297,45 @@ def test_canonical_basis_oracle_bites(fock, e):
     with pytest.raises(AssertionError):
         for n in range(4):
             _check_llt(fock(e), n)
+
+
+def _spin_classes(p, n, swapped=False):
+    """{residue content: (restricted p-strict, strict partitions of n)}."""
+    classes = {}
+    for lam in restricted_p_strict(n, p, swapped):
+        classes.setdefault(residue_content(lam, p), ([], []))[0].append(lam)
+    for lam in enumerate_partitions(n):
+        if len(set(lam)) == len(lam):
+            classes.setdefault(residue_content(lam, p), ([], []))[1].append(lam)
+    return classes
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_restricted_p_strict_partitions_count_the_spin_simples(p):
+    # The spin simples of one block of the double cover of S_n, labelled by
+    # the restricted p-strict partitions of one residue content (Brundan-
+    # Kleshchev), are as many as the basis of A_(p-1)^(2) at the defect w;
+    # the strict partitions of that content share one p-bar core, of bar
+    # weight w (Humphreys).
+    t, ell = parse_type("A%d^2" % (p - 1)), (p - 1) // 2
+    delta = [2] * ell + [1]
+    assert all(sum(f * c for f, c in zip(row, delta)) == 0
+               for row in spin_form(p))
+    count = 0
+    for n in range(21):
+        for gamma, (simples, strict) in _spin_classes(p, n).items():
+            w = spin_defect(gamma, p)
+            assert len(simples) == len(enumerate_basis(t, w)), (n, gamma)
+            cores = {p_bar_core(lam, p) for lam in strict}
+            assert len(cores) == 1 and n - sum(*cores) == p * w, (n, gamma)
+            count += 1
+    assert count == {3: 37, 5: 67, 7: 107}[p]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_spin_count_oracle_bites(p):
+    # With the two inequalities swapped, the count fails already at w = 1.
+    t, n = parse_type("A%d^2" % (p - 1)), p
+    counts = {spin_defect(gamma, p): len(simples) for gamma, (simples, _)
+              in _spin_classes(p, n, swapped=True).items()}
+    assert counts[1] != len(enumerate_basis(t, 1))

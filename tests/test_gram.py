@@ -22,8 +22,8 @@ from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponents)
 from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
 
-from oracles import (FormOracle, bilinear, identity, lambda_blocks, phi,
-                     q_block, tiled_q, transport_gram)
+from oracles import (FormOracle, bilinear, identity, lambda_blocks,
+                     p_witness, phi, q_block, tiled_q, transport_gram)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -314,15 +314,15 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     # type, every phi value that certifies M and N integral, every
     # level-table value, every lambda-block the walk yields, every pure
     # block, K'-diagonal value and weight that verify reads, and every
-    # coefficient and scale of the x-rows that verify reads is an int.
-    seen = []  # per case: engine, phi, {kind: values handed over}, x-rows
+    # coefficient and scale of the x-generators that verify reads (for P
+    # and for phi) is an int.
+    seen = []  # per case: engine, phi, {kind: values handed over}, generators
     _phi, _lambda_blocks = gram._phi, gram._lambda_blocks
-    _x_rows, k_prime = gram._x_rows, gram._k_prime
+    x_generator, k_prime = gram._x_generator, gram._k_prime
     pure_s, weight = FormEngine.pure_s, FormEngine.weight
 
     def recording_phi(engine, d):
-        kinds = {"blocks": [], "pure": [], "k": [], "w": []}
-        seen.append([engine, None, kinds, []])
+        seen[-1][0] = engine
         seen[-1][1] = _phi(engine, d)
         return seen[-1][1]
 
@@ -345,28 +345,29 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         seen[-1][2]["w"].append(weight(self, y))
         return seen[-1][2]["w"][-1]
 
-    def recording_x_rows(t, monos):
-        for row in _x_rows(t, monos):
-            seen[-1][3].append(row)
-            yield row
+    def recording_x_generator(t, n, i):
+        x, scale = x_generator(t, n, i)
+        seen[-1][3].append((x, scale))
+        return x, scale
 
     monkeypatch.setattr(gram, "_phi", recording_phi)
     monkeypatch.setattr(gram, "_lambda_blocks", recording_lambda_blocks)
     monkeypatch.setattr(FormEngine, "pure_s", recording_pure_s)
     monkeypatch.setattr(gram, "_k_prime", recording_k_prime)
     monkeypatch.setattr(FormEngine, "weight", recording_weight)
-    monkeypatch.setattr(gram, "_x_rows", recording_x_rows)
-    cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 1000, 12),
+    monkeypatch.setattr(gram, "_x_generator", recording_x_generator)
+    cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 500, 12),
              ("D4^3", 4, 20, 7), ("E6^2", 4, 100, 40))  # floors for counts
     for name, d, _, _ in cases:
+        seen.append([None, None, {"blocks": [], "pure": [], "k": [], "w": []},
+                     []])
         assert verify(parse_type(name), d).ok
-    assert len(seen) == len(cases)
-    for (engine, phis, handed, x_rows), case in zip(seen, cases):
+    for (engine, phis, handed, gens), case in zip(seen, cases):
         assert all(handed.values())
         handed = [v for kind in handed.values() for v in kind]
         values = [*(v for levels in engine._levels.values()
                     for _, table in levels for row in table for v in row),
-                  *(c for _, x, scale in x_rows for c in (*x.values(), scale))]
+                  *(c for x, scale in gens for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert len(phis) >= case[3]
         assert all(type(v) is int for v in handed + values)
@@ -881,18 +882,20 @@ def test_verify_keeps_no_dense_gram_matrix():
     assert peak < 3 * 2 ** 20  # 4.3-4.5 MB when verify kept M and N
 
 
-def test_verify_walks_the_x_rows_in_bounded_memory():
-    # D4^3 d=16 (dim 493): a memo of every prefix's expansion peaked at
-    # 9.3 MB here; the prefix chain keeps one expansion per level, 0.8 MB.
+def test_transition_matrices_walk_the_x_rows_in_bounded_memory():
+    # D4^3 d=16 (dim 493): dense P and Q with their Fraction entries peak at
+    # 9.4 MB here; a memo of every prefix's expansion took 17.6 MB, while
+    # the prefix chain keeps one expansion per level.
     t = parse_type("D4^3")
+    transition_matrices(t, 2)  # the generators' lru_cache, outside the peak
     tracemalloc.start()
     try:
-        rep = verify(t, 16)
+        P, _ = transition_matrices(t, 16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.ok and len(rep.basis) == 493
-    assert peak < 2 * 2 ** 20
+    assert P.nrows == 493
+    assert peak < 13 * 2 ** 20
 
 
 @pytest.mark.parametrize("name", ["E7^1", "E8^1"])
@@ -1159,41 +1162,76 @@ def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
     assert det_exact(gram_matrices(t, d, FormEngine(t, bad))[0]) == det_m
 
 
-@pytest.mark.parametrize("a, b", [(2, 2), (3, 0), (4, None)])
-def test_verify_names_a_non_unitriangular_p(monkeypatch, a, b):
-    # Row a of P becomes 2 x_a, or x_a + x_0, or loses its diagonal term:
-    # M stays integral, and with row a doubled even M = P Q P^-1 N holds
-    # while det M is 4x the value a certificate that trusted P would report.
-    # The rows are int coefficients over a scale, with their positions, as
-    # gram._x_rows yields them.
+def test_p_certificate_agrees_with_the_x_row_walk():
+    # verify certifies P from the generators and the shape order; the
+    # brute force expands every x-row and finds no entry off the unit upper
+    # triangle either.
+    cases = [*((name, d) for name, dmax in ROSTER_DEGREES.items()
+               for d in range(dmax + 1)),
+             *((name, d) for name in ("D4^3", "A2^2") for d in range(13))]
+    for name, d in cases:
+        t = parse_type(name)
+        assert p_witness(t, enumerate_basis(t, d)) is None, (name, d)
+        rep = verify(t, d)
+        assert rep.ok and rep.identity_ok, (name, d)
+
+
+def _planted(n0, i0, y, c):
+    """gram._x_generator with the term y of x_n0^(i0) set to c (dropped if
+    None), on a copy: the lru_cache hands every caller the same dict."""
+    x_generator = gram._x_generator
+
+    def planted(t, n, i):
+        x, scale = x_generator(t, n, i)
+        if (n, i) == (n0, i0):
+            x = {z: v for z, v in x.items() if z != y}
+            x.update({} if c is None else {y: c})
+        return x, scale
+    return planted
+
+
+@pytest.mark.parametrize("name, n, i, y, c, value, witness", [
+    ("A1^1", 2, 1, ((2, 1),), 3, "3/2", (2, 2)),        # x_2 = 3/2 y_2 + ...
+    ("A1^1", 2, 1, ((2, 1),), 4, "2", (2, 2)),          # x_2 = 2 y_2 + ...
+    ("A1^1", 2, 1, ((2, 1),), None, "0", (2, 2)),       # no y_2 in x_2
+    ("A2^1", 2, 2, ((2, 1),), 2, "1", (7, 6)),          # own shape (2)
+    ("A2^1", 2, 1, ((1, 2), (1, 2)), 2, "1", None),     # another color
+], ids=["leading", "doubled", "missing", "own-shape", "other-color"])
+def test_verify_names_a_non_unitriangular_p(monkeypatch, name, n, i, y, c,
+                                            value, witness):
+    # A planted generator fault is named as a fault in P, before phi, whose
+    # integrality rests on the same generators.  The x-row walk sees all
+    # but the last in P; a term of another color has a refined shape and
+    # sits above the diagonal, so only the certificate sees it.
+    t = parse_type(name)
+    monkeypatch.setattr(gram, "_x_generator", _planted(n, i, y, c))
+    rep = verify(t, 4)
+    assert not rep.ok and rep.det_M is None and not rep.identity_ok
+    assert rep.failures == ["P is not upper unitriangular: x_%d^(%d) holds "
+                            "%s with coefficient %s" % (n, i, y, value)]
+    assert p_witness(t, enumerate_basis(t, 4)) == witness
+    if c == 3:
+        # Checked after phi, the fault would be named as phi's division.
+        with pytest.raises(InternalCheckError, match="inexact division"):
+            gram._phi(FormEngine(t), 4)
+    if c == 4:
+        # Every phi stays an int, yet M has a non-integer entry: phi's
+        # integrality argument needs the true generators.
+        assert all(type(v) is int for v in gram._phi(FormEngine(t), 4).values())
+        with pytest.raises(InternalCheckError, match="non-integer Gram entry"):
+            gram_matrices(t, 4)
+
+
+def test_verify_names_a_basis_out_of_shape_order(monkeypatch):
+    # (1^4) moved to the front: x_(4) holds y_(1^4), now above it.
     basis = enumerate_basis(A1, 4)
-    x_rows = gram._x_rows
-
-    def broken(t, monos):
-        rows = {pos: (poly, scale) for pos, poly, scale in x_rows(t, monos)}
-        if monos == basis:
-            (poly, scale), mono = rows[a], basis[a]
-            if b is None:
-                poly = {m: c for m, c in poly.items() if m != mono}
-            else:
-                extra, den = rows[b]
-                poly = {m: poly.get(m, 0) * den + extra.get(m, 0) * scale
-                        for m in {**poly, **extra}}
-                scale *= den
-            rows[a] = poly, scale
-        return ((pos, *row) for pos, row in rows.items())
-
-    monkeypatch.setattr(gram, "_x_rows", broken)
+    shuffled = basis[-1:] + basis[:-1]
+    monkeypatch.setattr(gram, "enumerate_basis", lambda t, d: shuffled)
     rep = verify(A1, 4)
     assert not rep.ok and rep.det_M is None and not rep.identity_ok
-    c, entry = (a, 0) if b is None else (b, 2 if a == b else 1)
-    assert rep.failures == ["P is not upper unitriangular: P[%d][%d] = %s at "
-                            "(%s, %s)" % (a, c, entry, basis[a], basis[c])]
-    if a == b:
-        M, N = gram_matrices(A1, 4)
-        P, Q = transition_matrices(A1, 4)
-        assert M == P @ Q @ invert(P) @ N
-        assert det_exact(M) == 4 * rep.predicted_det
+    assert rep.failures == ["P is not upper unitriangular: basis[1] has "
+                            "shape (4,) after (1, 1, 1, 1)"]
+    assert p_witness(A1, shuffled) == (1, 0)
 
 
 def test_verify_catches_corrupted_gram():
