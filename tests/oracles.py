@@ -340,14 +340,16 @@ def restricted_p_strict(n: int, p: int, swapped: bool = False) -> list:
     """The restricted p-strict partitions of n: a part repeats only if p
     divides it, and lam_k - lam_(k+1) < p where p | lam_k, <= p elsewhere,
     with lam_(h+1) = 0.  ``swapped`` exchanges the two inequalities."""
-    out = []
-    for lam in enumerate_partitions(n):
-        rows = lam + (0,)
-        if all((lam[k] % p == 0 or lam[k] != rows[k + 1])
-               and rows[k] - rows[k + 1] < p + ((lam[k] % p != 0) != swapped)
-               for k in range(len(lam))):
-            out.append(lam)
-    return out
+    def restricted(lam, k):
+        gap = lam[k] - (lam[k + 1] if k + 1 < len(lam) else 0)
+        if (lam[k] % p == 0) != swapped:
+            return gap < p
+        return gap <= p
+
+    return [lam for lam in enumerate_partitions(n)
+            if all(lam[k] % p == 0 or lam[k] not in lam[k + 1:k + 2]
+                   for k in range(len(lam)))
+            and all(restricted(lam, k) for k in range(len(lam)))]
 
 
 def spin_form(p: int) -> List[List[int]]:
