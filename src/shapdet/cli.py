@@ -4,7 +4,7 @@ Every command emits a stable envelope: the echoed command, its
 parameters, a result payload, a list of expected-vs-computed checks and
 the elapsed time.  Formats: plain (default), json, csv (series and
 exponent tables only).  Exit codes: 0 success, 1 verification mismatch,
-2 invalid input.
+2 invalid input or work too large for memory.
 """
 
 from __future__ import annotations
@@ -67,9 +67,7 @@ def _root_data(t, fixture: dict) -> ExactMatrix:
 
 
 def _matrix_payload(m) -> list | None:
-    if m is None:
-        return None
-    return [[str(x) for x in row] for row in m.rows]
+    return None if m is None else [[str(x) for x in row] for row in m.rows]
 
 
 class Envelope:
@@ -235,12 +233,9 @@ def _cmd_series(args) -> Envelope:
 def _cmd_gram(args) -> Envelope:
     if args.d is not None and args.d < 0:
         raise SystemExit("-d must be >= 0, got %d" % args.d)
-    if args.roster:
-        cap = args.d
-        jobs = []
-        for name, dmax in ROSTER_DEGREES.items():
-            top = dmax if cap is None else min(cap, dmax)
-            jobs.extend((name, d) for d in range(top + 1))
+    if args.roster:  # each type up to its roster degree, capped by -d
+        jobs = [(name, d) for name, top in ROSTER_DEGREES.items()
+                for d in range(min(top, top if args.d is None else args.d) + 1)]
     else:
         if args.type is None or args.d is None:
             raise SystemExit("gram needs a type and -d, or --roster")
@@ -394,6 +389,9 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:  # a failed check outside verify's report
         print("error: internal check failed: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:  # oversized work, not a mismatch
+        print("error: out of memory: the work is too large", file=sys.stderr)
+        return 2
     if args.out:
         try:
             with open(args.out, "w") as fh:

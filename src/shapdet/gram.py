@@ -21,28 +21,27 @@ block-diagonal by the part-size shape lambda, each block the Kronecker
 product of pure blocks G_(n^m), on which alone the S-recursion runs, as
 level tables of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
 factors of y: ints wherever A^(n) is, as for every built-in type.  The
-x-expansions are int coefficients over prod (n / d_i)!; verify certifies P
-from the generators and holds one lambda-block at a time, and only the
-printing paths walk the x-rows.  The all-pairs memo recursion, the
-transport sum over phi, the x-row walk for P and the full-matrix Bareiss
-and P Q P^-1 N are the tests' oracles (tests/oracles.py).
+x-expansions are int coefficients over prod (n / d_i)!; verify checks each
+generator for P as phi reads it, keeps none, holds one lambda-block at a
+time, and leaves the x-rows to the printing paths.  The all-pairs memo
+recursion, the transport sum over phi, the x-row walk for P and the
+full-matrix Bareiss and P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, pairwise, product
 from math import factorial, gcd, prod
 from typing import Dict, List, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
                     as_integer, det_exact)
-from .partitions import (ColoredPartition, enumerate_basis,
-                         enumerate_partitions, exponent_totals, multiplicities,
-                         _runs)
+from .partitions import (ColoredPartition, enumerate_basis, exponent_totals,
+                         multiplicities, _gen_runs, _runs)
 from .roots import AffineType, a_matrix, finite_root_data, index_set
 
 Monomial = ColoredPartition
@@ -67,19 +66,21 @@ def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
     return out
 
 
-@lru_cache(maxsize=None)
+def _colored(runs, di: int, i: int) -> Monomial:
+    """The color-i monomial of d_i times the partition with these runs."""
+    return sum((((k * di, i),) * r for k, r in runs), ())
+
+
 def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
-    """({y: int}, m!) with m = n / d_i: x_n^(i) is the sum over partitions
-    (1^k1 2^k2 ...) of m of prod_j (y_{j d_i}^(i))^{k_j} / k_j!, and each
-    m! / prod_j k_j! is an int."""
+    """({y: int}, m!) with m = n / d_i, built afresh: x_n^(i) is the sum over
+    partitions (1^k1 2^k2 ...) of m of prod_j (y_{j d_i}^(i))^{k_j} / k_j!,
+    and each m! / prod_j k_j! is an int."""
     di = finite_root_data(t).d[i]
     if n % di:
         raise ValueError("color %d requires parts divisible by %d" % (i, di))
-    m, out = n // di, {}
-    for lam in enumerate_partitions(m):
-        out[tuple((j * di, i) for j in lam)] = factorial(m) // prod(
-            factorial(kj) for _, kj in _runs(lam))
-    return out, factorial(m)
+    m = n // di
+    return {_colored(runs, di, i): factorial(m) // prod(
+        factorial(r) for _, r in runs) for runs in _gen_runs(m)}, factorial(m)
 
 
 def _x_rows(t: AffineType, monos):
@@ -87,14 +88,17 @@ def _x_rows(t: AffineType, monos):
     monomial of monos as int coefficients over scale, for x_in_y,
     transition_matrices and gram_matrices.  The walk runs in lexicographic
     order along one chain: each prefix is expanded once, from its parent
-    times one generator, and at most len(mono) + 1 expansions are alive."""
+    times one generator, and at most len(mono) + 1 expansions are alive,
+    with the generators the walk needs, each built once for it."""
+    order = sorted(enumerate(monos), key=lambda item: item[1])
+    gens = {f: _x_generator(t, *f) for f in {f for _, m in order for f in m}}
     chain = [((), {(): 1}, 1)]
-    for pos, mono in sorted(enumerate(monos), key=lambda item: item[1]):
+    for pos, mono in order:
         while mono[:len(chain[-1][0])] != chain[-1][0]:
             chain.pop()
         for k in range(len(chain), len(mono) + 1):
             _, poly, scale = chain[-1]
-            gen, den = _x_generator(t, *mono[k - 1])
+            gen, den = gens[mono[k - 1]]
             chain.append((mono[:k], poly_mul(poly, gen), scale * den))
         yield pos, chain[-1][1], chain[-1][2]
 
@@ -105,24 +109,6 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
     item = (item,) if item and isinstance(item[0], int) else tuple(item)
     (_, poly, scale), = _x_rows(t, [item])
     return {y: Fraction(c, scale) for y, c in poly.items()}
-
-
-def _check_p(t: AffineType, d: int, basis) -> None:
-    """Raise InternalCheckError at the first failure of (a) or (b) in verify."""
-    for n, i in ((n, i) for n in range(1, d + 1) for i in index_set(t, n)):
-        (x, scale), di = _x_generator(t, n, i), finite_root_data(t).d[i]
-        lead, ok = ((n, i),), {tuple((k * di, i) for k in lam)
-                               for lam in enumerate_partitions(n // di)}
-        for y, c in [(lead, x.get(lead, 0)), *x.items()]:
-            if c != scale if y == lead else c and y not in ok:
-                raise InternalCheckError(
-                    "P is not upper unitriangular: x_%d^(%d) holds %s with "
-                    "coefficient %s" % (n, i, y, Fraction(c, scale)))
-    shapes = (tuple(k for k, _ in y) for y in basis)
-    for a, (prev, shape) in enumerate(pairwise(shapes), 1):
-        if shape > prev:
-            raise InternalCheckError("P is not upper unitriangular: basis[%d] "
-                                     "has shape %s after %s" % (a, shape, prev))
 
 
 class FormEngine:
@@ -289,30 +275,39 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
 
 
 def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
-    """{(n, i, j): phi_ij(n)} for 1 <= n <= d and every ordered pair i, j of
-    I(n), where phi_ij(n) = (x_n^(i), x_n^(j))_S pairs two single
-    generators.  x_n^(i) is sum_y c_y y / m! over color-i monomials y
-    (_x_generator), and y pairs only with y', the color-j monomial of its
-    part shape, to S'(y, y') / w(y), which is the product over the runs
-    k^m of y of S'_(k^m)[(k, i)^m][(k, j)^m] (pure_s) over w(y)."""
-    t, out = engine.type, {}
+    """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n),
+    reading each x_n^(i) once and checking (a) of verify before it enters
+    phi.  Its terms y come from the runs (k, r) of the partitions of
+    n / d_i, so w(y) = prod k^r, and y pairs only with the color-j y' of its
+    shape, to S'(y, y') / w(y) = prod over the runs of
+    S'_(K^r)[(K, i)^r][(K, j)^r] (K = k d_i, each read once) over w(y)."""
+    t, out, entry = engine.type, {}, {}  # entry: (K, r, i, j): S' entry
     for n in range(1, d + 1):
-        gens = {}  # i: ({shape of y: (runs, c_y / w(y), c_y)}, m!)
+        gens = {}  # i: ({runs of y in part sizes: (c_y / w(y), c_y)}, m!)
         for i in index_set(t, n):
-            x, scale = _x_generator(t, n, i)
-            gens[i] = {tuple(k for k, _ in y): (
-                _runs(tuple(k for k, _ in y)), _exact_div(c, engine.weight(y)),
-                c) for y, c in x.items()}, scale
+            (x, scale), di = _x_generator(t, n, i), engine._d[i]
+            rest, lead = dict(x), ((n, i),)  # rest: x less what (a) allows
+            found = [(runs, rest.pop(_colored(runs, di, i), 0))
+                     for runs in _gen_runs(n // di)]  # (n / d_i) first: lead
+            for y, c in [(lead, found[0][1]), *rest.items()]:
+                if c != scale if y == lead else c:
+                    raise InternalCheckError(
+                        "P is not upper unitriangular: x_%d^(%d) holds %s "
+                        "with coefficient %s" % (n, i, y, Fraction(c, scale)))
+            gens[i] = {tuple((k * di, r) for k, r in runs): (
+                _exact_div(c, prod(k ** r for k, r in runs)), c)
+                for runs, c in found if c}, scale
         for (i, (xi, si)), (j, (xj, sj)) in product(gens.items(), repeat=2):
             total = 0
-            for shape, (runs, cw, _) in xi.items():
-                hit = xj.get(shape)
-                if hit:
-                    v = cw * hit[2]
-                    for k, m in runs:
-                        at, S = engine.pure_s(k, m)
-                        v = v * S[at[((k, i),) * m]][at[((k, j),) * m]]
-                    total = total + v
+            for runs in xi.keys() & xj.keys():  # y and y' of one part shape
+                v = xi[runs][0] * xj[runs][1]
+                for k, r in runs:
+                    if (k, r, i, j) not in entry:
+                        at, S = engine.pure_s(k, r)
+                        entry[k, r, i, j] = S[at[((k, i),) * r]][
+                            at[((k, j),) * r]]
+                    v = v * entry[k, r, i, j]
+                total = total + v
             out[n, i, j] = _field_div(total, si * sj)
     return out
 
@@ -333,11 +328,11 @@ def _certificate(engine: FormEngine, blocks, index):
     det M = prod_lambda det S'_lambda / prod_y w(y), where
     det S'_lambda = prod_n det(S'_(n^m))^(dim S'_lambda / dim S'_(n^m)) over
     the runs n^m of lambda, by _pure_det once per pure block; else doubt
-    says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  The
-    products run over the monomials y of the blocks, and neither det is yet
-    checked to be an integer."""
+    says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  Each
+    product is tallied as a power of each distinct factor, taken at the end;
+    neither det is yet checked to be an integer."""
     dets = {}  # run n^m: (det S'_(n^m), dim S'_(n^m))
-    witness, det_m, det_n, w_all, doubt = None, 1, 1, 1, None
+    witness, doubt, tally = None, None, {k: Counter() for k in "MNw"}
     for ys, s in blocks:
         cols = [index[z] for z in ys]
         at = {z: c for c, z in enumerate(ys)}
@@ -356,15 +351,17 @@ def _certificate(engine: FormEngine, blocks, index):
             if bad:
                 witness = cols[r], min(bad)
                 break
-        det_n *= prod(ks)
-        w_all *= prod(ws)
+        tally["N"].update(ks)
+        tally["w"].update(ws)
         if doubt is None and h != [list(col) for col in zip(*h)]:
             doubt = "G_y is not symmetric, so M != P G_y P^T"
         for run in () if doubt else _runs(tuple(n for n, _ in ys[0])):
             if run not in dets:
                 rows, S = engine.pure_s(*run)
                 dets[run] = _pure_det(S), len(rows)
-            det_m = det_m * dets[run][0] ** (len(ys) // dets[run][1])
+            tally["M"][dets[run][0]] += len(ys) // dets[run][1]
+    det_m, det_n, w_all = (prod(v ** e for v, e in tally[k].items())
+                           for k in "MNw")
     return (witness, None if doubt else _field_div(det_m, w_all),
             _field_div(det_n, w_all), doubt)
 
@@ -432,8 +429,8 @@ def verify(t: AffineType, d: int,
     x_lambda = prod_k x_(n_k)^(i_k) picks one term per factor: the leading
     ones give y_lambda with coefficient 1, and any other pick splits a part,
     so its shape strictly refines lambda's, is lexicographically smaller
-    and by (b) sits strictly later.  _check_p checks (a) and (b) first, from
-    the type alone: the argument for M below rests on the same generators.
+    and by (b) sits strictly later.  (b) comes first; _phi checks (a) on each
+    generator before reading it, as the argument for M rests on them.
 
     M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S with
     n <= d is an int (_phi, from the pipeline's own x-generators and pure
@@ -461,8 +458,13 @@ def verify(t: AffineType, d: int,
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
     engine, basis = FormEngine(t, gram), report.basis
+    shapes = (tuple(n for n, _ in y) for y in basis)
     try:
-        _check_p(t, d, basis)
+        for a, (prev, shape) in enumerate(pairwise(shapes), 1):
+            if shape > prev:
+                raise InternalCheckError("P is not upper unitriangular: basis"
+                                         "[%d] has shape %s after %s"
+                                         % (a, shape, prev))
         if any(type(v) is not int for v in _phi(engine, d).values()):
             gram_matrices(t, d, engine)
     except InternalCheckError as exc:

@@ -263,6 +263,23 @@ def test_stray_internal_check_error_exits_1_with_one_line(capsys, monkeypatch):
     assert captured.out == ""
 
 
+def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
+    # Work too large for memory is refused like oversized input, with exit
+    # 2, not reported as a verification mismatch, and --out stays as it was.
+    def exhausted(t, d, gram=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify", exhausted)
+    target = tmp_path / "keep.json"
+    target.write_text('{"kept": true}\n')
+    assert main(["gram", "A1^1", "-d", "2", "--check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory: the work is too large\n"
+    assert captured.out == ""
+    assert main(["gram", "A1^1", "-d", "2", "--out", str(target)]) == 2
+    assert target.read_text() == '{"kept": true}\n'
+
+
 SERIES_A4_2_PLAIN = """\
 a(q) coefficients 0..6: [0, 0, 1, 2, 7, 14, 32]
 b(q) coefficients 0..6: [0, 1, 3, 9, 20, 44, 87]

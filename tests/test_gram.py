@@ -314,8 +314,8 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     # type, every phi value that certifies M and N integral, every
     # level-table value, every lambda-block the walk yields, every pure
     # block, K'-diagonal value and weight that verify reads, and every
-    # coefficient and scale of the x-generators that verify reads (for P
-    # and for phi) is an int.
+    # coefficient and scale of the x-generators that verify reads (once
+    # each, in phi's pass, which also checks P) is an int.
     seen = []  # per case: engine, phi, {kind: values handed over}, generators
     _phi, _lambda_blocks = gram._phi, gram._lambda_blocks
     x_generator, k_prime = gram._x_generator, gram._k_prime
@@ -356,7 +356,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     monkeypatch.setattr(gram, "_k_prime", recording_k_prime)
     monkeypatch.setattr(FormEngine, "weight", recording_weight)
     monkeypatch.setattr(gram, "_x_generator", recording_x_generator)
-    cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 500, 12),
+    cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 300, 12),
              ("D4^3", 4, 20, 7), ("E6^2", 4, 100, 40))  # floors for counts
     for name, d, _, _ in cases:
         seen.append([None, None, {"blocks": [], "pure": [], "k": [], "w": []},
@@ -887,7 +887,7 @@ def test_transition_matrices_walk_the_x_rows_in_bounded_memory():
     # 9.4 MB here; a memo of every prefix's expansion took 17.6 MB, while
     # the prefix chain keeps one expansion per level.
     t = parse_type("D4^3")
-    transition_matrices(t, 2)  # the generators' lru_cache, outside the peak
+    transition_matrices(t, 2)  # the root data's caches, outside the peak
     tracemalloc.start()
     try:
         P, _ = transition_matrices(t, 16)
@@ -1178,13 +1178,13 @@ def test_p_certificate_agrees_with_the_x_row_walk():
 
 def _planted(n0, i0, y, c):
     """gram._x_generator with the term y of x_n0^(i0) set to c (dropped if
-    None), on a copy: the lru_cache hands every caller the same dict."""
+    None); each call builds a fresh dict, so the fault stays in the call."""
     x_generator = gram._x_generator
 
     def planted(t, n, i):
         x, scale = x_generator(t, n, i)
         if (n, i) == (n0, i0):
-            x = {z: v for z, v in x.items() if z != y}
+            x.pop(y, None)
             x.update({} if c is None else {y: c})
         return x, scale
     return planted
@@ -1199,10 +1199,11 @@ def _planted(n0, i0, y, c):
 ], ids=["leading", "doubled", "missing", "own-shape", "other-color"])
 def test_verify_names_a_non_unitriangular_p(monkeypatch, name, n, i, y, c,
                                             value, witness):
-    # A planted generator fault is named as a fault in P, before phi, whose
-    # integrality rests on the same generators.  The x-row walk sees all
-    # but the last in P; a term of another color has a refined shape and
-    # sits above the diagonal, so only the certificate sees it.
+    # A planted generator fault is named as a fault in P by phi's pass,
+    # before phi reads the generator: phi's integrality rests on the same
+    # generators.  The x-row walk sees all but the last in P; a term of
+    # another color has a refined shape and sits above the diagonal, so
+    # only the certificate sees it.
     t = parse_type(name)
     monkeypatch.setattr(gram, "_x_generator", _planted(n, i, y, c))
     rep = verify(t, 4)
@@ -1210,16 +1211,51 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, name, n, i, y, c,
     assert rep.failures == ["P is not upper unitriangular: x_%d^(%d) holds "
                             "%s with coefficient %s" % (n, i, y, value)]
     assert p_witness(t, enumerate_basis(t, 4)) == witness
-    if c == 3:
-        # Checked after phi, the fault would be named as phi's division.
-        with pytest.raises(InternalCheckError, match="inexact division"):
+    if c in (3, 4):
+        # phi itself names the fault in P.  Read unchecked, c = 3 would end
+        # in an inexact division and c = 4 in an all-int phi.
+        with pytest.raises(InternalCheckError, match="^P is not upper "
+                           "unitriangular: x_2"):
             gram._phi(FormEngine(t), 4)
     if c == 4:
-        # Every phi stays an int, yet M has a non-integer entry: phi's
-        # integrality argument needs the true generators.
-        assert all(type(v) is int for v in gram._phi(FormEngine(t), 4).values())
+        # Yet M has a non-integer entry: phi's integrality argument needs
+        # the true generators.
         with pytest.raises(InternalCheckError, match="non-integer Gram entry"):
             gram_matrices(t, 4)
+
+
+@pytest.mark.parametrize("name, d", [("A2^2", 12), ("D4^3", 12), ("E6^2", 4)])
+def test_verify_reads_each_x_generator_once(monkeypatch, name, d):
+    # One pass checks each generator for P and reads it into phi: one build
+    # per x_n^(i), n <= d, i in I(n), and none for the x-rows.
+    calls = []
+    x_generator = gram._x_generator
+
+    def counting(t, n, i):
+        calls.append((n, i))
+        return x_generator(t, n, i)
+
+    monkeypatch.setattr(gram, "_x_generator", counting)
+    t = parse_type(name)
+    assert verify(t, d).ok
+    assert sorted(calls) == sorted((n, i) for n in range(1, d + 1)
+                                   for i in index_set(t, n))
+
+
+def test_verify_keeps_no_x_generator():
+    # Nothing of the generators outlives verify: with a process-wide cache
+    # of them, verify(A2^2, 24) left about 7 MB allocated, against 1.0 MB
+    # without.  The basis, which enumerate_basis caches, is built first.
+    t = parse_type("A2^2")
+    enumerate_basis(t, 24)
+    tracemalloc.start()
+    try:
+        rep = verify(t, 24)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and len(rep.basis) == 1575
+    assert kept < 2 * 2 ** 20
 
 
 def test_verify_names_a_basis_out_of_shape_order(monkeypatch):
