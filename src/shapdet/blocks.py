@@ -85,19 +85,16 @@ def enumerate_blocks(n: int, p: int) -> List[BlockRecord]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    groups: dict = {}
-    order = []
+    groups: dict = {}  # core: [weight, count], in order of first appearance
     for lam in enumerate_partitions(n):
         core, weight = p_core(lam, p)
         if core not in groups:
             groups[core] = [weight, 0]
-            order.append(core)
         elif groups[core][0] != weight:
             raise InternalCheckError("same core, different weights")
         groups[core][1] += 1
     out = []
-    for core in order:
-        weight, count = groups[core]
+    for core, (weight, count) in groups.items():
         exponent = cartan_exponent(p, weight)
         out.append(BlockRecord(n, p, core, weight, count, exponent,
                                p ** exponent))

@@ -24,7 +24,7 @@ factors of y: ints wherever A^(n) is, as for every built-in type.  The
 x-expansions are int coefficients over prod (n / d_i)!; verify checks each
 generator for P as phi reads it, keeps none, holds one lambda-block at a
 time, and leaves the x-rows to the printing paths.  The all-pairs memo
-recursion, the transport sum over phi, the x-row walk for P and the
+recursion, the transport sum over phi, the x-rows for P and the
 full-matrix Bareiss and P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
@@ -84,30 +84,24 @@ def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
 
 
 def _x_rows(t: AffineType, monos):
-    """Yield (position, coefficients, scale), the x_in_y expansion of each
-    monomial of monos as int coefficients over scale, for x_in_y,
-    transition_matrices and gram_matrices.  The walk runs in lexicographic
-    order along one chain: each prefix is expanded once, from its parent
-    times one generator, and at most len(mono) + 1 expansions are alive,
-    with the generators the walk needs, each built once for it."""
-    order = sorted(enumerate(monos), key=lambda item: item[1])
-    gens = {f: _x_generator(t, *f) for f in {f for _, m in order for f in m}}
-    chain = [((), {(): 1}, 1)]
-    for pos, mono in order:
-        while mono[:len(chain[-1][0])] != chain[-1][0]:
-            chain.pop()
-        for k in range(len(chain), len(mono) + 1):
-            _, poly, scale = chain[-1]
-            gen, den = gens[mono[k - 1]]
-            chain.append((mono[:k], poly_mul(poly, gen), scale * den))
-        yield pos, chain[-1][1], chain[-1][2]
+    """Yield (coefficients, scale) for each monomial of monos, in order: its
+    x_in_y expansion as int coefficients over scale, the product of its
+    generators in order, each built once per call.  Only the printing paths
+    read the x-rows (x_in_y, transition_matrices, gram_matrices); verify
+    checks P on the generators alone (_phi)."""
+    gens = {f: _x_generator(t, *f) for f in {f for m in monos for f in m}}
+    for mono in monos:
+        poly, scale = {(): 1}, 1
+        for f in mono:
+            poly, scale = poly_mul(poly, gens[f][0]), scale * gens[f][1]
+        yield poly, scale
 
 
 def x_in_y(t: AffineType, item) -> BPolynomial:
     """The y-expansion, with Fraction coefficients, of a single
     x-generator (n, i) or a whole colored partition."""
     item = (item,) if item and isinstance(item[0], int) else tuple(item)
-    (_, poly, scale), = _x_rows(t, [item])
+    (poly, scale), = _x_rows(t, [item])
     return {y: Fraction(c, scale) for y, c in poly.items()}
 
 
@@ -190,7 +184,7 @@ def transition_matrices(t: AffineType, d: int,
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
     P, Q = ([[0] * len(basis) for _ in basis] for _ in "PQ")
-    for a, x, scale in _x_rows(t, basis):
+    for a, (x, scale) in enumerate(_x_rows(t, basis)):
         for target, coeff in x.items():
             P[a][index[target]] = Fraction(coeff, scale)
         for target, coeff in engine.z_in_y(basis[a]).items():
@@ -235,7 +229,7 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
     # Contract over the integers, as M = (P W^-1) S'_y P^T and N likewise:
     # row b of P is the int vector p_rows[b] over scale[b], and w(y)
     # divides every coefficient of y in it.
-    _, p_rows, scale = zip(*sorted(_x_rows(t, basis)))  # by position b
+    p_rows, scale = zip(*_x_rows(t, basis))
     g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]  # nonzero S'(y, z)
               for ys, g in _lambda_blocks(engine, basis)
               for y, row in zip(ys, g)}

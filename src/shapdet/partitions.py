@@ -89,21 +89,11 @@ def _run_exponents(t: AffineType, runs) -> Tuple[int, int]:
         else:
             prod *= comb(t.k + m - 1, m)
             s_ndiv += m
-    if s_div:
-        num = prod * s_div
-        if num % t.ell:
-            raise InternalCheckError("a_lam is not integral for %s, %s" % (t, runs))
-        a = num // t.ell
-    else:
-        a = 0
-    if s_ndiv:
-        num = prod * s_ndiv
-        if num % t.k:
-            raise InternalCheckError("b_lam is not integral for %s, %s" % (t, runs))
-        b = num // t.k
-    else:
-        b = 0
-    return a, b
+    a, b = prod * s_div, prod * s_ndiv  # a_lam * ell and b_lam * k
+    if a % t.ell or b and b % t.k:
+        raise InternalCheckError("%s_lam is not integral for %s, %s"
+                                 % ("a" if a % t.ell else "b", t, runs))
+    return a // t.ell, b and b // t.k
 
 
 def exponent_totals(t: AffineType, d: int) -> Tuple[int, int]:

@@ -167,18 +167,14 @@ def _diagram(t: AffineType):
 
 
 def _orbits(nodes, mu):
-    seen = set()
     orbits = []
-    for i in nodes:
-        if i in seen:
-            continue
-        orbit = [i]
-        j = mu[i]
+    for i in nodes:  # each orbit once, from its least node
+        orbit, j = [i], mu[i]
         while j != i:
             orbit.append(j)
             j = mu[j]
-        seen.update(orbit)
-        orbits.append(tuple(sorted(orbit)))
+        if i == min(orbit):
+            orbits.append(tuple(sorted(orbit)))
     return tuple(orbits)
 
 

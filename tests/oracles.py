@@ -306,7 +306,7 @@ def p_witness(t: AffineType, basis):
     outside basis counts as b = -1: P is then not square on basis."""
     index = {y: a for a, y in enumerate(basis)}
     off = []
-    for a, x, scale in gram._x_rows(t, basis):  # in lexicographic order
+    for a, (x, scale) in enumerate(gram._x_rows(t, basis)):
         bad = [index.get(z, -1) for z, c in x.items() if c]
         bad = [b for b in bad if b < a]
         bad += [a] if x.get(basis[a], 0) != scale else []

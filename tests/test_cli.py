@@ -221,11 +221,22 @@ GRAM_A1 = ["gram", "A1^1", "-d", "2", "--root-data", "{fixture}"]
     (None, ["info"]),
     (None, ["gram", "A1^1", "--roster", "-d", "1"]),
     (None, ["detA", "A1^1", "--n", "2", "--format", "csv"]),
+    (None, ["detA", "A1^1", "--n", "-1"]),
+    (None, ["exponents", "A1^1", "-d", "-1"]),
+    (None, ["blocks", "--n", "-1", "--p", "2"]),
+    (None, ["blocks", "--n", "4", "--p", "1"]),
+    (None, ["gram", "A1^1", "-d", "-1"]),
+    (None, ["series", "-p", "4", "--spin"]),
+    (None, ["series", "-p", "1"]),
+    (None, ["info", "E8^2"]),
 ], ids=["missing-file", "json-list", "not-json", "wrong-size", "ragged",
         "non-int", "bool", "unwritable-out", "negative-max-degree",
         "roster-negative-degree", "deta-roster-n", "series-type-spin",
         "misspelled-gram-key", "no-gram-key", "missing-type",
-        "roster-and-type", "csv-outside-tables"])
+        "roster-and-type", "csv-outside-tables", "deta-negative-n",
+        "exponents-negative-degree", "blocks-negative-n", "blocks-p-1",
+        "gram-negative-degree", "series-spin-even-p", "series-p-1",
+        "unsupported-type"])
 def test_invalid_input_exits_2_with_one_line(capsys, tmp_path, fixture, argv):
     path = tmp_path / "fixture.json"
     if fixture is not None:

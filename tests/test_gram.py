@@ -111,39 +111,32 @@ def _shuffled_bases():
         yield t, basis, rng.sample(basis, len(basis))
 
 
-def test_x_rows_yield_each_row_at_its_position_in_any_order():
-    # Walked along one prefix chain, each row equals the monomial's own
-    # expansion from scratch (x_in_y), whatever the order of the input.
+def test_x_rows_come_back_in_the_input_order():
+    # One row per monomial, in the order given, each equal to the
+    # monomial's own expansion (x_in_y).
     for t, basis, shuffled in _shuffled_bases():
-        got = {shuffled[a]: (x, scale) for a, x, scale in
-               gram._x_rows(t, shuffled)}
-        assert got == {basis[a]: (x, scale) for a, x, scale in
-                       gram._x_rows(t, basis)}
-        assert sorted(a for a, _, _ in gram._x_rows(t, shuffled)) == list(
-            range(len(basis)))
-        for mono in basis[::7]:
-            x, scale = got[mono]
+        rows = list(gram._x_rows(t, shuffled))
+        assert len(rows) == len(shuffled)
+        for mono, (x, scale) in zip(shuffled, rows):
             assert {y: Fraction(c, scale) for y, c in x.items()} == x_in_y(
                 t, mono)
 
 
-def test_x_rows_multiply_once_per_prefix(monkeypatch):
-    # The memo's work and no more: one generator product per distinct
-    # non-empty prefix of the monomials, in any input order.
+def test_x_rows_build_each_generator_once(monkeypatch):
+    # One _x_rows call builds each distinct generator of its monomials
+    # once, however many monomials share it.
     calls = []
-    poly_mul = gram.poly_mul
+    x_generator = gram._x_generator
 
-    def counting(p1, p2):
-        calls.append(1)
-        return poly_mul(p1, p2)
+    def counting(t, n, i):
+        calls.append((n, i))
+        return x_generator(t, n, i)
 
-    monkeypatch.setattr(gram, "poly_mul", counting)
+    monkeypatch.setattr(gram, "_x_generator", counting)
     for t, basis, shuffled in _shuffled_bases():
         calls.clear()
         assert len(list(gram._x_rows(t, shuffled))) == len(basis)
-        prefixes = {mono[:k] for mono in basis
-                    for k in range(1, len(mono) + 1)}
-        assert len(calls) == len(prefixes) > len(basis) // 2
+        assert sorted(calls) == sorted({f for mono in basis for f in mono})
 
 
 # ---------------------------------------------------------------------------
@@ -668,6 +661,24 @@ def test_non_integer_k_value_failure_text(monkeypatch):
                               "got 1/2")
 
 
+def test_det_n_other_than_1_failure_text(monkeypatch):
+    # A planted (y, y)_K = 2 on ((1, 1),) at A1^1 d=1, where w = 1: det N
+    # comes out an integer but not 1, and G_y = Q K_y fails at that entry.
+    # det M = 2 is certified from the pure blocks all the same.
+    k_prime = gram._k_prime
+
+    def planted(y):
+        return 2 if y == ((1, 1),) else k_prime(y)
+
+    monkeypatch.setattr(gram, "_k_prime", planted)
+    rep = verify(A1, 1)
+    assert rep.det_N == 2 and rep.det_M == 2 and not rep.identity_ok
+    assert rep.failures == [
+        "det N = 2, expected 1",
+        "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (((1, 1),), "
+        "((1, 1),)) in lambda-block (1,)"]
+
+
 def test_gram_a1_degree2():
     M, N = gram_matrices(A1, 2)
     assert M == ExactMatrix([[3, 4], [4, 8]])
@@ -884,8 +895,8 @@ def test_verify_keeps_no_dense_gram_matrix():
 
 def test_transition_matrices_walk_the_x_rows_in_bounded_memory():
     # D4^3 d=16 (dim 493): dense P and Q with their Fraction entries peak at
-    # 9.4 MB here; a memo of every prefix's expansion took 17.6 MB, while
-    # the prefix chain keeps one expansion per level.
+    # 8.7-9.4 MB here, each x-row dropped once P holds it; a memo of every
+    # prefix's expansion took 17.6 MB.
     t = parse_type("D4^3")
     transition_matrices(t, 2)  # the root data's caches, outside the peak
     tracemalloc.start()
@@ -1201,7 +1212,7 @@ def test_verify_names_a_non_unitriangular_p(monkeypatch, name, n, i, y, c,
                                             value, witness):
     # A planted generator fault is named as a fault in P by phi's pass,
     # before phi reads the generator: phi's integrality rests on the same
-    # generators.  The x-row walk sees all but the last in P; a term of
+    # generators.  The x-rows show all but the last in P; a term of
     # another color has a refined shape and sits above the diagonal, so
     # only the certificate sees it.
     t = parse_type(name)

@@ -1,5 +1,7 @@
 import pytest
 
+from shapdet import partitions
+from shapdet.exact import InternalCheckError
 from shapdet.partitions import (enumerate_basis, enumerate_partitions,
                                 exponent_totals, exponents, multiplicities)
 from shapdet.roots import ROSTER, parse_type
@@ -124,3 +126,17 @@ def test_basis_canonical_shape():
                         assert c1 <= c2
                 assert mono not in seen
                 seen.add(mono)
+
+
+@pytest.mark.parametrize("name, lam, text", [
+    ("A2^1", (1,), "a_lam is not integral for A2^1, ((1, 1),)"),
+    ("A5^2", (1,), "b_lam is not integral for A5^2, ((1, 1),)"),
+])
+def test_exponents_assert_both_halves_integral(monkeypatch, name, lam, text):
+    # With every binomial read as 1, a_lam = s / ell and b_lam = s / k
+    # over one part: ell = 2 for A2^1 (untwisted, all in the a-half) and
+    # k = 2 for A5^2 on a part of size 1 (odd, so in the b-half).
+    monkeypatch.setattr(partitions, "comb", lambda n, k: 1)
+    with pytest.raises(InternalCheckError) as exc:
+        exponents(parse_type(name), lam)
+    assert str(exc.value) == text
