@@ -248,12 +248,12 @@ def _cmd_gram(args) -> Envelope:
         cases.append((name, d, t, gram))
     env = Envelope("gram", None if args.roster else args.type,
                    {"d": args.d, "roster": args.roster, "check": args.check})
-    results = []
+    results, engine = [], None  # one FormEngine per type, over its jobs
     for name, d, t, gram in cases:
-        report = verify(t, d, gram)
+        engine = engine if engine and engine.type == t else FormEngine(t, gram)
+        report = verify(t, d, engine)
         payload = report.to_dict()
         if args.matrices:
-            engine = FormEngine(t, gram)
             try:
                 M, N = gram_matrices(t, d, engine)
             except InternalCheckError:  # verify recorded it as a failure
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detA", help="determinant of the pairing matrix A^(n)")
     common(p)
-    p.add_argument("--n", type=int, help="pairing index n >= 1")
+    p.add_argument("--n", type=int, help="pairing index n >= 0; A^(0) = A^(r)")
     p.add_argument("--roster", action="store_true",
                    help="check all built-in types at n = 1..6")
     p.set_defaults(func=_cmd_deta, needs_type=False)

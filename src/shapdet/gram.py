@@ -22,9 +22,10 @@ product of pure blocks G_(n^m), on which alone the S-recursion runs, as
 level tables of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
 factors of y: ints wherever A^(n) is, as for every built-in type.  The
 x-expansions are int coefficients over prod (n / d_i)!; verify checks each
-generator for P as phi reads it, keeps none, holds one lambda-block at a
-time, and leaves the x-rows to the printing paths.  The all-pairs memo
-recursion, the transport sum over phi, the x-rows for P and the
+generator for P as phi reads it and certifies the rest on the pure runs
+n^m alone, each once per FormEngine, leaving the lambda-blocks and the
+x-rows to the printing paths.  The all-pairs memo recursion, the transport
+sum over phi, the x-rows for P, the walk over the lambda-blocks and the
 full-matrix Bareiss and P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
@@ -34,7 +35,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, pairwise, product
+from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, prod
 from typing import Dict, List, Optional, Tuple
 
@@ -106,18 +107,19 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
 
 
 class FormEngine:
-    """The A^(n) row tables and the S-form level tables for one type.
+    """The A^(n) row tables, the S-form level tables, phi and the run facts
+    of one type, each built once, so one engine serves every degree.
 
     The S-recursion and the z-expansions (the rows of Q) both walk one row
-    table per part size n, the nonzero entries of A^(n), derived from
-    roots.a_matrix once per n and cached; pure_s builds the pure blocks of
-    S' bottom-up.  ``gram`` may replace the Cartan form that A^(n) is built
-    from (the CLI's --root-data hook); d_i, mu and I(n) always come from
-    the type.
-    """
+    table per part size n, the nonzero entries of A^(n), from
+    roots.a_matrix once per n; pure_s builds the pure blocks of S'
+    bottom-up, run certifies each, and phi[n] holds phi_ij(n) once _phi has
+    checked the x_n^(i).  ``gram`` may replace the Cartan form that A^(n)
+    is built from (the CLI's --root-data hook); d_i, mu and I(n) always
+    come from the type."""
 
     def __init__(self, t: AffineType, gram: Optional[ExactMatrix] = None):
-        self.type, self.gram = t, gram
+        self.type, self.gram, self.phi, self._facts = t, gram, {}, {}
         self._d = finite_root_data(t).d
         self._rows: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
         self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
@@ -156,6 +158,33 @@ class FormEngine:
                 table.append(out)
             levels.append((at, table))
         return levels[m]
+
+    def run(self, n: int, m: int):
+        """(bad, M, N) of the run n^m, once, on its pure block S' and
+        H = S' W: bad is the first (y, z) in row-major order with H[y][z] !=
+        w(y) Q[y][z] K'(z, z) (Q from z_in_y) or, if z < y, != H[z][y], else
+        row y's first term off the block, or None; M and N are _factored
+        _pure_det(S') / W and prod K'(y, y) / W, W = prod w(y) over the
+        block, and M is None unless H is symmetric."""
+        if (n, m) not in self._facts:
+            at, S = self.pure_s(n, m)
+            ws, ks = [self.weight(y) for y in at], [_k_prime(y) for y in at]
+            h, bad = [[v * wz for v, wz in zip(row, ws)] for row in S], None
+            for (y, r), h_row in zip(at.items(), h):
+                q_row = self.z_in_y(y)  # row y of Q, and of W Q K' on S'
+                wqk = [ws[r] * q_row.get(z, 0) * k for z, k in zip(at, ks)]
+                off = [z for z, c in at.items() if h_row[c] != wqk[c] or
+                       c < r and h_row[c] != h[c][r]] + [
+                    z for z, q in q_row.items() if q and z not in at]
+                if off:
+                    bad = y, off[0]
+                    break
+            # the primes of w, K' and, on the type's form, of det S'
+            top = max(n * m, self.type.alpha, self.type.beta)
+            det = _pure_det(S) if h == [list(c) for c in zip(*h)] else None
+            self._facts[n, m] = (bad, None if det is None else _factored(
+                [det], top, ws), _factored(ks, top, ws))
+        return self._facts[n, m]
 
     def weight(self, mono: Monomial) -> int:
         """w(mono) = prod n / d_i over the factors (n, i) of mono."""
@@ -198,22 +227,6 @@ def _k_prime(y: Monomial) -> int:
     return prod(map(factorial, multiplicities(y).values()))
 
 
-def _lambda_blocks(engine: FormEngine, basis):
-    """Yield (ys, S'_lambda) for each part shape lambda of the basis, in basis
-    order: its monomials ys, which enumerate_basis lists contiguously, and
-    the block of S'_y = W G_y on them.  Since w(y) = prod_n w(y_n), the block
-    is the Kronecker product of the pure blocks S'_(n^m) of the runs n^m of
-    lambda (FormEngine.pure_s), S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n],
-    with the largest part slowest as in the basis order."""
-    for shape, ys in groupby(basis, key=lambda y: tuple(n for n, _ in y)):
-        kron_rows = [[1]]  # the empty shape: G_() = [[1]]
-        for run in _runs(shape):
-            pure = engine.pure_s(*run)[1]
-            kron_rows = [[u * v if u and v else 0 for u in want for v in row]
-                         for want in kron_rows for row in pure]
-        yield list(ys), kron_rows
-
-
 def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
                   ) -> Tuple[ExactMatrix, ExactMatrix]:
     """Gram matrices (M, N) of the S- and K-forms on the x-basis at degree d,
@@ -230,9 +243,13 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
     # row b of P is the int vector p_rows[b] over scale[b], and w(y)
     # divides every coefficient of y in it.
     p_rows, scale = zip(*_x_rows(t, basis))
-    g_rows = {y: [(z, v) for z, v in zip(ys, row) if v]  # nonzero S'(y, z)
-              for ys, g in _lambda_blocks(engine, basis)
-              for y, row in zip(ys, g)}
+    g_rows = {}  # y: its nonzero S'(y, z), S'_lambda being the Kronecker
+    for y in basis:  # product of its runs' pure blocks (verify's proof)
+        g_rows[y] = [((), 1)]
+        for n, run in groupby(y, key=lambda f: f[0]):
+            at, S = engine.pure_s(n, len(run := tuple(run)))
+            g_rows[y] = [(z + u, v * S[at[run]][c]) for z, v in g_rows[y]
+                         for u, c in at.items() if S[at[run]][c]]
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
     for b, p_row in enumerate(p_rows):
         for z, cb in p_row.items():
@@ -270,14 +287,14 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
 
 def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
     """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n),
-    reading each x_n^(i) once and checking (a) of verify before it enters
-    phi.  Its terms y come from the runs (k, r) of the partitions of
-    n / d_i, so w(y) = prod k^r, and y pairs only with the color-j y' of its
-    shape, to S'(y, y') / w(y) = prod over the runs of
+    reading each x_n^(i) once per engine and checking (a) of verify before
+    phi(n) enters engine.phi.  Its terms y come from the runs (k, r) of the
+    partitions of n / d_i, so w(y) = prod k^r, and y pairs only with the
+    color-j y' of its shape, to S'(y, y') / w(y) = prod over the runs of
     S'_(K^r)[(K, i)^r][(K, j)^r] (K = k d_i, each read once) over w(y)."""
-    t, out, entry = engine.type, {}, {}  # entry: (K, r, i, j): S' entry
-    for n in range(1, d + 1):
-        gens = {}  # i: ({runs of y in part sizes: (c_y / w(y), c_y)}, m!)
+    t, entry = engine.type, {}  # entry: (K, r, i, j): S' entry
+    for n in (n for n in range(1, d + 1) if n not in engine.phi):
+        gens, out = {}, {}  # gens: i: ({runs of y: (c_y / w(y), c_y)}, m!)
         for i in index_set(t, n):
             (x, scale), di = _x_generator(t, n, i), engine._d[i]
             rest, lead = dict(x), ((n, i),)  # rest: x less what (a) allows
@@ -303,61 +320,22 @@ def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
                     v = v * entry[k, r, i, j]
                 total = total + v
             out[n, i, j] = _field_div(total, si * sj)
+        engine.phi[n] = out
+    return {k: v for n in range(1, d + 1) for k, v in engine.phi[n].items()}
+
+
+def _factored(values, top: int, over=()) -> Counter:
+    """{base: power} with prod(values) / prod(over) = prod base^power: each
+    int other than 0 rid of the divisors 2..top in turn, so of each prime up
+    to top, and its rest a base; anything else a base as it is."""
+    out, tally = Counter(), Counter(values)
+    tally.subtract(over)
+    for v, e in tally.items():
+        for p in range(2, top + 1) if type(v) is int and v else ():
+            while v % p == 0:
+                v, out[p] = v // p, out[p] + e
+        out[v] += e
     return out
-
-
-def _certificate(engine: FormEngine, blocks, index):
-    """(witness, det M, det N, doubt) from one pass over the lambda-blocks
-    (ys, S'_lambda) in basis order, as _lambda_blocks yields them, valid when
-    P is unitriangular; engine gives w, the pure blocks and row y of Q
-    (z_in_y), and index[y] is y's basis position.  It works on
-    H = S'_y W = W G_y W, which is symmetric iff G_y is; and G_y = Q K_y iff
-    H[y][z] = w(y) Q[y][z] K'(z, z).  M mirrors the upper triangle of
-    P G_y P^T and N = P K_y P^T, so M = P Q P^-1 N holds when
-    G_y = Q K_y = G_y^T (with Q = 0 outside the blocks) and fails when only
-    G_y = Q K_y holds.  The witness is the first (a, c) in basis order where
-    H[a][c] differs from w(a) Q[a][c] K'(c, c) or, if c < a, from H[c][a],
-    visiting only the block entries and the terms of Q's rows up to the
-    first failing row.  A symmetric G_y gives M = P G_y P^T and
-    det M = prod_lambda det S'_lambda / prod_y w(y), where
-    det S'_lambda = prod_n det(S'_(n^m))^(dim S'_lambda / dim S'_(n^m)) over
-    the runs n^m of lambda, by _pure_det once per pure block; else doubt
-    says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).  Each
-    product is tallied as a power of each distinct factor, taken at the end;
-    neither det is yet checked to be an integer."""
-    dets = {}  # run n^m: (det S'_(n^m), dim S'_(n^m))
-    witness, doubt, tally = None, None, {k: Counter() for k in "MNw"}
-    for ys, s in blocks:
-        cols = [index[z] for z in ys]
-        at = {z: c for c, z in enumerate(ys)}
-        ws, ks = [engine.weight(z) for z in ys], [_k_prime(z) for z in ys]
-        h = [[v * wz for v, wz in zip(row, ws)] for row in s]  # H = S'_y W
-        for r, h_row in enumerate([] if witness else h):  # rows in basis order
-            qk_row, bad = [0] * len(ys), []  # row r of W Q K'_y in the block
-            for z, q in engine.z_in_y(ys[r]).items():
-                c = at.get(z)
-                if c is not None:
-                    qk_row[c] = ws[r] * q * ks[c]
-                elif q:  # Q[a][c] != 0 outside the block
-                    bad.append(index[z])
-            bad += [c for c, v, u in zip(cols, h_row, qk_row) if v != u]
-            bad += [cols[c] for c in range(r) if h_row[c] != h[c][r]]
-            if bad:
-                witness = cols[r], min(bad)
-                break
-        tally["N"].update(ks)
-        tally["w"].update(ws)
-        if doubt is None and h != [list(col) for col in zip(*h)]:
-            doubt = "G_y is not symmetric, so M != P G_y P^T"
-        for run in () if doubt else _runs(tuple(n for n, _ in ys[0])):
-            if run not in dets:
-                rows, S = engine.pure_s(*run)
-                dets[run] = _pure_det(S), len(rows)
-            tally["M"][dets[run][0]] += len(ys) // dets[run][1]
-    det_m, det_n, w_all = (prod(v ** e for v, e in tally[k].items())
-                           for k in "MNw")
-    return (witness, None if doubt else _field_div(det_m, w_all),
-            _field_div(det_n, w_all), doubt)
 
 
 def _pure_det(S):
@@ -413,7 +391,7 @@ class GramReport:
 
 
 def verify(t: AffineType, d: int,
-           gram: Optional[ExactMatrix] = None) -> GramReport:
+           engine: Optional[FormEngine] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
     P is upper unitriangular when (a) every generator x_n^(i), n <= d, is
@@ -439,34 +417,53 @@ def verify(t: AffineType, d: int,
     same sum with the identity for A^(n), whose phi^K_ij(n) = [i = j]
     [d_i | n] are ints, so N needs no check.  Only where some phi is not an
     int does gram_matrices contract M and N, to name the first non-integer
-    entry.  This certifies the Z-form, not the theorem: one pass over the
-    lambda-blocks of G_y, the diagonal of K_y and the rows of Q (the
-    z-expansions) certifies det M and det N from the pure blocks and checks
-    M = P Q P^-1 N as G_y = Q K_y = G_y^T, which also ties the G_y behind
-    phi to the true form.  No dense M, N, P or Q is built on a pass.
-    Failed checks are recorded in the report rather than raised.  One
-    FormEngine, on ``gram`` in place of the Cartan form if given, serves
-    phi, the Gram blocks and the z-expansions.
+    entry.  This certifies the Z-form, not the theorem.  M mirrors the
+    upper triangle of P G_y P^T and N = P K_y P^T, so M = P Q P^-1 N,
+    det M = det G_y and det N = det K_y when G_y = Q K_y = G_y^T, i.e.
+    when H = S'_y W equals W Q K'_y and is symmetric.  w and K' are
+    products over the runs n^m of lambda, and a z-generator of part size n
+    expands only in the y_n^(j), so H_lambda and (W Q K')_lambda are the
+    Kronecker products of their runs' (FormEngine.run).  Hence
+    det M = prod (det S'_run / W_run)^e_run, det N = prod (K'_run /
+    W_run)^e_run, e_run = sum of dim lambda / dim run over the lambdas
+    holding the run, each ratio tallied in primes once per run.  A failing
+    run fails each lambda whose other runs have H != 0.  The witness is the
+    first failing run in the order the runs first occur along the basis, at
+    its first failing (y, z), in the first lambda holding it, the other runs
+    at their first monomials.  No lambda-block and no dense M, N, P or Q is
+    built; failed checks are recorded in the report, not raised.
+    ``engine``, a fresh FormEngine by default, serves phi, the runs and the
+    z-expansions, and keeps them for the next degree.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
-    engine, basis = FormEngine(t, gram), report.basis
-    shapes = (tuple(n for n, _ in y) for y in basis)
-    try:
-        for a, (prev, shape) in enumerate(pairwise(shapes), 1):
-            if shape > prev:
+    engine, runs, a = engine or FormEngine(t), {}, 0
+    try:  # runs: n^m: [sum of dim lambda, first lambda], in basis order
+        for shape, ys in groupby(tuple(n for n, _ in y) for y in report.basis):
+            if a and shape > prev:
                 raise InternalCheckError("P is not upper unitriangular: basis"
                                          "[%d] has shape %s after %s"
                                          % (a, shape, prev))
+            dim = sum(1 for _ in ys)
+            for run in _runs(shape):
+                runs.setdefault(run, [0, shape])[0] += dim
+            a, prev = a + dim, shape
         if any(type(v) is not int for v in _phi(engine, d).values()):
             gram_matrices(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
-    witness, det_m, det_n, doubt = _certificate(
-        engine, _lambda_blocks(engine, basis),
-        {y: a for a, y in enumerate(basis)})
+    runs = {run: (engine.run(*run), dim // len(engine.pure_s(*run)[0]), lam)
+            for run, (dim, lam) in runs.items()}  # n^m: (facts, e_run, lambda)
+    doubt = any(m is None for (_, m, _), _, _ in runs.values())
+    tally = Counter(), Counter()  # base: power in det M, in det N
+    for (_, m, k), e, _ in runs.values():
+        for c, v in zip(tally, (m or {}, k)):
+            c.update({b: e * x for b, x in v.items()})
+    det_m, det_n = (_field_div(prod(b ** x for b, x in c.items() if x > 0),
+                               prod(b ** -x for b, x in c.items() if x < 0))
+                    for c in tally)
     try:  # a non-integer det N leaves a certified det M standing
         report.det_M = None if doubt else as_integer(det_m)
         report.det_N = as_integer(det_n)
@@ -474,14 +471,17 @@ def verify(t: AffineType, d: int,
         report.failures.append("det M, det N certificate: %s" % exc)
     if report.det_N not in (None, 1):
         report.failures.append("det N = %d, expected 1" % report.det_N)
-    report.identity_ok = witness is None
-    if witness is not None:
-        y, z = (basis[a] for a in witness)
-        report.failures.append(
-            "M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
-            "lambda-block %s" % (y, z, tuple(n for n, _ in y)))
+    failing = [run for run, ((bad, _, _), _, _) in runs.items() if bad]
+    report.identity_ok = not failing
+    if failing:
+        (bad, _, _), _, lam = runs[failing[0]]
+        y, z = (sum((b if run == failing[0] else next(iter(
+            engine.pure_s(*run)[0])) for run in _runs(lam)), ()) for b in bad)
+        report.failures.append("M != P Q P^-1 N: G_y = Q K_y = G_y^T fails "
+                               "at (%s, %s) in lambda-block %s" % (y, z, lam))
     if doubt:
-        report.failures.append("det M not certified: %s" % doubt)
+        report.failures.append("det M not certified: G_y is not symmetric, "
+                               "so M != P G_y P^T")
     if report.det_M not in (None, predicted):
         report.failures.append("det M = %d, predicted %d (= %d^%d * %d^%d)"
                                % (report.det_M, predicted, t.alpha, a_d,

@@ -15,10 +15,13 @@ assembly and the hand-value tests pair term by term.  p_witness expands
 every x-row to find P's first entry off the unit upper triangle, which
 gram.verify certifies from the generators instead.  lambda_blocks runs
 the S-recursion on every pair of a lambda-block, which
-gram._lambda_blocks builds as Kronecker products of pure blocks instead.  identity is the
-n x n identity ExactMatrix.  coloring_series counts the colored
-partitions with their parts marked by divisibility, whose marker
-derivatives the series tests compare with ab_series.  FockSpace computes
+kron_lambda_blocks builds as Kronecker products of pure blocks instead,
+and lambda_certificate walks every lambda-block and every z-expansion of
+the basis to check G_y = Q K_y = G_y^T and take det M and det N, where
+gram.verify reads the pure runs alone.  identity is the n x n identity
+ExactMatrix.  coloring_series counts the colored partitions with their
+parts marked by divisibility, whose marker derivatives the series tests
+compare with ab_series.  FockSpace computes
 the LLT canonical basis, whose values at v = 1 are the decomposition
 matrices of the Hecke algebras that the block tests compare with
 blocks.cartan_exponent and with the Gram engine.  restricted_p_strict,
@@ -26,14 +29,16 @@ residue_content, spin_defect and p_bar_core sort the spin simples of the
 double covers of S_n into blocks, for the basis sizes of A_(p-1)^(2).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 from math import prod
 from typing import Dict, List, Tuple
 
 from shapdet import gram
-from shapdet.exact import ExactMatrix, _field_div
+from shapdet.exact import (ExactMatrix, InternalCheckError, _field_div,
+                           as_integer)
 from shapdet.partitions import _runs, enumerate_basis, enumerate_partitions
 from shapdet.roots import AffineType, a_matrix, finite_root_data, index_set
 from shapdet.series import TruncSeries
@@ -323,6 +328,102 @@ def lambda_blocks(oracle, basis):
         members.setdefault(tuple(n for n, _ in y), []).append(y)
     return [(ys, [[oracle.form_s_mono(y, z) for z in ys] for y in ys])
             for ys in members.values()]
+
+
+def kron_lambda_blocks(engine, basis):
+    """Yield (ys, S'_lambda) for each part shape lambda of the basis, in basis
+    order: its monomials ys, which enumerate_basis lists contiguously, and
+    the block of S'_y = W G_y on them.  Since w(y) = prod_n w(y_n), the block
+    is the Kronecker product of the pure blocks S'_(n^m) of the runs n^m of
+    lambda (FormEngine.pure_s), S'_lambda[y][z] = prod_n S'_(n^m)[y_n][z_n],
+    with the largest part slowest as in the basis order."""
+    for shape, ys in groupby(basis, key=lambda y: tuple(n for n, _ in y)):
+        kron_rows = [[1]]  # the empty shape: G_() = [[1]]
+        for run in _runs(shape):
+            pure = engine.pure_s(*run)[1]
+            kron_rows = [[u * v if u and v else 0 for u in want for v in row]
+                         for want in kron_rows for row in pure]
+        yield list(ys), kron_rows
+
+
+def lambda_certificate(engine, blocks, index):
+    """(witness, det M, det N, doubt) from one pass over the lambda-blocks
+    (ys, S'_lambda) in basis order, as kron_lambda_blocks yields them, valid
+    when P is unitriangular; engine gives w, the pure blocks and row y of Q
+    (z_in_y), and index[y] is y's basis position.  It works on
+    H = S'_y W = W G_y W, which is symmetric iff G_y is; and G_y = Q K_y iff
+    H[y][z] = w(y) Q[y][z] K'(z, z).  The witness is the first (a, c) in
+    basis order where H[a][c] differs from w(a) Q[a][c] K'(c, c) or, if
+    c < a, from H[c][a], visiting only the block entries and the terms of
+    Q's rows up to the first failing row.  A symmetric G_y gives
+    det M = prod_lambda det S'_lambda / prod_y w(y), where
+    det S'_lambda = prod_n det(S'_(n^m))^(dim S'_lambda / dim S'_(n^m)) over
+    the runs n^m of lambda, by gram._pure_det once per pure block; else
+    doubt says why and det M is None.  det N = prod_y K'(y, y) / prod_y w(y).
+    Neither det is checked to be an integer."""
+    dets = {}  # run n^m: (det S'_(n^m), dim S'_(n^m))
+    witness, doubt, tally = None, None, {k: Counter() for k in "MNw"}
+    for ys, s in blocks:
+        cols = [index[z] for z in ys]
+        at = {z: c for c, z in enumerate(ys)}
+        ws, ks = [engine.weight(z) for z in ys], [gram._k_prime(z) for z in ys]
+        h = [[v * wz for v, wz in zip(row, ws)] for row in s]  # H = S'_y W
+        for r, h_row in enumerate([] if witness else h):  # rows in basis order
+            qk_row, bad = [0] * len(ys), []  # row r of W Q K'_y in the block
+            for z, q in engine.z_in_y(ys[r]).items():
+                c = at.get(z)
+                if c is not None:
+                    qk_row[c] = ws[r] * q * ks[c]
+                elif q:  # Q[a][c] != 0 outside the block
+                    bad.append(index[z])
+            bad += [c for c, v, u in zip(cols, h_row, qk_row) if v != u]
+            bad += [cols[c] for c in range(r) if h_row[c] != h[c][r]]
+            if bad:
+                witness = cols[r], min(bad)
+                break
+        tally["N"].update(ks)
+        tally["w"].update(ws)
+        if doubt is None and h != [list(col) for col in zip(*h)]:
+            doubt = "G_y is not symmetric, so M != P G_y P^T"
+        for run in () if doubt else _runs(tuple(n for n, _ in ys[0])):
+            if run not in dets:
+                rows, S = engine.pure_s(*run)
+                dets[run] = gram._pure_det(S), len(rows)
+            tally["M"][dets[run][0]] += len(ys) // dets[run][1]
+    det_m, det_n, w_all = (prod(v ** e for v, e in tally[k].items())
+                           for k in "MNw")
+    return (witness, None if doubt else _field_div(det_m, w_all),
+            _field_div(det_n, w_all), doubt)
+
+
+def lambda_walk_report(engine, report):
+    """(det_M, det_N, identity_ok, failures) that gram.verify reported, in
+    its words and order, past its P and phi checks, when it walked every
+    lambda-block of report.basis (lambda_certificate)."""
+    basis, t = report.basis, report.type
+    witness, det_m, det_n, doubt = lambda_certificate(
+        engine, kron_lambda_blocks(engine, basis),
+        {y: a for a, y in enumerate(basis)})
+    failures, det_M, det_N = [], None, None
+    try:
+        det_M = None if doubt else as_integer(det_m)
+        det_N = as_integer(det_n)
+    except InternalCheckError as exc:
+        failures.append("det M, det N certificate: %s" % exc)
+    if det_N not in (None, 1):
+        failures.append("det N = %d, expected 1" % det_N)
+    if witness is not None:
+        y, z = (basis[a] for a in witness)
+        failures.append("M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at "
+                        "(%s, %s) in lambda-block %s"
+                        % (y, z, tuple(n for n, _ in y)))
+    if doubt:
+        failures.append("det M not certified: %s" % doubt)
+    if det_M not in (None, report.predicted_det):
+        failures.append("det M = %d, predicted %d (= %d^%d * %d^%d)"
+                        % (det_M, report.predicted_det, t.alpha,
+                           report.predicted_a, t.beta, report.predicted_b))
+    return det_M, det_N, witness is None, failures
 
 
 def residue_content(lam, p: int) -> tuple:

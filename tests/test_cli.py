@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from shapdet import cli
+from shapdet import cli, gram
 from shapdet.cli import main
 from shapdet.exact import InternalCheckError
-from shapdet.partitions import exponent_totals
+from shapdet.partitions import _runs, enumerate_basis, exponent_totals
 from shapdet.roots import parse_type
 
 
@@ -143,6 +143,43 @@ def test_gram_roster_capped(capsys):
     assert code == 0
     assert payload["pass"] is True
     assert len(payload["result"]) == 24  # 12 types, d in {0, 1}
+
+
+@pytest.mark.parametrize("extra", [[], ["--matrices"]])
+def test_gram_roster_builds_each_a_matrix_and_pure_det_once(capsys,
+                                                           monkeypatch, extra):
+    # gram --roster holds one FormEngine per type over its degrees, and
+    # --matrices builds M, N, P and Q on the engine verify used: A^(n) is
+    # built once per (type, n), and Bareiss runs once per (type, run n^m).
+    built, dets, tables = [], [], {}  # tables: id(S'): ((type, n, m), S')
+    a_matrix, pure_det, pure_s = gram.a_matrix, gram._pure_det, \
+        gram.FormEngine.pure_s
+
+    def counting_a(t, n, g=None):
+        built.append((t.name, n))
+        return a_matrix(t, n, g)
+
+    def naming_pure_s(self, n, m):
+        rows, S = pure_s(self, n, m)
+        tables[id(S)] = (self.type.name, n, m), S
+        return rows, S
+
+    def counting_det(S):
+        dets.append(tables[id(S)][0])
+        return pure_det(S)
+
+    monkeypatch.setattr(gram, "a_matrix", counting_a)
+    monkeypatch.setattr(gram.FormEngine, "pure_s", naming_pure_s)
+    monkeypatch.setattr(gram, "_pure_det", counting_det)
+    code, payload = run_json(capsys, "gram", "--roster", "--check", *extra)
+    assert code == 0 and len(payload["result"]) == 61
+    assert all(("M" in r) == bool(extra) for r in payload["result"])
+    runs = {(name, *run) for name, top in cli.ROSTER_DEGREES.items()
+            for d in range(top + 1)
+            for y in enumerate_basis(parse_type(name), d)
+            for run in _runs(tuple(n for n, _ in y))}
+    assert sorted(dets) == sorted(runs) and len(runs) == 99
+    assert sorted(built) == sorted({(name, n) for name, n, _ in runs})
 
 
 def test_gram_corrupted_fixture_exits_1(capsys, tmp_path):

@@ -3,6 +3,7 @@ import os
 import random
 import tracemalloc
 from fractions import Fraction
+from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from math import factorial, gcd, prod
@@ -22,7 +23,8 @@ from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponents)
 from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
 
-from oracles import (FormOracle, bilinear, identity, lambda_blocks,
+from oracles import (FormOracle, bilinear, identity, kron_lambda_blocks,
+                     lambda_blocks, lambda_certificate, lambda_walk_report,
                      p_witness, phi, q_block, tiled_q, transport_gram)
 
 A1 = parse_type("A1^1")
@@ -305,25 +307,26 @@ def test_form_s_is_symmetric(data):
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
     # type, every phi value that certifies M and N integral, every
-    # level-table value, every lambda-block the walk yields, every pure
-    # block, K'-diagonal value and weight that verify reads, and every
-    # coefficient and scale of the x-generators that verify reads (once
-    # each, in phi's pass, which also checks P) is an int.
+    # level-table value, the bases and powers of every run's tallies of
+    # det S' / W and prod K' / W, every pure block, K'-diagonal value and
+    # weight that verify reads, and every coefficient and scale of the
+    # x-generators that verify reads (once each, in phi's pass, which also
+    # checks P) is an int.
     seen = []  # per case: engine, phi, {kind: values handed over}, generators
-    _phi, _lambda_blocks = gram._phi, gram._lambda_blocks
-    x_generator, k_prime = gram._x_generator, gram._k_prime
-    pure_s, weight = FormEngine.pure_s, FormEngine.weight
+    _phi, x_generator, k_prime = gram._phi, gram._x_generator, gram._k_prime
+    pure_s, weight, run = FormEngine.pure_s, FormEngine.weight, FormEngine.run
 
     def recording_phi(engine, d):
         seen[-1][0] = engine
         seen[-1][1] = _phi(engine, d)
         return seen[-1][1]
 
-    def recording_lambda_blocks(engine, basis):
-        assert engine is seen[-1][0]  # phi read the blocks the walk yields
-        for ys, g in _lambda_blocks(engine, basis):
-            seen[-1][2]["blocks"] += [v for row in g for v in row]
-            yield ys, g
+    def recording_run(self, n, m):
+        assert self is seen[-1][0]  # phi read the pure blocks the runs use
+        bad, dm, dn = run(self, n, m)
+        assert bad is None
+        seen[-1][2]["runs"] += [*dm, *dm.values(), *dn, *dn.values()]
+        return bad, dm, dn
 
     def recording_pure_s(self, n, m):
         rows, S = pure_s(self, n, m)
@@ -344,7 +347,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         return x, scale
 
     monkeypatch.setattr(gram, "_phi", recording_phi)
-    monkeypatch.setattr(gram, "_lambda_blocks", recording_lambda_blocks)
+    monkeypatch.setattr(FormEngine, "run", recording_run)
     monkeypatch.setattr(FormEngine, "pure_s", recording_pure_s)
     monkeypatch.setattr(gram, "_k_prime", recording_k_prime)
     monkeypatch.setattr(FormEngine, "weight", recording_weight)
@@ -352,7 +355,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     cases = (("E6^1", 4, 1000, 144), ("A1^1", 12, 300, 12),
              ("D4^3", 4, 20, 7), ("E6^2", 4, 100, 40))  # floors for counts
     for name, d, _, _ in cases:
-        seen.append([None, None, {"blocks": [], "pure": [], "k": [], "w": []},
+        seen.append([None, None, {"runs": [], "pure": [], "k": [], "w": []},
                      []])
         assert verify(parse_type(name), d).ok
     for (engine, phis, handed, gens), case in zip(seen, cases):
@@ -626,7 +629,7 @@ def test_non_integer_gram_entry_failure_text(monkeypatch, name, gram, d,
         return gram_matrices(*args)
 
     monkeypatch.setattr("shapdet.gram.gram_matrices", counting)
-    rep = verify(t, d, bad)
+    rep = verify(t, d, FormEngine(t, bad))
     assert len(contracted) == 1
     assert not rep.identity_ok and rep.det_M is None
     assert rep.failures == ["non-integer Gram entry at %s degree %d %s"
@@ -750,7 +753,7 @@ def test_certificate_matches_full_bareiss_on_corrupted_fixture():
     with open(path) as fh:
         t, bad = _corrupted("A2^1", json.load(fh)["gram"])
     for d in range(1, 5):
-        rep = verify(t, d, bad)
+        rep = verify(t, d, FormEngine(t, bad))
         assert not rep.ok and rep.det_M != rep.predicted_det
         assert rep.identity_ok
         _agrees_with_oracles(rep, bad)
@@ -763,7 +766,7 @@ def test_identity_matches_dense_oracle_on_corrupted_grams():
     for name, gram in CORRUPTED_GRAMS:
         t, bad = _corrupted(name, gram)
         for d in range(1, 5):
-            rep = verify(t, d, bad)
+            rep = verify(t, d, FormEngine(t, bad))
             try:
                 _agrees_with_oracles(rep, bad)
             except InternalCheckError as exc:  # a non-integer Gram entry
@@ -801,16 +804,161 @@ def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
                             "(((3, 1),), ((3, 2),)) in lambda-block (3,)"]
 
 
+def _matches_lambda_walk(report, fixture=None):
+    """verify's run certificate against the lambda-walk oracle on a fresh
+    engine: the same det M, det N, identity verdict and failure texts
+    (witness and doubt included), where verify got past P and phi.  Returns
+    whether it compared, and the report's failures."""
+    if report.failures[:1] and report.failures[0].startswith(
+            ("non-integer Gram entry", "P is not upper unitriangular")):
+        return False, report.failures
+    assert (report.det_M, report.det_N, report.identity_ok,
+            report.failures) == lambda_walk_report(
+                FormEngine(report.type, fixture), report)
+    return True, report.failures
+
+
+def test_run_certificate_matches_the_lambda_walk_oracle(monkeypatch):
+    # At every roster degree, and on the corrupted grams and the zeta_3
+    # gram at d <= 4: 19 of those 30 cases stop at a non-integer phi, and
+    # the rest agree with the walk.  With phi skipped, all 30 reach the
+    # certificate, with its Fraction and Q(zeta_3) values, and agree.
+    for name, dmax in ROSTER_DEGREES.items():
+        for d in range(dmax + 1):
+            assert _matches_lambda_walk(verify(parse_type(name), d)) == (
+                True, [])
+    kinds = Counter()  # (phi skipped, failure kind): cases
+    for skip in (False, True):
+        if skip:
+            monkeypatch.setattr(gram, "_phi", lambda engine, d: {})
+        for name, gram_ in CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]:
+            t, bad = _corrupted(name, gram_)
+            for d in range(5):
+                done, failures = _matches_lambda_walk(
+                    verify(t, d, FormEngine(t, bad)), bad)
+                kinds.update((skip, " ".join(f.split()[:3]) if done else
+                              "stopped") for f in failures or ["none"])
+    assert kinds == {
+        (False, "stopped"): 19, (False, "none"): 7, (False, "M != P"): 5,
+        (False, "det M not"): 5, (False, "det M ="): 4, (True, "none"): 7,
+        (True, "M != P"): 12, (True, "det M not"): 12,
+        (True, "det M, det"): 10, (True, "det M ="): 6}
+
+
+def test_run_certificate_matches_the_lambda_walk_under_z_row_mutation(
+        monkeypatch):
+    # The mutation of test_identity_matches_dense_oracle_under_z_row_mutation
+    # fails the identity at 9 of these cases, each named as the walk names
+    # it.
+    z_in_y = FormEngine.z_in_y
+
+    def mutated(self, mono):
+        return {y: v * Fraction(self.weight(mono), self.weight(y)) ** 2
+                for y, v in z_in_y(self, mono).items()}
+
+    monkeypatch.setattr(FormEngine, "z_in_y", mutated)
+    failing = 0
+    for t in ALL_TYPES:
+        for d in range(5 if t.name in ROSTER_DEGREES else 4):
+            done, failures = _matches_lambda_walk(verify(t, d))
+            assert done
+            failing += bool(failures)
+    assert failing == 14
+
+
+def test_a_shared_engine_reports_as_fresh_ones():
+    # One FormEngine per type for all its degrees, as gram --roster holds
+    # it, gives each degree the report of a fresh engine; on the corrupted
+    # grams also with the degrees in reverse.
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        shared = FormEngine(t)
+        for d in range(dmax + 1):
+            assert verify(t, d, shared).to_dict() == verify(t, d).to_dict()
+    for name, gram_ in CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]:
+        t, bad = _corrupted(name, gram_)
+        for degrees in (range(5), range(4, -1, -1)):
+            shared = FormEngine(t, bad)
+            for d in degrees:
+                assert verify(t, d, shared).to_dict() == verify(
+                    t, d, FormEngine(t, bad)).to_dict()
+
+
+def test_a_shared_engine_reports_a_failing_generator_at_every_degree(
+        monkeypatch):
+    # x_2^(1) of A2^1 with a doubled leading term fails check (a) at every
+    # degree d >= 2 on one shared engine: phi(2) is never cached as a pass.
+    x_generator = gram._x_generator
+
+    def planted(t, n, i):
+        x, scale = x_generator(t, n, i)
+        if (n, i) == (2, 1):
+            x[((2, 1),)] *= 2
+        return x, scale
+
+    monkeypatch.setattr(gram, "_x_generator", planted)
+    t = parse_type("A2^1")
+    shared = FormEngine(t)
+    reports = [verify(t, d, shared) for d in (0, 1, 2, 3, 4, 2)]
+    assert [rep.ok for rep in reports] == [True, True] + [False] * 4
+    assert {tuple(rep.failures) for rep in reports[2:]} == {(
+        "P is not upper unitriangular: x_2^(1) holds ((2, 1),) with "
+        "coefficient 2",)}
+    assert sorted(shared.phi) == [1]
+
+
+def test_verify_reads_only_the_pure_runs(monkeypatch):
+    # On one engine per type over the roster degrees, verify expands z_in_y
+    # on the monomials of the pure runs alone, each once, certifies each run
+    # once and builds no dense P, Q, M or N: no lambda-block either, as its
+    # rows would be z-expansions of monomials with several part sizes.
+    expanded, certified = [], []
+    z_in_y, run = FormEngine.z_in_y, FormEngine.run
+
+    def recording_z(self, mono):
+        expanded.append((self.type.name, mono))
+        return z_in_y(self, mono)
+
+    def recording_run(self, n, m):
+        certified.append((self.type.name, n, m))
+        return run(self, n, m)
+
+    def failing(*args):
+        raise AssertionError("verify built a dense matrix")
+
+    monkeypatch.setattr(FormEngine, "z_in_y", recording_z)
+    monkeypatch.setattr(FormEngine, "run", recording_run)
+    for name in ("gram_matrices", "transition_matrices"):
+        monkeypatch.setattr(gram, name, failing)
+    runs, basis_sizes = set(), 0
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        engine = FormEngine(t)
+        for d in range(dmax + 1):
+            rep = verify(t, d, engine)
+            assert rep.ok
+            basis_sizes += len(rep.basis)
+            runs |= {(name, *run) for y in rep.basis
+                     for run in _runs(tuple(n for n, _ in y))}
+    assert all(len({n for n, _ in mono}) <= 1 for _, mono in expanded)
+    assert len(expanded) == len(set(expanded)) == sum(
+        len(FormEngine(parse_type(name)).pure_s(n, m)[0])
+        for name, n, m in runs) < basis_sizes
+    assert set(certified) == runs
+
+
 @lru_cache(maxsize=None)
-def _certificate_case():
-    """The engine, its lambda-blocks (ys, S'_lambda), the rows of Q and the
-    basis of E6^2 at degree 3: 14 monomials in lambda-blocks of 2, 8 and 4,
-    with fractional entries in Q and weights 1 and 2 in one block."""
+def _run_case():
+    """E6^2 at degree 5 (66 monomials): its part shapes and its 9 runs,
+    each in the order it first occurs along the basis, and each run's pure
+    block and rows of Q.  The runs 1^1, 2^1 and 3^1 lie in two lambdas
+    each, Q has fractional entries and the weights are 1, 2 and 4."""
     t = parse_type("E6^2")
-    engine = FormEngine(t)
-    basis = enumerate_basis(t, 3)
-    return (engine, list(gram._lambda_blocks(engine, basis)),
-            [engine.z_in_y(y) for y in basis], basis)
+    engine, basis = FormEngine(t), enumerate_basis(t, 5)
+    shapes = list(dict.fromkeys(tuple(n for n, _ in y) for y in basis))
+    runs = list(dict.fromkeys(run for shape in shapes for run in _runs(shape)))
+    return t, shapes, runs, {run: engine.pure_s(*run) for run in runs}, {
+        y: engine.z_in_y(y) for run in runs for y in engine.pure_s(*run)[0]}
 
 
 def _with_q(engine, q_rows, index):
@@ -823,30 +971,48 @@ def _with_q(engine, q_rows, index):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    engine, blocks, z_rows, basis = _certificate_case()
-    index = {y: a for a, y in enumerate(basis)}
-    assert gram._certificate(engine, blocks, index)[0] is None
-    where = {y: (b, r) for b, (ys, _) in enumerate(blocks)
-             for r, y in enumerate(ys)}
-    in_g = st.sampled_from([(index[y], index[z], "G") for ys, _ in blocks
-                            for y in ys for z in ys])
-    size = len(basis)
-    in_q = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1),
-                     st.just("Q"))
-    spots = data.draw(st.lists(st.one_of(in_g, in_q), min_size=1, max_size=3,
-                               unique_by=lambda spot: spot[:2]))
-    g_blocks = [(ys, [row[:] for row in g]) for ys, g in blocks]
-    q_rows = [dict(row) for row in z_rows]
-    for a, c, target in spots:
+    # Entries of the runs' pure blocks S' and of their rows of Q, the only
+    # ones verify reads past phi, perturbed at distinct spots in or off a
+    # block.  verify names the first run, in the order the runs first occur
+    # along the basis, with a perturbed spot; at its first row with one, the
+    # first perturbed column in the block, else the term off the block; in
+    # the first lambda holding the run, the other runs at their first
+    # monomials.
+    t, shapes, runs, pure, z_rows = _run_case()
+    blocks = {run: [row[:] for row in S] for run, (_, S) in pure.items()}
+    q_rows = {y: dict(row) for y, row in z_rows.items()}
+    failing = {}  # run: {(r, c): column monomial}, c = len(block) if off it
+    for _ in range(data.draw(st.integers(1, 3))):
+        run = data.draw(st.sampled_from(runs))
+        ys = list(pure[run][0])
+        r, c = (data.draw(st.integers(0, len(ys) - 1)) for _ in "rc")
+        target = data.draw(st.sampled_from(["S", "Q", "off"]))
+        if target == "off":  # one term per row, a monomial of another run
+            c, z = len(ys), next(iter(pure[runs[runs.index(run) - 1]][0]))
+        if (r, c) in failing.get(run, {}):
+            continue  # one perturbation per spot, so that none cancels
         delta = data.draw(st.sampled_from([1, -1, 3, Fraction(1, 2)]))
-        if target == "G":
-            (b, r), (_, s) = where[basis[a]], where[basis[c]]
-            g_blocks[b][1][r][s] += delta
+        if target == "S":
+            blocks[run][r][c] += delta
         else:
-            q_rows[a][basis[c]] = q_rows[a].get(basis[c], 0) + delta
-    witness = gram._certificate(_with_q(engine, q_rows, index), g_blocks,
-                                index)[0]
-    assert witness == min(spot[:2] for spot in spots)
+            z = ys[c] if target == "Q" else z
+            q_rows[ys[r]][z] = q_rows[ys[r]].get(z, 0) + delta
+        failing.setdefault(run, {})[r, c] = ys[c] if c < len(ys) else z
+    engine = FormEngine(t)
+    gram._phi(engine, 5)  # from the true blocks, which phi alone reads
+    engine.pure_s = lambda n, m: (pure[n, m][0], blocks[n, m])
+    engine.z_in_y = q_rows.__getitem__
+    rep = verify(t, 5, engine)
+    run = next(run for run in runs if run in failing)
+    ys = list(pure[run][0])
+    r, c = min(failing[run])
+    shape = next(shape for shape in shapes if run in _runs(shape))
+    y, z = (sum((mono if other == run else next(iter(pure[other][0]))
+                 for other in _runs(shape)), ())
+            for mono in (ys[r], failing[run][r, c]))
+    assert not rep.identity_ok
+    assert ("M != P Q P^-1 N: G_y = Q K_y = G_y^T fails at (%s, %s) in "
+            "lambda-block %s" % (y, z, shape)) in rep.failures
 
 
 def test_verify_runs_no_dense_inverse_or_product(monkeypatch):
@@ -946,9 +1112,9 @@ def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
 def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
     # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
-    # Bareiss gets each int block S' = W G as _lambda_blocks yields it, with
-    # the gcd r_i of each row divided out; no column of the row-reduced
-    # (1^4) block has content left.
+    # Bareiss gets each int pure block S' = W G that kron_lambda_blocks
+    # builds its blocks from, with the gcd r_i of each row divided out; no
+    # column of the row-reduced (1^4) block has content left.
     t = parse_type("E6^1")
     passed = []
 
@@ -959,7 +1125,7 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     monkeypatch.setattr(gram, "det_exact", recording)
     assert verify(t, 4).ok
     blocks = {tuple(n for n, _ in ys[0]): ExactMatrix(g) for ys, g in
-              gram._lambda_blocks(FormEngine(t), enumerate_basis(t, 4))}
+              kron_lambda_blocks(FormEngine(t), enumerate_basis(t, 4))}
     assert sorted(m.nrows for m in passed) == [6, 6, 6, 6, 21, 21, 126]
     pure = blocks[(1, 1, 1, 1)].rows
     r = [gcd(*row) for row in pure]
@@ -1000,7 +1166,7 @@ def _pure_blocks_match_memo(t, dmax, fixture=None):
         blocks.append(S)
     for d in range(dmax + 1):
         basis = enumerate_basis(t, d)
-        lam_blocks = gram._lambda_blocks(engine, basis)
+        lam_blocks = kron_lambda_blocks(engine, basis)
         assert {y: gram._k_prime(y) for y in basis} == {
             y: oracle.weighted_k(y, y) for y in basis}
         assert all(oracle.weighted_k(y, z) == 0 for ys, _ in lam_blocks
@@ -1038,7 +1204,7 @@ def _blocks_match_oracles(t, d, fixture=None):
     part sizes and of asymmetric ones."""
     engine = FormEngine(t, fixture)
     basis = enumerate_basis(t, d)
-    blocks = list(gram._lambda_blocks(engine, basis))
+    blocks = list(kron_lambda_blocks(engine, basis))
     oracle = FormOracle(t, fixture)
     forms = lambda_blocks(oracle, basis)
     w = {y: engine.weight(y) for y in basis}
@@ -1049,7 +1215,7 @@ def _blocks_match_oracles(t, d, fixture=None):
     mixed = asymmetric = 0
     for (ys, s), (_, g) in zip(blocks, forms):
         runs = _runs(tuple(n for n, _ in ys[0]))
-        det = gram._certificate(engine, [(ys, s)], index)[1]
+        det = lambda_certificate(engine, [(ys, s)], index)[1]
         if g == [list(col) for col in zip(*g)]:
             assert det == det_exact(ExactMatrix(g))
         else:
@@ -1131,7 +1297,7 @@ def test_certificate_det_of_a_permuted_product(case):
     index = {y: a for a, y in enumerate(ys)}
     engine = SimpleNamespace(pure_s=lambda n, m: pure[n, m], weight=weight)
     with mock.patch.object(gram, "_k_prime", weight):
-        assert gram._certificate(_with_q(engine, z_rows, index),
+        assert lambda_certificate(_with_q(engine, z_rows, index),
                                  [(ys, weighted(ys, g))], index) == (
             None, det_exact(ExactMatrix(g)), 1, None)
 
@@ -1164,7 +1330,7 @@ def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
     # M mirrors the upper triangle of P G_y P^T, so with G_y != G_y^T the
     # product of the lambda-block dets (2 and 16 here) is not det M.
     t, bad = _corrupted("A2^1", [[2, -1], [-2, 2]])
-    rep = verify(t, d, bad)
+    rep = verify(t, d, FormEngine(t, bad))
     assert not rep.ok and not rep.identity_ok and rep.det_M is None
     assert rep.det_N == 1 and len(rep.failures) == 2
     assert rep.failures[0].startswith("M != P Q P^-1 N")
@@ -1283,7 +1449,7 @@ def test_verify_names_a_basis_out_of_shape_order(monkeypatch):
 
 def test_verify_catches_corrupted_gram():
     t = parse_type("A1^1")
-    rep = verify(t, 2, ExactMatrix([[3]]))
+    rep = verify(t, 2, FormEngine(t, ExactMatrix([[3]])))
     assert not rep.ok
     assert any("det M" in f or "Gram entry" in f for f in rep.failures)
 
