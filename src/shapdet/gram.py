@@ -445,7 +445,7 @@ def verify(t: AffineType, d: int,
                 raise InternalCheckError("P is not upper unitriangular: basis"
                                          "[%d] has shape %s after %s"
                                          % (a, shape, prev))
-            dim = sum(1 for _ in ys)
+            dim = len(list(ys))
             for run in _runs(shape):
                 runs.setdefault(run, [0, shape])[0] += dim
             a, prev = a + dim, shape
@@ -454,13 +454,13 @@ def verify(t: AffineType, d: int,
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
-    runs = {run: (engine.run(*run), dim // len(engine.pure_s(*run)[0]), lam)
-            for run, (dim, lam) in runs.items()}  # n^m: (facts, e_run, lambda)
-    doubt = any(m is None for (_, m, _), _, _ in runs.values())
-    tally = Counter(), Counter()  # base: power in det M, in det N
-    for (_, m, k), e, _ in runs.values():
-        for c, v in zip(tally, (m or {}, k)):
-            c.update({b: e * x for b, x in v.items()})
+    tally, doubt, bad = (Counter(), Counter()), False, None
+    for run, (dim, lam) in runs.items():
+        (wit, m, k), e = engine.run(*run), dim // len(engine.pure_s(*run)[0])
+        doubt, bad = doubt or m is None, bad or wit and (run, wit, lam)
+        for c, v in zip(tally, (m or {}, k)):  # det M, det N: {base: power}
+            for base, x in v.items():
+                c[base] += e * x
     det_m, det_n = (_field_div(prod(b ** x for b, x in c.items() if x > 0),
                                prod(b ** -x for b, x in c.items() if x < 0))
                     for c in tally)
@@ -471,12 +471,11 @@ def verify(t: AffineType, d: int,
         report.failures.append("det M, det N certificate: %s" % exc)
     if report.det_N not in (None, 1):
         report.failures.append("det N = %d, expected 1" % report.det_N)
-    failing = [run for run, ((bad, _, _), _, _) in runs.items() if bad]
-    report.identity_ok = not failing
-    if failing:
-        (bad, _, _), _, lam = runs[failing[0]]
-        y, z = (sum((b if run == failing[0] else next(iter(
-            engine.pure_s(*run)[0])) for run in _runs(lam)), ()) for b in bad)
+    report.identity_ok = bad is None
+    if bad:  # the first failing run, in the first lambda holding it
+        run, wit, lam = bad
+        y, z = (sum((b if r == run else next(iter(engine.pure_s(*r)[0]))
+                     for r in _runs(lam)), ()) for b in wit)
         report.failures.append("M != P Q P^-1 N: G_y = Q K_y = G_y^T fails "
                                "at (%s, %s) in lambda-block %s" % (y, z, lam))
     if doubt:

@@ -820,9 +820,10 @@ def _matches_lambda_walk(report, fixture=None):
 
 def test_run_certificate_matches_the_lambda_walk_oracle(monkeypatch):
     # At every roster degree, and on the corrupted grams and the zeta_3
-    # gram at d <= 4: 19 of those 30 cases stop at a non-integer phi, and
-    # the rest agree with the walk.  With phi skipped, all 30 reach the
+    # gram at d <= 4: 19 of those 35 cases stop at a non-integer phi, and
+    # the rest agree with the walk.  With phi skipped, all 35 reach the
     # certificate, with its Fraction and Q(zeta_3) values, and agree.
+    # kinds counts the failures of each kind (or "none" for a case).
     for name, dmax in ROSTER_DEGREES.items():
         for d in range(dmax + 1):
             assert _matches_lambda_walk(verify(parse_type(name), d)) == (
