@@ -18,10 +18,11 @@ the S-recursion on every pair of a lambda-block, which
 kron_lambda_blocks builds as Kronecker products of pure blocks instead,
 and lambda_certificate walks every lambda-block and every z-expansion of
 the basis to check G_y = Q K_y = G_y^T and take det M and det N, where
-gram.verify reads the pure runs alone.  identity is the n x n identity
-ExactMatrix.  coloring_series counts the colored partitions with their
-parts marked by divisibility, whose marker derivatives the series tests
-compare with ab_series.  FockSpace computes
+gram.verify reads the pure runs alone; lambda_walk_report words its
+outcome as gram.verify's report did when it walked the lambda-blocks.
+identity is the n x n identity ExactMatrix.  coloring_series counts the
+colored partitions with their parts marked by divisibility, whose marker
+derivatives the series tests compare with ab_series.  FockSpace computes
 the LLT canonical basis, whose values at v = 1 are the decomposition
 matrices of the Hecke algebras that the block tests compare with
 blocks.cartan_exponent and with the Gram engine.  restricted_p_strict,
