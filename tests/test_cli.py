@@ -314,7 +314,7 @@ def test_stray_internal_check_error_exits_1_with_one_line(capsys, monkeypatch):
 def test_out_of_memory_exits_2_with_one_line(capsys, monkeypatch, tmp_path):
     # Work too large for memory is refused like oversized input, with exit
     # 2, not reported as a verification mismatch, and --out stays as it was.
-    def exhausted(t, d, gram=None):
+    def exhausted(t, d, engine=None):
         raise MemoryError
 
     monkeypatch.setattr(cli, "verify", exhausted)
