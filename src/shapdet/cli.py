@@ -263,12 +263,13 @@ def _cmd_gram(args) -> Envelope:
             for key, m in zip("MNPQ", (M, N, P, Q)):
                 payload[key] = _matrix_payload(m)
         results.append(payload)
-        env.lines.append(
-            "%s d=%d: dim=%d det M=%s predicted=%d (%s) identity=%s det N=%s %s"
-            % (name, d, len(report.basis), report.det_M, report.predicted_det,
-               payload["predicted"]["factored"], report.identity_ok,
-               report.det_N, "ok" if report.ok else
-               "FAIL: " + "; ".join(report.failures)))
+        if args.format == "plain":  # json prints each big int once itself
+            env.lines.append("%s d=%d: dim=%d det M=%s predicted=%d (%s) "
+                             "identity=%s det N=%s %s" % (
+                name, d, len(report.basis), report.det_M,
+                report.predicted_det, payload["predicted"]["factored"],
+                report.identity_ok, report.det_N, "ok" if report.ok else
+                "FAIL: " + "; ".join(report.failures)))
         if args.check:
             env.check("verify(%s,d=%d)" % (name, d), True, report.ok)
     env.data["result"] = results if args.roster else results[0]

@@ -196,16 +196,12 @@ class ExactMatrix:
         return self.nrows == self.ncols
 
     def is_symmetric(self) -> bool:
-        return self.is_square and all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows) for j in range(i))
+        return self.rows == [list(col) for col in zip(*self.rows)]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.nrows == other.nrows and self.ncols == other.ncols
-                and all(self.rows[i][j] == other.rows[i][j]
-                        for i in range(self.nrows) for j in range(self.ncols)))
+        return self.rows == other.rows
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
@@ -237,7 +233,8 @@ def det_exact(m: ExactMatrix) -> Scalar:
     value is independent of pivot choice.  A row whose multiplier a_ik is 0
     only scales by pivot / prev, so it waits until it is needed and then
     catches up in one exact division: the skipped factors telescope to a
-    ratio of two pivots.
+    ratio of two pivots.  Over ints, a_ij = a_kj = 0 is skipped and, where
+    a_kj = 0 alone, a_ij pivot is divided by prev, still checked.
     """
     if not m.is_square:
         raise ValueError("determinant of a non-square %dx%d matrix"
@@ -278,7 +275,11 @@ def det_exact(m: ExactMatrix) -> Scalar:
             aik = row_i[k]
             if ints:  # _exact_div inlined: the hot loop of every int det
                 for j in range(k + 1, n):
-                    q, rem = divmod(row_i[j] * pivot - aik * row_k[j], prev)
+                    x, y = row_i[j], row_k[j]
+                    if not (x or y):  # a zero pair stays zero
+                        continue
+                    q, rem = divmod(x * pivot - aik * y if y else x * pivot,
+                                    prev)
                     if rem:
                         raise InternalCheckError("inexact division by %s" % prev)
                     row_i[j] = q

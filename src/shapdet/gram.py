@@ -16,17 +16,19 @@ the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
 (z-) monomial basis[a], so enumerate_basis alone owns the order.
 
-Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices are
-block-diagonal by the part-size shape lambda, each block the Kronecker
-product of pure blocks G_(n^m), on which alone the S-recursion runs, as
-level tables of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
-factors of y: ints wherever A^(n) is, as for every built-in type.  The
-x-expansions are int coefficients over prod (n / d_i)!; verify checks each
-generator for P as phi reads it and certifies the rest on the pure runs
-n^m alone, each once per FormEngine, leaving the lambda-blocks and the
-x-rows to the printing paths.  The all-pairs memo recursion, the transport
-sum over phi, the x-rows for P, the walk over the lambda-blocks and the
-full-matrix Bareiss and P Q P^-1 N are the tests' oracles (tests/oracles.py).
+Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices and Q
+are block-diagonal by the part-size shape lambda, each block the Kronecker
+product of pure blocks on the runs n^m, which FormEngine builds as level
+tables: pure_s of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
+factors of y (ints wherever A^(n) is, as for every built-in type), and
+pure_q, the one source of Q.  The x-expansions are int coefficients over
+prod (n / d_i)!; verify checks each generator for P as phi reads it and
+certifies the rest on the pure runs alone, each once per FormEngine,
+leaving the lambda-blocks and the x-rows to the printing paths.  The
+all-pairs memo recursion, the transport sum over phi, the x-rows for P,
+the z-expansions by poly_mul products, the walk over the lambda-blocks
+and the full-matrix Bareiss and P Q P^-1 N are the tests' oracles
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, prod
@@ -50,6 +53,7 @@ BPolynomial = Dict[Monomial, object]
 
 
 def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
+    """p1 p2, keeping any term that cancels (none in the positive x-rows)."""
     out: BPolynomial = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
@@ -57,13 +61,7 @@ def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
             key = m1 + m2
             if m1 and m2 and (m2[0][0], -m2[0][1]) > (m1[-1][0], -m1[-1][1]):
                 key = tuple(sorted(key, key=lambda f: (-f[0], f[1])))
-            c = c1 * c2
-            cur = out.get(key)
-            val = c if cur is None else cur + c
-            if val:
-                out[key] = val
-            elif cur is not None:
-                del out[key]
+            out[key] = out.get(key, 0) + c1 * c2
     return out
 
 
@@ -110,13 +108,12 @@ class FormEngine:
     """The A^(n) row tables, the S-form level tables, phi and the run facts
     of one type, each built once, so one engine serves every degree.
 
-    The S-recursion and the z-expansions (the rows of Q) both walk one row
-    table per part size n, the nonzero entries of A^(n), from
-    roots.a_matrix once per n; pure_s builds the pure blocks of S'
-    bottom-up, run certifies each, and phi[n] holds phi_ij(n) once _phi has
-    checked the x_n^(i).  ``gram`` may replace the Cartan form that A^(n)
-    is built from (the CLI's --root-data hook); d_i, mu and I(n) always
-    come from the type."""
+    pure_s (the pure blocks of S', kept) and pure_q (of Q, built afresh on
+    each call) both walk one row table per part size n, the nonzero entries
+    of A^(n) from roots.a_matrix, level by level (_level); run certifies
+    each run, and phi[n] holds phi_ij(n) once _phi has checked the x_n^(i).
+    ``gram`` may replace the Cartan form that A^(n) is built from (the
+    CLI's --root-data hook); d_i, mu and I(n) always come from the type."""
 
     def __init__(self, t: AffineType, gram: Optional[ExactMatrix] = None):
         self.type, self.gram, self.phi, self._facts = t, gram, {}, {}
@@ -136,52 +133,54 @@ class FormEngine:
     def pure_s(self, n: int, m: int):
         """({y: row}, S'_(n^m)): the pure block of the run n^m on the weakly
         increasing color tuples y of I(n), in basis order.  Level k of n is
-        built from level k - 1 by the S-recursion,
-        S'(y, z) = sum_j a_ij mult_j(z) S'(y[1:], z - e_j), walking the
-        nonzero entries c = z - e_j of row y[1:] up to z = c + e_j."""
+        built from level k - 1 by the S-recursion (_level),
+        S'(y, z) = sum_j a_ij mult_j(z) S'(y[1:], z - e_j)."""
         levels = self._levels.setdefault(n, [({(): 0}, [[1]])])
         rows = self._a_rows(n)
         while len(levels) <= m:
             index, prev = levels[-1]
             at = {tuple((n, c) for c in cs): r for r, cs in enumerate(
                 combinations_with_replacement(rows, len(levels)))}
-            up = [{j: (at[tuple(sorted(c + ((n, j),)))], c.count((n, j)) + 1)
-                   for j in rows} for c in index]  # (column, mult_j) of c + e_j
-            table = []
-            for y in at:
-                out, a_row = [0] * len(at), rows[y[0][1]]
-                for c, v in enumerate(prev[index[y[1:]]]):
-                    if v:
-                        for j, aij in a_row:
-                            col, mult = up[c][j]
-                            out[col] = out[col] + aij * (mult * v)
-                table.append(out)
-            levels.append((at, table))
+            levels.append((at, _level(n, index, prev, at, rows, True)))
         return levels[m]
+
+    def pure_q(self, n: int, m: int) -> list:
+        """Q_(n^m): the rows of Q on the pure block of the run n^m, on
+        pure_s's index, built bottom-up (_level) and kept by no one: row y of
+        level k is row y[1:] of level k - 1 times z_(y[0]), where z_n^(i) is
+        sum_j a^(n)_ij (d_i / d_j) y_n^(j), the rows of D A^(n) D^-1."""
+        self.pure_s(n, m)  # the index of every level up to m
+        levels, d, table = self._levels[n], self._d, [[1]]
+        z = {i: [(j, _field_div(v * d[i], d[j])) for j, v in row]
+             for i, row in self._a_rows(n).items()}
+        for (index, _), (at, _) in zip(levels[:m], levels[1:m + 1]):
+            table = _level(n, index, table, at, z, False)
+        return table
 
     def run(self, n: int, m: int):
         """(bad, M, N) of the run n^m, once, on its pure block S' and
         H = S' W: bad is the first (y, z) in row-major order with H[y][z] !=
-        w(y) Q[y][z] K'(z, z) (Q from z_in_y) or, if z < y, != H[z][y], else
-        row y's first term off the block, or None; M and N are _factored
+        w(y) Q[y][z] K'(z, z) (pure_q, read a whole row at a time and then
+        dropped) or, if z < y, != H[z][y], else None; M and N are _factored
         _pure_det(S') / W and prod K'(y, y) / W, W = prod w(y) over the
         block, and M is None unless H is symmetric."""
         if (n, m) not in self._facts:
             at, S = self.pure_s(n, m)
             ws, ks = [self.weight(y) for y in at], [_k_prime(y) for y in at]
             h, bad = [[v * wz for v, wz in zip(row, ws)] for row in S], None
-            for (y, r), h_row in zip(at.items(), h):
-                q_row = self.z_in_y(y)  # row y of Q, and of W Q K' on S'
-                wqk = [ws[r] * q_row.get(z, 0) * k for z, k in zip(at, ks)]
-                off = [z for z, c in at.items() if h_row[c] != wqk[c] or
-                       c < r and h_row[c] != h[c][r]] + [
-                    z for z, q in q_row.items() if q and z not in at]
-                if off:
-                    bad = y, off[0]
-                    break
+            sym = h == [list(c) for c in zip(*h)]
+            for (y, r), h_row, q_row in zip(at.items(), h, self.pure_q(n, m)):
+                wqk = [ws[r] * q * k for q, k in zip(q_row, ks)]  # W Q K'
+                if h_row != wqk or not sym:
+                    off = [z for z, c in at.items() if h_row[c] != wqk[c] or
+                           c < r and h_row[c] != h[c][r]]
+                    if off:
+                        bad = y, off[0]
+                        break
+            del h  # so that only S' stays alive while Bareiss runs
             # the primes of w, K' and, on the type's form, of det S'
             top = max(n * m, self.type.alpha, self.type.beta)
-            det = _pure_det(S) if h == [list(c) for c in zip(*h)] else None
+            det = _pure_det(S) if sym else None
             self._facts[n, m] = (bad, None if det is None else _factored(
                 [det], top, ws), _factored(ks, top, ws))
         return self._facts[n, m]
@@ -190,15 +189,38 @@ class FormEngine:
         """w(mono) = prod n / d_i over the factors (n, i) of mono."""
         return prod(n // self._d[i] for n, i in mono)
 
-    def z_in_y(self, mono: Monomial) -> BPolynomial:
-        """Expansion of a z-monomial in the y-basis, where z_n^(i) is
-        sum_j a^(n)_ij (d_i / d_j) y_n^(j), the rows of D A^(n) D^-1."""
-        poly: BPolynomial = {(): 1}
-        d = self._d
-        for n, i in mono:
-            poly = poly_mul(poly, {((n, j),): _field_div(v * d[i], d[j])
-                                   for j, v in self._a_rows(n)[i]})
-        return poly
+
+def _level(n: int, index, prev, at, gens, derive: bool) -> list:
+    """The level at of the run n^m from the level below, (index, prev):
+    T(y, z) = sum_j g_ij f_j(z) T(y[1:], z - e_j) over the nonzero g_ij of
+    gens[i], i the color of y[0], walking the nonzero c = z - e_j of row y[1:]
+    to z = c + e_j; f_j(z) = mult_j(z) if derive (the S-recursion), else 1."""
+    up = [{j: (at[tuple(sorted(c + ((n, j),)))],  # column and f_j of c + e_j
+               c.count((n, j)) + 1 if derive else 1) for j in gens}
+          for c in index]
+    table = []
+    for y in at:
+        out, g_row = [0] * len(at), gens[y[0][1]]
+        for c, v in enumerate(prev[index[y[1:]]]):
+            if v:
+                for j, g in g_row:
+                    col, f = up[c][j]
+                    out[col] = out[col] + g * (f * v)
+        table.append(out)
+    return table
+
+
+def _kron_row(engine: FormEngine, y: Monomial, table) -> list:
+    """[(z, v)]: the nonzero entries of row y of the Kronecker product over
+    the runs n^m of y, largest part slowest as in the basis order, of the
+    pure blocks table(n, m) on pure_s's index (of S' for G_y, of Q for Q)."""
+    out = [((), 1)]
+    for n, run in groupby(y, key=lambda f: f[0]):
+        at = engine.pure_s(n, len(run := tuple(run)))[0]
+        row = table(n, len(run))[at[run]]
+        out = [(z + u, v * row[c]) for z, v in out for u, c in at.items()
+               if row[c]]
+    return out
 
 
 def transition_matrices(t: AffineType, d: int,
@@ -206,17 +228,19 @@ def transition_matrices(t: AffineType, d: int,
                         ) -> Tuple[ExactMatrix, ExactMatrix]:
     """The x-to-y matrix P and the block-diagonal z-to-y matrix Q at degree d.
 
-    Row a of P is x_in_y(basis[a]) and row a of Q is engine.z_in_y(basis[a]),
-    both in the global basis order.  ``engine`` supplies the z-coefficients
-    (and any replaced gram); a fresh one on the built-in gram by default.
+    Row a of P is x_in_y(basis[a]) and row a of Q is the z-expansion of
+    basis[a], the Kronecker product of its runs' rows of engine.pure_q, both
+    in the global basis order.  ``engine`` supplies the z-coefficients (and
+    any replaced gram); a fresh one on the built-in gram by default.
     """
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
     P, Q = ([[0] * len(basis) for _ in basis] for _ in "PQ")
+    q_table = lru_cache(maxsize=None)(engine.pure_q)  # once per run
     for a, (x, scale) in enumerate(_x_rows(t, basis)):
         for target, coeff in x.items():
             P[a][index[target]] = Fraction(coeff, scale)
-        for target, coeff in engine.z_in_y(basis[a]).items():
+        for target, coeff in _kron_row(engine, basis[a], q_table):
             Q[a][index[target]] = coeff
     return ExactMatrix(P), ExactMatrix(Q)
 
@@ -243,13 +267,8 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
     # row b of P is the int vector p_rows[b] over scale[b], and w(y)
     # divides every coefficient of y in it.
     p_rows, scale = zip(*_x_rows(t, basis))
-    g_rows = {}  # y: its nonzero S'(y, z), S'_lambda being the Kronecker
-    for y in basis:  # product of its runs' pure blocks (verify's proof)
-        g_rows[y] = [((), 1)]
-        for n, run in groupby(y, key=lambda f: f[0]):
-            at, S = engine.pure_s(n, len(run := tuple(run)))
-            g_rows[y] = [(z + u, v * S[at[run]][c]) for z, v in g_rows[y]
-                         for u, c in at.items() if S[at[run]][c]]
+    g_rows = {y: _kron_row(engine, y, lambda n, m: engine.pure_s(n, m)[1])
+              for y in basis}  # y: its nonzero S'(y, z) (verify's proof)
     columns: Dict[Monomial, List[Tuple[int, int]]] = {}  # P by column
     for b, p_row in enumerate(p_rows):
         for z, cb in p_row.items():
@@ -369,25 +388,15 @@ class GramReport:
         return not self.failures
 
     def to_dict(self) -> dict:
-        return {
-            "type": self.type.name,
-            "d": self.d,
-            "basis_size": len(self.basis),
-            "predicted": {
-                "a": self.predicted_a,
-                "b": self.predicted_b,
-                "alpha": self.type.alpha,
-                "beta": self.type.beta,
-                "determinant": self.predicted_det,
-                "factored": "%d^%d * %d^%d" % (self.type.alpha, self.predicted_a,
-                                               self.type.beta, self.predicted_b),
-            },
-            "det_M": self.det_M,
-            "det_N": self.det_N,
-            "identity_ok": self.identity_ok,
-            "pass": self.ok,
-            "failures": list(self.failures),
-        }
+        t, a, b = self.type, self.predicted_a, self.predicted_b
+        return {"type": t.name, "d": self.d, "basis_size": len(self.basis),
+                "predicted": {"a": a, "b": b, "alpha": t.alpha, "beta": t.beta,
+                              "determinant": self.predicted_det,
+                              "factored": "%d^%d * %d^%d" % (t.alpha, a,
+                                                             t.beta, b)},
+                "det_M": self.det_M, "det_N": self.det_N,
+                "identity_ok": self.identity_ok, "pass": self.ok,
+                "failures": list(self.failures)}
 
 
 def verify(t: AffineType, d: int,
@@ -432,8 +441,9 @@ def verify(t: AffineType, d: int,
     its first failing (y, z), in the first lambda holding it, the other runs
     at their first monomials.  No lambda-block and no dense M, N, P or Q is
     built; failed checks are recorded in the report, not raised.
-    ``engine``, a fresh FormEngine by default, serves phi, the runs and the
-    z-expansions, and keeps them for the next degree.
+    ``engine``, a fresh FormEngine by default, serves phi, the runs and
+    their pure blocks of S' and Q (pure_s, pure_q), and keeps all but Q for
+    the next degree.  The z-expansion oracle lives in tests/oracles.py.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d

@@ -79,9 +79,7 @@ def _run_exponents(t: AffineType, runs) -> Tuple[int, int]:
     also settles the k = 0 case of the untwisted types where no part size
     ever lands in the b-branch.
     """
-    prod = 1
-    s_div = 0
-    s_ndiv = 0
+    prod, s_div, s_ndiv = 1, 0, 0
     for n, m in runs:
         if n % t.r == 0:
             prod *= comb(t.ell + m - 1, m)

@@ -188,10 +188,7 @@ def finite_root_data(t: AffineType) -> FiniteRootData:
     gram = ExactMatrix([[2 if i == j else (-1 if (i, j) in adj else 0)
                          for j in nodes] for i in nodes])
     orbits = _orbits(nodes, mu)
-    d = {}
-    for orbit in orbits:
-        for i in orbit:
-            d[i] = t.r // len(orbit)
+    d = {i: t.r // len(orbit) for orbit in orbits for i in orbit}
     c = {i: 2 if (t.a0 == 2 and i == 0) else 1 for i in nodes}
     data = FiniteRootData(nodes, gram, mu, orbits, d, c)
 

@@ -21,12 +21,9 @@ class TruncSeries:
         if max_degree < 0:
             raise ValueError("truncation degree must be >= 0")
         self.max_degree = max_degree
-        if coeffs is None:
-            coeffs = [0] * (max_degree + 1)
-        else:
-            coeffs = list(coeffs)
-            if len(coeffs) != max_degree + 1:
-                raise ValueError("coefficient list has wrong length")
+        coeffs = [0] * (max_degree + 1) if coeffs is None else list(coeffs)
+        if len(coeffs) != max_degree + 1:
+            raise ValueError("coefficient list has wrong length")
         self.coeffs = coeffs
 
     @classmethod
@@ -89,10 +86,7 @@ class TruncSeries:
         if r < 1:
             raise ValueError("substitution power must be >= 1")
         out = [0] * (self.max_degree + 1)
-        for d, x in enumerate(self.coeffs):
-            if r * d > self.max_degree:
-                break
-            out[r * d] = x
+        out[::r] = self.coeffs[:self.max_degree // r + 1]
         return TruncSeries(self.max_degree, out)
 
     def __repr__(self):
@@ -101,8 +95,7 @@ class TruncSeries:
 
 def partition_series(D: int) -> TruncSeries:
     """P(q): number of partitions, by Euler's pentagonal recurrence."""
-    p = [0] * (D + 1)
-    p[0] = 1
+    p = [1] + [0] * D
     for n in range(1, D + 1):
         total = 0
         k = 1

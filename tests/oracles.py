@@ -1,7 +1,8 @@
 """Reference constructions the tests compare the package against.
 
-gram.transition_matrices builds Q row by row from the z-expansions.
-tiled_q builds it independently, from dense D A^(n) D^-1 matrices, as
+gram.transition_matrices builds Q row by row from FormEngine.pure_q's level
+tables; z_in_y expands each z-monomial by poly_mul products instead, and
+tiled_q builds Q independently, from dense D A^(n) D^-1 matrices, as
 block-diagonal tiles Q_lambda = kron of Sym^m blocks in partition order.
 FormOracle evaluates the S- and K-forms on any pair of y-monomials by the
 all-pairs memo recursion, with its own rows of A^(n) from roots.a_matrix;
@@ -107,6 +108,18 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
                     row.extend([0] * b.ncols)
             out.append(row)
     return ExactMatrix(out)
+
+
+def z_in_y(engine, mono) -> dict:
+    """{y: coefficient}: the y-expansion of the z-monomial mono, one
+    gram.poly_mul product per factor, where z_n^(i) is
+    sum_j a^(n)_ij (d_i / d_j) y_n^(j), read from the engine's rows of
+    A^(n); FormEngine.pure_q builds the same rows as dense level tables."""
+    poly, d = {(): 1}, engine._d
+    for n, i in mono:
+        poly = gram.poly_mul(poly, {((n, j),): _field_div(v * d[i], d[j])
+                                    for j, v in engine._a_rows(n)[i]})
+    return poly
 
 
 def z_block(engine, n: int) -> ExactMatrix:
@@ -350,8 +363,8 @@ def kron_lambda_blocks(engine, basis):
 def lambda_certificate(engine, blocks, index):
     """(witness, det M, det N, doubt) from one pass over the lambda-blocks
     (ys, S'_lambda) in basis order, as kron_lambda_blocks yields them, valid
-    when P is unitriangular; engine gives w, the pure blocks and row y of Q
-    (z_in_y), and index[y] is y's basis position.  It works on
+    when P is unitriangular; engine gives w and the pure blocks, z_in_y
+    gives row y of Q, and index[y] is y's basis position.  It works on
     H = S'_y W = W G_y W, which is symmetric iff G_y is; and G_y = Q K_y iff
     H[y][z] = w(y) Q[y][z] K'(z, z).  The witness is the first (a, c) in
     basis order where H[a][c] differs from w(a) Q[a][c] K'(c, c) or, if
@@ -371,7 +384,7 @@ def lambda_certificate(engine, blocks, index):
         h = [[v * wz for v, wz in zip(row, ws)] for row in s]  # H = S'_y W
         for r, h_row in enumerate([] if witness else h):  # rows in basis order
             qk_row, bad = [0] * len(ys), []  # row r of W Q K'_y in the block
-            for z, q in engine.z_in_y(ys[r]).items():
+            for z, q in z_in_y(engine, ys[r]).items():
                 c = at.get(z)
                 if c is not None:
                     qk_row[c] = ws[r] * q * ks[c]

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shapdet import exact
 from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
                            as_integer, det_exact, invert)
 
@@ -207,6 +208,18 @@ def test_det_of_sparse_int_matrices_matches_gauss_oracle(rows):
     assert sum(map(bool, sum(rows, []))) <= n * n / 5
     det = det_exact(ExactMatrix(rows))
     assert type(det) is int and det == gauss_det(rows)
+
+
+def test_int_det_checks_every_division(monkeypatch):
+    # Bareiss divides a_ij pivot - a_ik a_kj by the previous pivot, or
+    # a_ij pivot alone where a_kj = 0, and skips j where both are 0; with
+    # divmod reporting a remainder, either division raises.
+    monkeypatch.setattr(exact, "divmod", lambda x, y: (x // y, 1),
+                        raising=False)
+    for rows in ([[1, 1], [1, 1]], [[1, 0], [1, 1]]):
+        with pytest.raises(InternalCheckError, match="inexact division by 1"):
+            det_exact(ExactMatrix(rows))
+    assert det_exact(ExactMatrix([[1, 0], [1, 0]])) == 0  # no division
 
 
 @st.composite

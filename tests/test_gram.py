@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction
 from collections import Counter
 from functools import lru_cache, partial
@@ -23,9 +25,10 @@ from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponents)
 from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
 
+import oracles
 from oracles import (FormOracle, bilinear, identity, kron_lambda_blocks,
                      lambda_blocks, lambda_certificate, lambda_walk_report,
-                     p_witness, phi, q_block, tiled_q, transport_gram)
+                     p_witness, phi, q_block, tiled_q, transport_gram, z_in_y)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -281,7 +284,7 @@ def test_lemma_f2_small():
         for d in range(4):
             basis = enumerate_basis(t, d)
             for left in basis:
-                z = e.z_in_y(left)
+                z = z_in_y(e, left)
                 for f in basis:
                     assert oracle.form_s_mono(left, f) == \
                         bilinear(oracle.form_k_mono, z, f)
@@ -439,6 +442,72 @@ def test_q_matches_tiled_oracle_on_corrupted_d4_3():
             genuine += any(isinstance(x, CycNumber) and x.b
                            for row in Q.rows for x in row)
     assert genuine == 10  # d = 1..5 for both grams
+
+
+def _pure_q_matches_z_expansions(engine, degrees):
+    """FormEngine.pure_q equals the z_in_y oracle on every run n^m of the
+    bases of these degrees, in value and in the printed form of every
+    entry, and the oracle has no term off the run's block.  Returns the
+    number of rows compared."""
+    rows, runs = 0, {run for d in degrees
+                     for y in enumerate_basis(engine.type, d)
+                     for run in _runs(tuple(n for n, _ in y))}
+    for run in runs:
+        at = engine.pure_s(*run)[0]
+        for y, row in zip(at, engine.pure_q(*run)):
+            terms = z_in_y(engine, y)
+            assert terms.keys() <= at.keys()
+            want = [terms.get(z, 0) for z in at]
+            assert row == want and list(map(str, row)) == list(map(str, want))
+            rows += 1
+    return rows
+
+
+def test_pure_q_matches_the_z_expansions():
+    # At every roster run, at E6^1 d=5 and E7^1 d=4 (the (1^5) and (1^4)
+    # blocks, 252 and 210 rows), and on the corrupted grams and the zeta_3
+    # gram, with their Fraction and Q(zeta_3) entries.
+    rows = 0
+    for name, dmax in ROSTER_DEGREES.items():
+        rows += _pure_q_matches_z_expansions(FormEngine(parse_type(name)),
+                                             range(dmax + 1))
+    for name, d in (("E6^1", 5), ("E7^1", 4)):
+        rows += _pure_q_matches_z_expansions(FormEngine(parse_type(name)), [d])
+    for name, gram_ in CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]:
+        t, bad = _corrupted(name, gram_)
+        rows += _pure_q_matches_z_expansions(FormEngine(t, bad), range(5))
+    assert rows > 1000
+
+
+def test_verify_keeps_no_q_table(monkeypatch):
+    # run builds each run's Q with pure_q and drops it once the run's facts
+    # are cached: after verify returns, no table it was handed is alive, and
+    # no row of one is held by the engine's tables and caches.
+    pure_q, tables, rows = FormEngine.pure_q, [], []
+
+    class Table(list):  # a list that a weak reference can follow
+        pass
+
+    def tracked(self, n, m):
+        table = Table(pure_q(self, n, m))
+        tables.append(weakref.ref(table))
+        rows.extend(table)
+        return table
+
+    monkeypatch.setattr(FormEngine, "pure_q", tracked)
+    engine = FormEngine(parse_type("E6^1"))
+    assert verify(engine.type, 5, engine).ok
+    gc.collect()
+    assert len(tables) == len(engine._facts) == 9 and len(rows) == 380
+    assert all(ref() is None for ref in tables)
+    held, todo = set(), list(vars(engine).values())
+    while todo:  # every dict, list and tuple the engine reaches
+        obj = todo.pop()
+        if isinstance(obj, (dict, list, tuple)) and id(obj) not in held:
+            held.add(id(obj))
+            todo.extend([*obj.keys(), *obj.values()] if isinstance(obj, dict)
+                        else obj)
+    assert len(held) > 1000 and not held & {id(row) for row in rows}
 
 
 def _brute_gram(t, d, fixture=None):
@@ -777,18 +846,31 @@ def test_identity_matches_dense_oracle_on_corrupted_grams():
     assert held == [False] + [True] * 4 + [False] * 4
 
 
+def _mutate_z_rows(monkeypatch):
+    """Scale the z rows by (d_j / d_i)^2, in FormEngine.pure_q and in the
+    z_in_y oracle alike.  Per monomial the scale of the term y of z is
+    (w(z) / w(y))^2, as w = prod n / d_i."""
+    pure_q, z_oracle = FormEngine.pure_q, oracles.z_in_y
+
+    def mutated_q(self, n, m):
+        ys = list(self.pure_s(n, m)[0])
+        return [[v * Fraction(self.weight(z), self.weight(y)) ** 2
+                 for y, v in zip(ys, row)]
+                for z, row in zip(ys, pure_q(self, n, m))]
+
+    def mutated_z(engine, mono):
+        return {y: v * Fraction(engine.weight(mono), engine.weight(y)) ** 2
+                for y, v in z_oracle(engine, mono).items()}
+
+    monkeypatch.setattr(FormEngine, "pure_q", mutated_q)
+    monkeypatch.setattr(oracles, "z_in_y", mutated_z)
+
+
 def test_identity_matches_dense_oracle_under_z_row_mutation(monkeypatch):
     # Scaling the z rows by (d_j / d_i)^2 turns D A^(n) D^-1 into the
     # similar D^-1 A^(n) D: det Q_lambda and M stay, and only the identity
-    # can fail, wherever colors with different d_i pair.  Per monomial the
-    # scale of the term y of z is (w(z) / w(y))^2, as w = prod n / d_i.
-    z_in_y = FormEngine.z_in_y
-
-    def mutated(self, mono):
-        return {y: v * Fraction(self.weight(mono), self.weight(y)) ** 2
-                for y, v in z_in_y(self, mono).items()}
-
-    monkeypatch.setattr(FormEngine, "z_in_y", mutated)
+    # can fail, wherever colors with different d_i pair.
+    _mutate_z_rows(monkeypatch)
     failing = []
     for t in ALL_TYPES:
         for d in range(1, 4):
@@ -851,13 +933,7 @@ def test_run_certificate_matches_the_lambda_walk_under_z_row_mutation(
     # The mutation of test_identity_matches_dense_oracle_under_z_row_mutation
     # fails the identity at 9 of these cases, each named as the walk names
     # it.
-    z_in_y = FormEngine.z_in_y
-
-    def mutated(self, mono):
-        return {y: v * Fraction(self.weight(mono), self.weight(y)) ** 2
-                for y, v in z_in_y(self, mono).items()}
-
-    monkeypatch.setattr(FormEngine, "z_in_y", mutated)
+    _mutate_z_rows(monkeypatch)
     failing = 0
     for t in ALL_TYPES:
         for d in range(5 if t.name in ROSTER_DEGREES else 4):
@@ -909,16 +985,16 @@ def test_a_shared_engine_reports_a_failing_generator_at_every_degree(
 
 
 def test_verify_reads_only_the_pure_runs(monkeypatch):
-    # On one engine per type over the roster degrees, verify expands z_in_y
-    # on the monomials of the pure runs alone, each once, certifies each run
-    # once and builds no dense P, Q, M or N: no lambda-block either, as its
-    # rows would be z-expansions of monomials with several part sizes.
+    # On one engine per type over the roster degrees, verify builds Q on the
+    # pure runs alone (pure_q), each once, certifies each run once and
+    # builds no dense P, Q, M or N: no lambda-block either, as its rows of Q
+    # would be products over several part sizes.
     expanded, certified = [], []
-    z_in_y, run = FormEngine.z_in_y, FormEngine.run
+    pure_q, run = FormEngine.pure_q, FormEngine.run
 
-    def recording_z(self, mono):
-        expanded.append((self.type.name, mono))
-        return z_in_y(self, mono)
+    def recording_q(self, n, m):
+        expanded.append((self.type.name, n, m))
+        return pure_q(self, n, m)
 
     def recording_run(self, n, m):
         certified.append((self.type.name, n, m))
@@ -927,7 +1003,7 @@ def test_verify_reads_only_the_pure_runs(monkeypatch):
     def failing(*args):
         raise AssertionError("verify built a dense matrix")
 
-    monkeypatch.setattr(FormEngine, "z_in_y", recording_z)
+    monkeypatch.setattr(FormEngine, "pure_q", recording_q)
     monkeypatch.setattr(FormEngine, "run", recording_run)
     for name in ("gram_matrices", "transition_matrices"):
         monkeypatch.setattr(gram, name, failing)
@@ -941,11 +1017,10 @@ def test_verify_reads_only_the_pure_runs(monkeypatch):
             basis_sizes += len(rep.basis)
             runs |= {(name, *run) for y in rep.basis
                      for run in _runs(tuple(n for n, _ in y))}
-    assert all(len({n for n, _ in mono}) <= 1 for _, mono in expanded)
-    assert len(expanded) == len(set(expanded)) == sum(
-        len(FormEngine(parse_type(name)).pure_s(n, m)[0])
-        for name, n, m in runs) < basis_sizes
-    assert set(certified) == runs
+    assert len(expanded) == len(set(expanded)) == len(runs)
+    assert set(expanded) == set(certified) == runs
+    assert sum(len(FormEngine(parse_type(name)).pure_s(n, m)[0])
+               for name, n, m in runs) < basis_sizes  # the rows of Q built
 
 
 @lru_cache(maxsize=None)
@@ -959,50 +1034,37 @@ def _run_case():
     shapes = list(dict.fromkeys(tuple(n for n, _ in y) for y in basis))
     runs = list(dict.fromkeys(run for shape in shapes for run in _runs(shape)))
     return t, shapes, runs, {run: engine.pure_s(*run) for run in runs}, {
-        y: engine.z_in_y(y) for run in runs for y in engine.pure_s(*run)[0]}
-
-
-def _with_q(engine, q_rows, index):
-    """engine as the certificate reads it, with q_rows[index[y]] as row y
-    of Q."""
-    return SimpleNamespace(pure_s=engine.pure_s, weight=engine.weight,
-                           z_in_y=lambda y: q_rows[index[y]])
+        run: engine.pure_q(*run) for run in runs}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    # Entries of the runs' pure blocks S' and of their rows of Q, the only
-    # ones verify reads past phi, perturbed at distinct spots in or off a
-    # block.  verify names the first run, in the order the runs first occur
-    # along the basis, with a perturbed spot; at its first row with one, the
-    # first perturbed column in the block, else the term off the block; in
-    # the first lambda holding the run, the other runs at their first
-    # monomials.
-    t, shapes, runs, pure, z_rows = _run_case()
+    # Entries of the runs' pure blocks S' and Q, the only ones verify reads
+    # past phi, perturbed at distinct spots.  verify names the first run, in
+    # the order the runs first occur along the basis, with a perturbed spot;
+    # at its first row with one, the first perturbed column; in the first
+    # lambda holding the run, the other runs at their first monomials.  A
+    # term of Q off the block, which the z-expansions could hold, has no
+    # place in pure_q's table.
+    t, shapes, runs, pure, q_tables = _run_case()
     blocks = {run: [row[:] for row in S] for run, (_, S) in pure.items()}
-    q_rows = {y: dict(row) for y, row in z_rows.items()}
-    failing = {}  # run: {(r, c): column monomial}, c = len(block) if off it
+    qs = {run: [row[:] for row in Q] for run, Q in q_tables.items()}
+    failing = {}  # run: {(r, c): column monomial}
     for _ in range(data.draw(st.integers(1, 3))):
         run = data.draw(st.sampled_from(runs))
         ys = list(pure[run][0])
         r, c = (data.draw(st.integers(0, len(ys) - 1)) for _ in "rc")
-        target = data.draw(st.sampled_from(["S", "Q", "off"]))
-        if target == "off":  # one term per row, a monomial of another run
-            c, z = len(ys), next(iter(pure[runs[runs.index(run) - 1]][0]))
+        target = data.draw(st.sampled_from(["S", "Q"]))
         if (r, c) in failing.get(run, {}):
             continue  # one perturbation per spot, so that none cancels
         delta = data.draw(st.sampled_from([1, -1, 3, Fraction(1, 2)]))
-        if target == "S":
-            blocks[run][r][c] += delta
-        else:
-            z = ys[c] if target == "Q" else z
-            q_rows[ys[r]][z] = q_rows[ys[r]].get(z, 0) + delta
-        failing.setdefault(run, {})[r, c] = ys[c] if c < len(ys) else z
+        (blocks if target == "S" else qs)[run][r][c] += delta
+        failing.setdefault(run, {})[r, c] = ys[c]
     engine = FormEngine(t)
     gram._phi(engine, 5)  # from the true blocks, which phi alone reads
     engine.pure_s = lambda n, m: (pure[n, m][0], blocks[n, m])
-    engine.z_in_y = q_rows.__getitem__
+    engine.pure_q = lambda n, m: qs[n, m]
     rep = verify(t, 5, engine)
     run = next(run for run in runs if run in failing)
     ys = list(pure[run][0])
@@ -1297,9 +1359,9 @@ def test_certificate_det_of_a_permuted_product(case):
     z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
     index = {y: a for a, y in enumerate(ys)}
     engine = SimpleNamespace(pure_s=lambda n, m: pure[n, m], weight=weight)
-    with mock.patch.object(gram, "_k_prime", weight):
-        assert lambda_certificate(_with_q(engine, z_rows, index),
-                                 [(ys, weighted(ys, g))], index) == (
+    with mock.patch.object(gram, "_k_prime", weight), mock.patch.object(
+            oracles, "z_in_y", lambda engine, y: z_rows[index[y]]):
+        assert lambda_certificate(engine, [(ys, weighted(ys, g))], index) == (
             None, det_exact(ExactMatrix(g)), 1, None)
 
 
