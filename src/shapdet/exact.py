@@ -225,25 +225,27 @@ class ExactMatrix:
 
 
 def det_exact(m: ExactMatrix) -> Scalar:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Works over int entries without ever leaving the integers, with every
-    division checked for a zero remainder; over Fraction or CycNumber
-    entries the divisions are field divisions.  Row pivoting only; the
-    value is independent of pivot choice.  A row whose multiplier a_ik is 0
-    only scales by pivot / prev, so it waits until it is needed and then
-    catches up in one exact division: the skipped factors telescope to a
-    ratio of two pivots.  Over ints, a_ij = a_kj = 0 is skipped and, where
-    a_kj = 0 alone, a_ij pivot is divided by prev, still checked.
-    """
+    """Exact determinant by fraction-free elimination (_bareiss on a copy)."""
     if not m.is_square:
         raise ValueError("determinant of a non-square %dx%d matrix"
                          % (m.nrows, m.ncols))
-    n = m.nrows
     a = [row[:] for row in m.rows]
-    ints = all(type(x) is int for row in a for x in row)
-    # Checked int divisions, or field ones once any entry is not an int.
-    div = _exact_div if ints else _field_div
+    return _bareiss(a, all(type(x) is int for row in a for x in row))
+
+
+def _bareiss(a: List[List[Scalar]], ints: bool) -> Scalar:
+    """det of the square rows a, which it overwrites.
+
+    If ints (every entry an int), it never leaves the integers, with every
+    division checked for a zero remainder; else the divisions are field
+    divisions.  Row pivoting only; the value is independent of pivot
+    choice.  A row whose multiplier a_ik is 0 only scales by pivot / prev,
+    so it waits until it is needed and then catches up in one exact
+    division: the skipped factors telescope to a ratio of two pivots.  Over
+    ints, a_ij = a_kj = 0 is skipped and, where a_kj = 0 alone, a_ij pivot
+    is divided by prev, still checked.
+    """
+    n, div = len(a), _exact_div if ints else _field_div
     sign = 1
     prevs: List[Scalar] = [1]  # prevs[k]: the divisor of step k
     since = [0] * n  # row i holds its entries as of step since[i]

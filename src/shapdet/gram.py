@@ -22,13 +22,13 @@ product of pure blocks on the runs n^m, which FormEngine builds as level
 tables: pure_s of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
 factors of y (ints wherever A^(n) is, as for every built-in type), and
 pure_q, the one source of Q.  The x-expansions are int coefficients over
-prod (n / d_i)!; verify checks each generator for P as phi reads it and
-certifies the rest on the pure runs alone, each once per FormEngine,
-leaving the lambda-blocks and the x-rows to the printing paths.  The
-all-pairs memo recursion, the transport sum over phi, the x-rows for P,
-the z-expansions by poly_mul products, the walk over the lambda-blocks
-and the full-matrix Bareiss and P Q P^-1 N are the tests' oracles
-(tests/oracles.py).
+prod (n / d_i)!, which only the printing paths read: verify takes phi from
+its exponential series on the rows of A^(n) and certifies the rest on the
+pure runs alone, each once per FormEngine.  The all-pairs memo recursion,
+the transport sum over phi, the walk over the x-generators for phi, the
+x-rows for P, the z-expansions by poly_mul products, the walk over the
+lambda-blocks and the full-matrix Bareiss and P Q P^-1 N are the tests'
+oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -39,11 +39,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, gcd, prod
+from math import factorial, gcd, perm, prod
 from typing import Dict, List, Optional, Tuple
 
-from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
-                    as_integer, det_exact)
+from .exact import (ExactMatrix, InternalCheckError, _bareiss, _exact_div,
+                    _field_div, as_integer)
 from .partitions import (ColoredPartition, enumerate_basis, exponent_totals,
                          multiplicities, _gen_runs, _runs)
 from .roots import AffineType, a_matrix, finite_root_data, index_set
@@ -65,11 +65,6 @@ def poly_mul(p1: BPolynomial, p2: BPolynomial) -> BPolynomial:
     return out
 
 
-def _colored(runs, di: int, i: int) -> Monomial:
-    """The color-i monomial of d_i times the partition with these runs."""
-    return sum((((k * di, i),) * r for k, r in runs), ())
-
-
 def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
     """({y: int}, m!) with m = n / d_i, built afresh: x_n^(i) is the sum over
     partitions (1^k1 2^k2 ...) of m of prod_j (y_{j d_i}^(i))^{k_j} / k_j!,
@@ -78,16 +73,16 @@ def _x_generator(t: AffineType, n: int, i: int) -> Tuple[BPolynomial, int]:
     if n % di:
         raise ValueError("color %d requires parts divisible by %d" % (i, di))
     m = n // di
-    return {_colored(runs, di, i): factorial(m) // prod(
-        factorial(r) for _, r in runs) for runs in _gen_runs(m)}, factorial(m)
+    return {sum((((k * di, i),) * r for k, r in runs), ()): factorial(m)
+            // prod(factorial(r) for _, r in runs)
+            for runs in _gen_runs(m)}, factorial(m)
 
 
 def _x_rows(t: AffineType, monos):
     """Yield (coefficients, scale) for each monomial of monos, in order: its
     x_in_y expansion as int coefficients over scale, the product of its
     generators in order, each built once per call.  Only the printing paths
-    read the x-rows (x_in_y, transition_matrices, gram_matrices); verify
-    checks P on the generators alone (_phi)."""
+    read the x-rows (x_in_y, transition_matrices, gram_matrices)."""
     gens = {f: _x_generator(t, *f) for f in {f for m in monos for f in m}}
     for mono in monos:
         poly, scale = {(): 1}, 1
@@ -105,18 +100,18 @@ def x_in_y(t: AffineType, item) -> BPolynomial:
 
 
 class FormEngine:
-    """The A^(n) row tables, the S-form level tables, phi and the run facts
-    of one type, each built once, so one engine serves every degree.
+    """The A^(n) row tables, the S-form level tables and the run facts of
+    one type, each built once, so one engine serves every degree.
 
     pure_s (the pure blocks of S', kept) and pure_q (of Q, built afresh on
     each call) both walk one row table per part size n, the nonzero entries
-    of A^(n) from roots.a_matrix, level by level (_level); run certifies
-    each run, and phi[n] holds phi_ij(n) once _phi has checked the x_n^(i).
+    of A^(n) from roots.a_matrix, level by level (_level), from which _phi
+    reads too; run certifies each run.
     ``gram`` may replace the Cartan form that A^(n) is built from (the
     CLI's --root-data hook); d_i, mu and I(n) always come from the type."""
 
     def __init__(self, t: AffineType, gram: Optional[ExactMatrix] = None):
-        self.type, self.gram, self.phi, self._facts = t, gram, {}, {}
+        self.type, self.gram, self._facts = t, gram, {}
         self._d = finite_root_data(t).d
         self._rows: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
         self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
@@ -305,42 +300,22 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
 
 
 def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
-    """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n),
-    reading each x_n^(i) once per engine and checking (a) of verify before
-    phi(n) enters engine.phi.  Its terms y come from the runs (k, r) of the
-    partitions of n / d_i, so w(y) = prod k^r, and y pairs only with the
-    color-j y' of its shape, to S'(y, y') / w(y) = prod over the runs of
-    S'_(K^r)[(K, i)^r][(K, j)^r] (K = k d_i, each read once) over w(y)."""
-    t, entry = engine.type, {}  # entry: (K, r, i, j): S' entry
-    for n in (n for n in range(1, d + 1) if n not in engine.phi):
-        gens, out = {}, {}  # gens: i: ({runs of y: (c_y / w(y), c_y)}, m!)
-        for i in index_set(t, n):
-            (x, scale), di = _x_generator(t, n, i), engine._d[i]
-            rest, lead = dict(x), ((n, i),)  # rest: x less what (a) allows
-            found = [(runs, rest.pop(_colored(runs, di, i), 0))
-                     for runs in _gen_runs(n // di)]  # (n / d_i) first: lead
-            for y, c in [(lead, found[0][1]), *rest.items()]:
-                if c != scale if y == lead else c:
-                    raise InternalCheckError(
-                        "P is not upper unitriangular: x_%d^(%d) holds %s "
-                        "with coefficient %s" % (n, i, y, Fraction(c, scale)))
-            gens[i] = {tuple((k * di, r) for k, r in runs): (
-                _exact_div(c, prod(k ** r for k, r in runs)), c)
-                for runs, c in found if c}, scale
-        for (i, (xi, si)), (j, (xj, sj)) in product(gens.items(), repeat=2):
-            total = 0
-            for runs in xi.keys() & xj.keys():  # y and y' of one part shape
-                v = xi[runs][0] * xj[runs][1]
-                for k, r in runs:
-                    if (k, r, i, j) not in entry:
-                        at, S = engine.pure_s(k, r)
-                        entry[k, r, i, j] = S[at[((k, i),) * r]][
-                            at[((k, j),) * r]]
-                    v = v * entry[k, r, i, j]
-                total = total + v
-            out[n, i, j] = _field_div(total, si * sj)
-        engine.phi[n] = out
-    return {k: v for n in range(1, d + 1) for k, v in engine.phi[n].items()}
+    """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n).
+    The S-form pairs (y_k^(i))^r only with (y_k^(j))^r, to r! f_k^r, f_k =
+    (d_i / k) a^(k)_ij, so by the exp series of the x_n^(i) (verify),
+    phi_ij(n) = e_n = [s^n] exp(sum_k f_k s^k), over the k with i, j in I(k):
+    n e_n = sum_k k f_k e_(n-k), run as E_n = n! e_n in the a^(k)_ij's ring."""
+    t, d_, out = engine.type, engine._d, {}
+    for i, j in product(t.I, repeat=2):
+        f = [(k, d_[i] * a) for k in range(1, d + 1)
+             for c, a in engine._a_rows(k).get(i, ()) if c == j]
+        E = [1] + [0] * d
+        for n in range(1, d + 1):
+            if n % d_[i] == n % d_[j] == 0:  # i, j in I(n)
+                E[n] = sum(kf * E[n - k] * perm(n - 1, k - 1)
+                           for k, kf in f if k <= n)
+                out[n, i, j] = _field_div(E[n], factorial(n))
+    return out
 
 
 def _factored(values, top: int, over=()) -> Counter:
@@ -358,13 +333,13 @@ def _factored(values, top: int, over=()) -> Counter:
 
 
 def _pure_det(S):
-    """det S by Bareiss, on an int S after dividing each row by the gcd r_i
-    of its entries: det S = prod r_i det H for the row-reduced H."""
+    """det S by Bareiss on one copy, on an int S after dividing each row by
+    the gcd r_i of its entries: det S = prod r_i det H for the reduced H."""
     if not all(type(v) is int for row in S for v in row):
-        return det_exact(ExactMatrix(S))
+        return _bareiss([row[:] for row in S], False)
     r = [gcd(*row) or 1 for row in S]  # a zero row stays zero
-    H = [[v // g for v in row] for row, g in zip(S, r)]
-    return prod(r) * det_exact(ExactMatrix(H))
+    return prod(r) * _bareiss([[v // g for v in row]
+                               for row, g in zip(S, r)], True)
 
 
 @dataclass
@@ -405,17 +380,20 @@ def verify(t: AffineType, d: int,
 
     P is upper unitriangular when (a) every generator x_n^(i), n <= d, is
     y_n^(i) plus terms of at least two parts, all of color i, divisible by
-    d_i and summing to n (as _x_generator builds it), and (b) the part
-    shapes of the basis never increase along it.  A term of
+    d_i and summing to n, and (b) the part shapes of the basis never
+    increase along it.  (a) holds as x_n^(i) is [s^n] of
+    exp(sum_k y_(k d_i)^(i) s^(k d_i)): y_n^(i) comes from the exponent
+    alone, and every other term has two or more factors y_(k d_i)^(i).  It
+    is a property of _x_generator, which reads the type alone and which only
+    the printing paths call; verify checks (b).  A term of
     x_lambda = prod_k x_(n_k)^(i_k) picks one term per factor: the leading
     ones give y_lambda with coefficient 1, and any other pick splits a part,
     so its shape strictly refines lambda's, is lexicographically smaller
-    and by (b) sits strictly later.  (b) comes first; _phi checks (a) on each
-    generator before reading it, as the argument for M rests on them.
+    and by (b) sits strictly later.
 
     M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S with
-    n <= d is an int (_phi, from the pipeline's own x-generators and pure
-    blocks).  The x-basis is group-like: sum_m x_(m d_i)^(i) s^(m d_i) =
+    n <= d is an int (_phi, from that exp series on the rows of A^(n)).
+    The x-basis is group-like: sum_m x_(m d_i)^(i) s^(m d_i) =
     exp(sum_k y_(k d_i)^(i) s^(k d_i)), and for any A^(n), symmetric or
     not, the adjoint of multiplication by y_n^(i) is the derivation
     (d_i / n) sum_j a^(n)_ij d/dy_n^(j).  Moving the left factors across
@@ -441,9 +419,9 @@ def verify(t: AffineType, d: int,
     its first failing (y, z), in the first lambda holding it, the other runs
     at their first monomials.  No lambda-block and no dense M, N, P or Q is
     built; failed checks are recorded in the report, not raised.
-    ``engine``, a fresh FormEngine by default, serves phi, the runs and
-    their pure blocks of S' and Q (pure_s, pure_q), and keeps all but Q for
-    the next degree.  The z-expansion oracle lives in tests/oracles.py.
+    ``engine``, a fresh FormEngine by default, serves the rows of A^(n),
+    the runs and their pure blocks of S' and Q (pure_s, pure_q), and keeps
+    all but Q for the next degree.  The z-expansion oracle lives in tests/oracles.py.
     """
     a_d, b_d = exponent_totals(t, d)
     predicted = t.alpha ** a_d * t.beta ** b_d

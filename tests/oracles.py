@@ -9,12 +9,16 @@ all-pairs memo recursion, with its own rows of A^(n) from roots.a_matrix;
 gram.FormEngine runs the S-recursion on the pure blocks only, as level
 tables, and takes the K-diagonal in closed form.  phi gives the S-form on
 two single x-generators as the coefficients of an exponential series in
-the entries of A^(n), with no recursion, and transport_gram builds M
-and N from those pairings alone, with no P and no G_y.  bilinear extends the
+the entries of A^(n), with no recursion, as gram._phi does from
+FormEngine's rows of A^(n); phi_walk pairs the two x-generators term by
+term through the pure blocks instead, and checks each generator for (a)
+of gram.verify before reading it.  transport_gram builds M and N from
+the phi pairings alone, with no P and no G_y.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
 assembly and the hand-value tests pair term by term.  p_witness expands
 every x-row to find P's first entry off the unit upper triangle, which
-gram.verify certifies from the generators instead.  lambda_blocks runs
+gram.verify certifies from the shape order (b) instead, (a) being a
+property of gram._x_generator.  lambda_blocks runs
 the S-recursion on every pair of a lambda-block, which
 kron_lambda_blocks builds as Kronecker products of pure blocks instead,
 and lambda_certificate walks every lambda-block and every z-expansion of
@@ -34,14 +38,15 @@ double covers of S_n into blocks, for the basis sizes of A_(p-1)^(2).
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, product
 from math import prod
 from typing import Dict, List, Tuple
 
 from shapdet import gram
-from shapdet.exact import (ExactMatrix, InternalCheckError, _field_div,
-                           as_integer)
-from shapdet.partitions import _runs, enumerate_basis, enumerate_partitions
+from shapdet.exact import (ExactMatrix, InternalCheckError, _exact_div,
+                           _field_div, as_integer)
+from shapdet.partitions import (_gen_runs, _runs, enumerate_basis,
+                                enumerate_partitions)
 from shapdet.roots import AffineType, a_matrix, finite_root_data, index_set
 from shapdet.series import TruncSeries
 
@@ -254,6 +259,47 @@ def phi(t: AffineType, i: int, j: int, D: int, gram=None) -> list:
         f[n] = _field_div(sum((k * g[k] * f[n - k] for k in range(1, n + 1)),
                               0), n)
     return f
+
+
+def phi_walk(engine, d: int) -> dict:
+    """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n),
+    as gram._phi gives it, from the x-generators term by term: each x_n^(i)
+    that gram._x_generator builds is read once and checked for (a) of
+    gram.verify first, else InternalCheckError names the fault in P.  Its
+    terms y come from the runs (k, r) of the partitions of n / d_i, so w(y)
+    = prod k^r, and y pairs only with the color-j y' of its shape, to
+    S'(y, y') / w(y) = prod over the runs of S'_(K^r)[(K, i)^r][(K, j)^r]
+    (K = k d_i, each read once, from engine.pure_s) over w(y)."""
+    t, entry, out = engine.type, {}, {}  # entry: (K, r, i, j): S' entry
+    for n in range(1, d + 1):
+        gens = {}  # i: ({runs of y: (c_y / w(y), c_y)}, m!)
+        for i in index_set(t, n):
+            (x, scale), di = gram._x_generator(t, n, i), engine._d[i]
+            rest, lead = dict(x), ((n, i),)  # rest: x less what (a) allows
+            found = [(runs, rest.pop(sum((((k * di, i),) * r
+                                         for k, r in runs), ()), 0))
+                     for runs in _gen_runs(n // di)]  # (n / d_i) first: lead
+            for y, c in [(lead, found[0][1]), *rest.items()]:
+                if c != scale if y == lead else c:
+                    raise InternalCheckError(
+                        "P is not upper unitriangular: x_%d^(%d) holds %s "
+                        "with coefficient %s" % (n, i, y, Fraction(c, scale)))
+            gens[i] = {tuple((k * di, r) for k, r in runs): (
+                _exact_div(c, prod(k ** r for k, r in runs)), c)
+                for runs, c in found if c}, scale
+        for (i, (xi, si)), (j, (xj, sj)) in product(gens.items(), repeat=2):
+            total = 0
+            for runs in xi.keys() & xj.keys():  # y and y' of one part shape
+                v = xi[runs][0] * xj[runs][1]
+                for k, r in runs:
+                    if (k, r, i, j) not in entry:
+                        at, S = engine.pure_s(k, r)
+                        entry[k, r, i, j] = S[at[((k, i),) * r]][
+                            at[((k, j),) * r]]
+                    v = v * entry[k, r, i, j]
+                total = total + v
+            out[n, i, j] = _field_div(total, si * sj)
+    return out
 
 
 def _splits(n: int, caps):

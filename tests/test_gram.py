@@ -28,7 +28,8 @@ from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
 import oracles
 from oracles import (FormOracle, bilinear, identity, kron_lambda_blocks,
                      lambda_blocks, lambda_certificate, lambda_walk_report,
-                     p_witness, phi, q_block, tiled_q, transport_gram, z_in_y)
+                     p_witness, phi, phi_walk, q_block, tiled_q,
+                     transport_gram, z_in_y)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -197,21 +198,25 @@ def test_forms_bilinear_over_polynomials():
 
 
 def _phi_matches_oracle(t, D, fixture=None):
-    """phi_ij(n) equals (x_n^(i), x_n^(j))_S of the FormOracle, paired term
-    by term over x_in_y, for every i, j in I(n) and 1 <= n <= D, and is 0
-    at every other n <= D.  Returns the number of pairings compared."""
+    """verify's phi_ij(n) (gram._phi) and the oracle series phi both equal
+    (x_n^(i), x_n^(j))_S of the FormOracle, paired term by term over
+    x_in_y, for every i, j in I(n) and 1 <= n <= D, where gram._phi has its
+    keys; the series is 0 at every other n <= D.  Returns the number of
+    pairings compared."""
     oracle, compared = FormOracle(t, fixture), 0
+    got = gram._phi(FormEngine(t, fixture), D)
     for i, j in product(t.I, repeat=2):
         series = phi(t, i, j, D, fixture)
         for n in range(1, D + 1):
             idx = index_set(t, n)
             if i in idx and j in idx:
-                assert series[n] == bilinear(
+                assert got[n, i, j] == series[n] == bilinear(
                     oracle.form_s_mono, x_in_y(t, (n, i)),
                     x_in_y(t, (n, j))), (t, n, i, j)
                 compared += 1
             else:
                 assert not series[n], (t, n, i, j)
+    assert compared == len(got)
     return compared
 
 
@@ -313,8 +318,9 @@ def test_integer_pipeline_stays_integral(monkeypatch):
     # level-table value, the bases and powers of every run's tallies of
     # det S' / W and prod K' / W, every pure block, K'-diagonal value and
     # weight that verify reads, and every coefficient and scale of the
-    # x-generators that verify reads (once each, in phi's pass, which also
-    # checks P) is an int.
+    # x-generators, which verify does not read, as the generator walk (the
+    # oracle phi_walk, which checks them for P) reads them on the same
+    # case, is an int.
     seen = []  # per case: engine, phi, {kind: values handed over}, generators
     _phi, x_generator, k_prime = gram._phi, gram._x_generator, gram._k_prime
     pure_s, weight, run = FormEngine.pure_s, FormEngine.weight, FormEngine.run
@@ -325,7 +331,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         return seen[-1][1]
 
     def recording_run(self, n, m):
-        assert self is seen[-1][0]  # phi read the pure blocks the runs use
+        assert self is seen[-1][0]  # phi read the engine the runs use
         bad, dm, dn = run(self, n, m)
         assert bad is None
         seen[-1][2]["runs"] += [*dm, *dm.values(), *dn, *dn.values()]
@@ -361,6 +367,9 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         seen.append([None, None, {"runs": [], "pure": [], "k": [], "w": []},
                      []])
         assert verify(parse_type(name), d).ok
+        assert not seen[-1][3]  # verify reads no x-generator
+        walk = phi_walk(FormEngine(parse_type(name)), d)
+        assert walk == seen[-1][1] and seen[-1][3]
     for (engine, phis, handed, gens), case in zip(seen, cases):
         assert all(handed.values())
         handed = [v for kind in handed.values() for v in kind]
@@ -601,8 +610,8 @@ def test_transport_oracle_matches_gram_matrices_at_roster_degrees():
 
 
 def test_verify_phi_matches_the_exp_series():
-    # verify's phi, from the x-generators and the pure blocks, against the
-    # exp series in the entries of A^(n), on every ordered pair of I(n).
+    # verify's phi, from FormEngine's rows of A^(n), against the oracle's exp
+    # series in the entries of roots.a_matrix, on every ordered pair of I(n).
     fixtures = [(parse_type(name), None, dmax)
                 for name, dmax in ROSTER_DEGREES.items()]
     fixtures += [(*_corrupted(name, gram_), 4) for name, gram_ in
@@ -615,6 +624,49 @@ def test_verify_phi_matches_the_exp_series():
                        for i in index_set(t, n) for j in index_set(t, n)}
         compared += len(got)
     assert compared == 447
+
+
+def test_phi_matches_the_generator_walk():
+    # verify's phi against the oracle walk over the x-generators and the
+    # pure blocks, key by key and type included, zeros too: at every roster
+    # degree, at E7^1 and E8^1 d=6, at A2^2 and D4^3 d=30, and on the
+    # corrupted grams and the zeta_3 gram, with their Fraction and Q(zeta_3)
+    # values.
+    cases = [(parse_type(name), None, d) for name, dmax in
+             ROSTER_DEGREES.items() for d in range(dmax + 1)]
+    cases += [(parse_type(name), None, d) for name, d in
+              (("E7^1", 6), ("E8^1", 6), ("A2^2", 30), ("D4^3", 30))]
+    cases += [(*_corrupted(name, gram_), d) for name, gram_ in
+              CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)] for d in range(5)]
+    compared, kinds = 0, Counter()
+    for t, fixture, d in cases:
+        got = gram._phi(FormEngine(t, fixture), d)
+        want = phi_walk(FormEngine(t, fixture), d)
+        assert got == want and {k: type(v) for k, v in got.items()} == {
+            k: type(v) for k, v in want.items()}, (t, d)
+        compared += len(got)
+        kinds.update(type(v).__name__ for v in got.values())
+    assert compared == 1756
+    assert kinds == {"int": 1706, "Fraction": 30, "CycNumber": 20}
+
+
+def test_x_generators_are_unitriangular():
+    # (a) of verify, on _x_generator alone, for every type at n <= 12: the
+    # lead term y_n^(i) has the scale as its coefficient, and every other
+    # term has at least two parts, all of color i, divisible by d_i and
+    # summing to n.
+    checked = 0
+    for t in ALL_TYPES + [parse_type("E7^1"), parse_type("E8^1")]:
+        d = finite_root_data(t).d
+        for n in range(1, 13):
+            for i in index_set(t, n):
+                x, scale = gram._x_generator(t, n, i)
+                assert x.pop(((n, i),)) == scale
+                assert all(len(y) >= 2 and sum(k for k, _ in y) == n and
+                           all(c == i and k % d[i] == 0 for k, c in y)
+                           for y in x), (t, n, i)
+                checked += len(x)
+    assert checked == 11046
 
 
 def _integral(v):
@@ -961,29 +1013,6 @@ def test_a_shared_engine_reports_as_fresh_ones():
                     t, d, FormEngine(t, bad)).to_dict()
 
 
-def test_a_shared_engine_reports_a_failing_generator_at_every_degree(
-        monkeypatch):
-    # x_2^(1) of A2^1 with a doubled leading term fails check (a) at every
-    # degree d >= 2 on one shared engine: phi(2) is never cached as a pass.
-    x_generator = gram._x_generator
-
-    def planted(t, n, i):
-        x, scale = x_generator(t, n, i)
-        if (n, i) == (2, 1):
-            x[((2, 1),)] *= 2
-        return x, scale
-
-    monkeypatch.setattr(gram, "_x_generator", planted)
-    t = parse_type("A2^1")
-    shared = FormEngine(t)
-    reports = [verify(t, d, shared) for d in (0, 1, 2, 3, 4, 2)]
-    assert [rep.ok for rep in reports] == [True, True] + [False] * 4
-    assert {tuple(rep.failures) for rep in reports[2:]} == {(
-        "P is not upper unitriangular: x_2^(1) holds ((2, 1),) with "
-        "coefficient 2",)}
-    assert sorted(shared.phi) == [1]
-
-
 def test_verify_reads_only_the_pure_runs(monkeypatch):
     # On one engine per type over the roster degrees, verify builds Q on the
     # pure runs alone (pure_q), each once, certifies each run once and
@@ -1040,8 +1069,8 @@ def _run_case():
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_certificate_names_first_perturbed_entry(data):
-    # Entries of the runs' pure blocks S' and Q, the only ones verify reads
-    # past phi, perturbed at distinct spots.  verify names the first run, in
+    # Entries of the runs' pure blocks S' and Q, which phi does not read,
+    # perturbed at distinct spots.  verify names the first run, in
     # the order the runs first occur along the basis, with a perturbed spot;
     # at its first row with one, the first perturbed column; in the first
     # lambda holding the run, the other runs at their first monomials.  A
@@ -1062,7 +1091,6 @@ def test_certificate_names_first_perturbed_entry(data):
         (blocks if target == "S" else qs)[run][r][c] += delta
         failing.setdefault(run, {})[r, c] = ys[c]
     engine = FormEngine(t)
-    gram._phi(engine, 5)  # from the true blocks, which phi alone reads
     engine.pure_s = lambda n, m: (pure[n, m][0], blocks[n, m])
     engine.pure_q = lambda n, m: qs[n, m]
     rep = verify(t, 5, engine)
@@ -1157,13 +1185,13 @@ def test_verify_d4_3_beyond_the_roster():
 
 def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
     t = parse_type("E6^1")
-    sizes = []
+    sizes, bareiss = [], gram._bareiss
 
-    def counting(m):
-        sizes.append(m.nrows)
-        return det_exact(m)
+    def counting(a, ints):
+        sizes.append(len(a))
+        return bareiss(a, ints)
 
-    monkeypatch.setattr(gram, "det_exact", counting)
+    monkeypatch.setattr(gram, "_bareiss", counting)
     assert verify(t, 3).ok
     basis = enumerate_basis(t, 3)
     shapes = [tuple(n for n, _ in y) for y in basis]
@@ -1179,13 +1207,13 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
     # builds its blocks from, with the gcd r_i of each row divided out; no
     # column of the row-reduced (1^4) block has content left.
     t = parse_type("E6^1")
-    passed = []
+    passed, bareiss = [], gram._bareiss
 
-    def recording(m):
-        passed.append(m)
-        return det_exact(m)
+    def recording(a, ints):
+        passed.append(ExactMatrix(a))  # a copy: Bareiss overwrites a
+        return bareiss(a, ints)
 
-    monkeypatch.setattr(gram, "det_exact", recording)
+    monkeypatch.setattr(gram, "_bareiss", recording)
     assert verify(t, 4).ok
     blocks = {tuple(n for n, _ in ys[0]): ExactMatrix(g) for ys, g in
               kron_lambda_blocks(FormEngine(t), enumerate_basis(t, 4))}
@@ -1403,9 +1431,9 @@ def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
 
 
 def test_p_certificate_agrees_with_the_x_row_walk():
-    # verify certifies P from the generators and the shape order; the
-    # brute force expands every x-row and finds no entry off the unit upper
-    # triangle either.
+    # verify certifies P from the shape order, (a) being a property of the
+    # generators; the brute force expands every x-row and finds no entry
+    # off the unit upper triangle either.
     cases = [*((name, d) for name, dmax in ROSTER_DEGREES.items()
                for d in range(dmax + 1)),
              *((name, d) for name in ("D4^3", "A2^2") for d in range(13))]
@@ -1439,47 +1467,44 @@ def _planted(n0, i0, y, c):
 ], ids=["leading", "doubled", "missing", "own-shape", "other-color"])
 def test_verify_names_a_non_unitriangular_p(monkeypatch, name, n, i, y, c,
                                             value, witness):
-    # A planted generator fault is named as a fault in P by phi's pass,
-    # before phi reads the generator: phi's integrality rests on the same
-    # generators.  The x-rows show all but the last in P; a term of
-    # another color has a refined shape and sits above the diagonal, so
-    # only the certificate sees it.
+    # A planted generator fault is named as a fault in P by the generator
+    # walk (phi_walk), which checks (a) of verify on each generator before
+    # reading it, as verify did when it read them.  verify reads no
+    # generator: (a) is a property of _x_generator, which the fault breaks,
+    # so verify passes on the true exp series.  The x-rows show all but the
+    # last in P; a term of another color has a refined shape and sits above
+    # the diagonal, so only the walk's check sees it.
     t = parse_type(name)
     monkeypatch.setattr(gram, "_x_generator", _planted(n, i, y, c))
-    rep = verify(t, 4)
-    assert not rep.ok and rep.det_M is None and not rep.identity_ok
-    assert rep.failures == ["P is not upper unitriangular: x_%d^(%d) holds "
-                            "%s with coefficient %s" % (n, i, y, value)]
+    with pytest.raises(InternalCheckError) as exc:
+        phi_walk(FormEngine(t), 4)
+    assert str(exc.value) == ("P is not upper unitriangular: x_%d^(%d) holds "
+                              "%s with coefficient %s" % (n, i, y, value))
+    assert verify(t, 4).ok
     assert p_witness(t, enumerate_basis(t, 4)) == witness
-    if c in (3, 4):
-        # phi itself names the fault in P.  Read unchecked, c = 3 would end
-        # in an inexact division and c = 4 in an all-int phi.
-        with pytest.raises(InternalCheckError, match="^P is not upper "
-                           "unitriangular: x_2"):
-            gram._phi(FormEngine(t), 4)
     if c == 4:
-        # Yet M has a non-integer entry: phi's integrality argument needs
-        # the true generators.
+        # M from these x-rows has a non-integer entry: phi's integrality
+        # argument needs generators that satisfy (a).
         with pytest.raises(InternalCheckError, match="non-integer Gram entry"):
             gram_matrices(t, 4)
 
 
-@pytest.mark.parametrize("name, d", [("A2^2", 12), ("D4^3", 12), ("E6^2", 4)])
-def test_verify_reads_each_x_generator_once(monkeypatch, name, d):
-    # One pass checks each generator for P and reads it into phi: one build
-    # per x_n^(i), n <= d, i in I(n), and none for the x-rows.
-    calls = []
-    x_generator = gram._x_generator
+def test_verify_reads_no_x_generator(monkeypatch):
+    # phi comes from the exp series on the rows of A^(n): with every
+    # x-generator build failing, verify passes at A2^2 and D4^3 d=12, E6^2
+    # d=4 and every roster degree.
+    def failing(*args):
+        raise AssertionError("verify built an x-generator")
 
-    def counting(t, n, i):
-        calls.append((n, i))
-        return x_generator(t, n, i)
-
-    monkeypatch.setattr(gram, "_x_generator", counting)
-    t = parse_type(name)
-    assert verify(t, d).ok
-    assert sorted(calls) == sorted((n, i) for n in range(1, d + 1)
-                                   for i in index_set(t, n))
+    monkeypatch.setattr(gram, "_x_generator", failing)
+    cases = [("A2^2", 12), ("D4^3", 12), ("E6^2", 4)]
+    cases += [(name, d) for name, dmax in ROSTER_DEGREES.items()
+              for d in range(dmax + 1)]
+    for name, d in cases:
+        rep = verify(parse_type(name), d)
+        assert rep.ok and rep.det_M == rep.predicted_det, (name, d)
+    with pytest.raises(AssertionError, match="x-generator"):
+        gram_matrices(A1, 2)  # the printing paths still read them
 
 
 def test_verify_keeps_no_x_generator():
