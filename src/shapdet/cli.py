@@ -266,7 +266,7 @@ def _cmd_gram(args) -> Envelope:
         if args.format == "plain":  # json prints each big int once itself
             env.lines.append("%s d=%d: dim=%d det M=%s predicted=%d (%s) "
                              "identity=%s det N=%s %s" % (
-                name, d, len(report.basis), report.det_M,
+                name, d, report.basis_size, report.det_M,
                 report.predicted_det, payload["predicted"]["factored"],
                 report.identity_ok, report.det_N, "ok" if report.ok else
                 "FAIL: " + "; ".join(report.failures)))

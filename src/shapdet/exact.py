@@ -305,24 +305,17 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     aug = [m.rows[i][:] + [1 if i == j else 0 for j in range(n)]
            for i in range(n)]
     for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col]:
-                piv = i
-                break
+        piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
             raise ZeroDivisionError("matrix is singular")
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col], aug[piv] = aug[piv], aug[col]
         pv = aug[col][col]
         if pv != 1:
             aug[col] = [_field_div(x, pv) for x in aug[col]]
         prow = aug[col]
         for i in range(n):
-            if i == col:
-                continue
             f = aug[i][col]
-            if not f:
+            if i == col or not f:
                 continue
             row = aug[i]
             for j in range(col, 2 * n):

@@ -22,13 +22,14 @@ product of pure blocks on the runs n^m, which FormEngine builds as level
 tables: pure_s of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
 factors of y (ints wherever A^(n) is, as for every built-in type), and
 pure_q, the one source of Q.  The x-expansions are int coefficients over
-prod (n / d_i)!, which only the printing paths read: verify takes phi from
-its exponential series on the rows of A^(n) and certifies the rest on the
-pure runs alone, each once per FormEngine.  The all-pairs memo recursion,
-the transport sum over phi, the walk over the x-generators for phi, the
-x-rows for P, the z-expansions by poly_mul products, the walk over the
-lambda-blocks and the full-matrix Bareiss and P Q P^-1 N are the tests'
-oracles (tests/oracles.py).
+prod (n / d_i)!, which only the printing paths read, as the basis: verify
+takes phi from its exponential series on the rows of A^(n), its runs and
+their exponents from dimension_series, and certifies the rest on the pure
+runs alone, each once per FormEngine.  The all-pairs memo recursion, the
+transport sum over phi, the walks over the x-generators for phi and over
+the basis for the runs, the x-rows for P, the z-expansions by poly_mul
+products, the walk over the lambda-blocks and the full-matrix Bareiss and
+P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -44,9 +45,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _bareiss, _exact_div,
                     _field_div, as_integer)
-from .partitions import (ColoredPartition, enumerate_basis, exponent_totals,
+from .partitions import (ColoredPartition, enumerate_basis,
                          multiplicities, _gen_runs, _runs)
 from .roots import AffineType, a_matrix, finite_root_data, index_set
+from .series import ab_series, dimension_series
 
 Monomial = ColoredPartition
 BPolynomial = Dict[Monomial, object]
@@ -342,14 +344,35 @@ def _pure_det(S):
                                for row, g in zip(S, r)], True)
 
 
+def _basis_runs(t: AffineType, d: int, dims: List[int]) -> dict:
+    """{n^m: (e_(n^m), lambda)} over the runs of the degree-d basis, in the
+    order they first occur along it, from the coefficients dims of
+    dimension_series(t, d): e_(n^m) = [q^(d - nm)] dims (1 - q^n)^|I(n)|,
+    the sum of dim lambda / dim n^m over the lambdas holding n^m, and lambda
+    the first of them, n^m merged with the reverse-lexicographically first
+    partition of d - nm with no part n, (d - nm) or (n - 1, 1), as every
+    part size has a color (I(n) holds those with d_i = 1)."""
+    runs = {}
+    for n in range(d, 0, -1):  # runs sharing a lambda stay in part order
+        e = dims[d::-n]  # e[m] = [q^(d - nm)], times (1 - q^n) in place
+        for _ in index_set(t, n):
+            for m in range(len(e) - 1):
+                e[m] -= e[m + 1]
+        for m in (m for m in range(1, len(e)) if e[m]):
+            s = d - n * m
+            rest = (n - 1, 1) if s == n else (s,) * (s > 0)
+            runs[n, m] = e[m], tuple(sorted((n,) * m + rest, reverse=True))
+    return dict(sorted(runs.items(), key=lambda r: r[1][1], reverse=True))
+
+
 @dataclass
 class GramReport:
     """Everything the degree-d verification produced, plus the verdicts; it
-    keeps no M, N, P or Q, which gram_matrices and transition_matrices build."""
+    keeps no basis, M, N, P or Q, which only the printing paths build."""
 
     type: AffineType
     d: int
-    basis: Tuple[Monomial, ...]
+    basis_size: int
     predicted_a: int
     predicted_b: int
     predicted_det: int
@@ -364,7 +387,7 @@ class GramReport:
 
     def to_dict(self) -> dict:
         t, a, b = self.type, self.predicted_a, self.predicted_b
-        return {"type": t.name, "d": self.d, "basis_size": len(self.basis),
+        return {"type": t.name, "d": self.d, "basis_size": self.basis_size,
                 "predicted": {"a": a, "b": b, "alpha": t.alpha, "beta": t.beta,
                               "determinant": self.predicted_det,
                               "factored": "%d^%d * %d^%d" % (t.alpha, a,
@@ -378,26 +401,27 @@ def verify(t: AffineType, d: int,
            engine: Optional[FormEngine] = None) -> GramReport:
     """Run the full degree-d verification and report every check's outcome.
 
-    P is upper unitriangular when (a) every generator x_n^(i), n <= d, is
-    y_n^(i) plus terms of at least two parts, all of color i, divisible by
-    d_i and summing to n, and (b) the part shapes of the basis never
-    increase along it.  (a) holds as x_n^(i) is [s^n] of
-    exp(sum_k y_(k d_i)^(i) s^(k d_i)): y_n^(i) comes from the exponent
-    alone, and every other term has two or more factors y_(k d_i)^(i).  It
-    is a property of _x_generator, which reads the type alone and which only
-    the printing paths call; verify checks (b).  A term of
-    x_lambda = prod_k x_(n_k)^(i_k) picks one term per factor: the leading
-    ones give y_lambda with coefficient 1, and any other pick splits a part,
-    so its shape strictly refines lambda's, is lexicographically smaller
-    and by (b) sits strictly later.
+    P is unitriangular when (a) every generator x_n^(i), n <= d, is y_n^(i)
+    plus terms of at least two parts, all of color i, divisible by d_i and
+    summing to n.  (a) holds as x_n^(i) is [s^n] of exp(sum_k y_(k d_i)^(i)
+    s^(k d_i)): y_n^(i) comes from the exponent alone, and every other term
+    has two or more factors; it is a property of _x_generator, which only
+    the printing paths call.  A term of x_lambda = prod_k x_(n_k)^(i_k)
+    picks one term per factor: the leading ones give y_lambda with
+    coefficient 1, any other pick splits a part and so strictly refines
+    lambda's shape.  So P is unitriangular along any linear extension of
+    refinement, det P = 1 and M = P Q P^-1 N holds in every order.  (b),
+    that the part shapes never increase along enumerate_basis, makes the
+    printing paths' P upper unitriangular; verify reads no basis and does
+    not need it.  dim, the runs n^m and their e_run come from
+    dimension_series (_basis_runs), and a(d), b(d) from ab_series.
 
     M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S with
     n <= d is an int (_phi, from that exp series on the rows of A^(n)).
-    The x-basis is group-like: sum_m x_(m d_i)^(i) s^(m d_i) =
-    exp(sum_k y_(k d_i)^(i) s^(k d_i)), and for any A^(n), symmetric or
-    not, the adjoint of multiplication by y_n^(i) is the derivation
-    (d_i / n) sum_j a^(n)_ij d/dy_n^(j).  Moving the left factors across
-    one at a time makes every entry of M a transportation sum,
+    The x-basis is group-like, and for any A^(n), symmetric or not, the
+    adjoint of multiplication by y_n^(i) is the derivation (d_i / n) sum_j
+    a^(n)_ij d/dy_n^(j).  Moving the left factors across one at a time
+    makes every entry of M a transportation sum,
     (x_(n_1)^(i_1) ... x_(n_k)^(i_k), x_(m_1)^(j_1) ... x_(m_l)^(j_l)) =
     sum_C prod_(p,q) phi_(i_p j_q)(c_pq) over the non-negative integer
     matrices C with row sums n_p and column sums m_q, phi(0) = 1.  N is the
@@ -417,34 +441,25 @@ def verify(t: AffineType, d: int,
     run fails each lambda whose other runs have H != 0.  The witness is the
     first failing run in the order the runs first occur along the basis, at
     its first failing (y, z), in the first lambda holding it, the other runs
-    at their first monomials.  No lambda-block and no dense M, N, P or Q is
-    built; failed checks are recorded in the report, not raised.
+    at their first monomials.  No basis, lambda-block or dense M, N, P or Q
+    is built; failed checks are recorded in the report, not raised.
     ``engine``, a fresh FormEngine by default, serves the rows of A^(n),
     the runs and their pure blocks of S' and Q (pure_s, pure_q), and keeps
-    all but Q for the next degree.  The z-expansion oracle lives in tests/oracles.py.
+    all but Q for the next degree.
     """
-    a_d, b_d = exponent_totals(t, d)
+    dims, (a_d, b_d) = dimension_series(t, d), (s[d] for s in ab_series(t, d))
     predicted = t.alpha ** a_d * t.beta ** b_d
-    report = GramReport(t, d, enumerate_basis(t, d), a_d, b_d, predicted)
-    engine, runs, a = engine or FormEngine(t), {}, 0
-    try:  # runs: n^m: [sum of dim lambda, first lambda], in basis order
-        for shape, ys in groupby(tuple(n for n, _ in y) for y in report.basis):
-            if a and shape > prev:
-                raise InternalCheckError("P is not upper unitriangular: basis"
-                                         "[%d] has shape %s after %s"
-                                         % (a, shape, prev))
-            dim = len(list(ys))
-            for run in _runs(shape):
-                runs.setdefault(run, [0, shape])[0] += dim
-            a, prev = a + dim, shape
+    report = GramReport(t, d, dims[d], a_d, b_d, predicted)
+    engine = engine or FormEngine(t)
+    try:
         if any(type(v) is not int for v in _phi(engine, d).values()):
             gram_matrices(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))
         return report
     tally, doubt, bad = (Counter(), Counter()), False, None
-    for run, (dim, lam) in runs.items():
-        (wit, m, k), e = engine.run(*run), dim // len(engine.pure_s(*run)[0])
+    for run, (e, lam) in _basis_runs(t, d, dims.coeffs).items():
+        wit, m, k = engine.run(*run)
         doubt, bad = doubt or m is None, bad or wit and (run, wit, lam)
         for c, v in zip(tally, (m or {}, k)):  # det M, det N: {base: power}
             for base, x in v.items():

@@ -105,14 +105,13 @@ def exponent_totals(t: AffineType, d: int) -> Tuple[int, int]:
     return a, b
 
 
-@lru_cache(maxsize=None)
 def enumerate_basis(t: AffineType, d: int) -> Tuple[ColoredPartition, ...]:
-    """All colored partitions of degree d in the global basis order.
+    """All colored partitions of degree d in the global basis order, afresh.
 
-    For each partition (reverse-lex order) the colorings run through the
-    product, over part-size runs in descending part order, of weakly
-    increasing color tuples drawn from I(part); the leftmost (largest)
-    run varies slowest.
+    For each partition (reverse-lex order, so the part shapes never
+    increase) the colorings run through the product, over part-size runs
+    in descending part order, of weakly increasing color tuples drawn from
+    I(part); the leftmost (largest) run varies slowest.
     """
     out = []
     for runs in _gen_runs(d):

@@ -28,9 +28,7 @@ class TruncSeries:
 
     @classmethod
     def one(cls, max_degree: int) -> "TruncSeries":
-        s = cls(max_degree)
-        s.coeffs[0] = 1
-        return s
+        return cls(max_degree, [1] + [0] * max_degree)
 
     def _check(self, other: "TruncSeries"):
         if self.max_degree != other.max_degree:
@@ -93,24 +91,19 @@ class TruncSeries:
         return "TruncSeries(%d, %r)" % (self.max_degree, self.coeffs)
 
 
-def partition_series(D: int) -> TruncSeries:
-    """P(q): number of partitions, by Euler's pentagonal recurrence."""
-    p = [1] + [0] * D
+def _euler_product(D: int, colors) -> TruncSeries:
+    """prod_n (1 - q^n)^-colors(n), each factor divided out in place."""
+    c = [1] + [0] * D
     for n in range(1, D + 1):
-        total = 0
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > n:
-                break
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - g1]
-            if g2 <= n:
-                total += sign * p[n - g2]
-            k += 1
-        p[n] = total
-    return TruncSeries(D, p)
+        for _ in range(colors(n)):
+            for j in range(n, D + 1):
+                c[j] += c[j - n]
+    return TruncSeries(D, c)
+
+
+def partition_series(D: int) -> TruncSeries:
+    """P(q) = prod_n (1 - q^n)^-1: number of partitions."""
+    return _euler_product(D, lambda n: 1)
 
 
 def divisor_series(D: int) -> TruncSeries:
@@ -123,9 +116,9 @@ def divisor_series(D: int) -> TruncSeries:
 
 
 def dimension_series(t: AffineType, D: int) -> TruncSeries:
-    """P(q)^k P(q^r)^(ell-k): graded dimension of the polynomial algebra."""
-    P = partition_series(D)
-    return P.power(t.k) * P.substitute(t.r).power(t.ell - t.k)
+    """P(q)^k P(q^r)^(ell-k): graded dimension of the polynomial algebra,
+    prod_n (1 - q^n)^-|I(n)| with |I(n)| = k + (ell - k) [r | n]."""
+    return _euler_product(D, lambda n: t.k + (t.ell - t.k) * (n % t.r == 0))
 
 
 def ab_series(t: AffineType, D: int) -> Tuple[TruncSeries, TruncSeries]:

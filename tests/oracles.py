@@ -17,8 +17,11 @@ the phi pairings alone, with no P and no G_y.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
 assembly and the hand-value tests pair term by term.  p_witness expands
 every x-row to find P's first entry off the unit upper triangle, which
-gram.verify certifies from the shape order (b) instead, (a) being a
-property of gram._x_generator.  lambda_blocks runs
+P's unitriangularity along refinement rules out, (a) being a property of
+gram._x_generator.  run_walk groups the basis by part shape for the runs
+n^m, their first lambdas and their sums of dim lambda, and checks the
+shape order (b) on the way, where gram.verify reads the runs off
+dimension_series and reads no basis.  lambda_blocks runs
 the S-recursion on every pair of a lambda-block, which
 kron_lambda_blocks builds as Kronecker products of pure blocks instead,
 and lambda_certificate walks every lambda-block and every z-expansion of
@@ -379,6 +382,27 @@ def p_witness(t: AffineType, basis):
     return min(off, default=None)
 
 
+def run_walk(t: AffineType, d: int):
+    """{n^m: (sum of dim lambda, lambda)} over the runs n^m of the degree-d
+    basis, in the order they first occur along enumerate_basis(t, d), with
+    the sum over the lambdas holding n^m and lambda the first of them, by
+    grouping the basis by part shape, as gram.verify did before it read the
+    runs off dimension_series (gram._basis_runs).  On the way it checks (b):
+    the part shapes never increase along the basis."""
+    runs, a = {}, 0
+    for shape, ys in groupby(tuple(n for n, _ in y)
+                             for y in enumerate_basis(t, d)):
+        if a and shape > prev:
+            raise InternalCheckError("P is not upper unitriangular: basis"
+                                     "[%d] has shape %s after %s"
+                                     % (a, shape, prev))
+        dim = len(list(ys))
+        for run in _runs(shape):
+            runs.setdefault(run, [0, shape])[0] += dim
+        a, prev = a + dim, shape
+    return {run: tuple(v) for run, v in runs.items()}
+
+
 def lambda_blocks(oracle, basis):
     """[(ys, G_lambda)]: the monomials ys of each part-size shape lambda in
     basis order, and the S-form on all their pairs by the FormOracle's
@@ -459,8 +483,9 @@ def lambda_certificate(engine, blocks, index):
 def lambda_walk_report(engine, report):
     """(det_M, det_N, identity_ok, failures) that gram.verify reported, in
     its words and order, past its P and phi checks, when it walked every
-    lambda-block of report.basis (lambda_certificate)."""
-    basis, t = report.basis, report.type
+    lambda-block of the basis (lambda_certificate)."""
+    t = report.type
+    basis = enumerate_basis(t, report.d)
     witness, det_m, det_n, doubt = lambda_certificate(
         engine, kron_lambda_blocks(engine, basis),
         {y: a for a, y in enumerate(basis)})

@@ -8,7 +8,7 @@ from fractions import Fraction
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
-from math import factorial, gcd, prod
+from math import comb, factorial, gcd, prod
 from types import SimpleNamespace
 from unittest import mock
 
@@ -16,19 +16,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapdet.cli import ROSTER_DEGREES
-from shapdet import exact, gram
+from shapdet import exact, gram, partitions
 from shapdet.exact import (CycNumber, ExactMatrix, InternalCheckError,
                            as_integer, det_exact, invert)
 from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
                           verify, x_in_y)
 from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
-                                exponents)
+                                exponent_totals, exponents)
 from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
+from shapdet.series import ab_series, dimension_series
 
 import oracles
 from oracles import (FormOracle, bilinear, identity, kron_lambda_blocks,
                      lambda_blocks, lambda_certificate, lambda_walk_report,
-                     p_witness, phi, phi_walk, q_block, tiled_q,
+                     p_witness, phi, phi_walk, q_block, run_walk, tiled_q,
                      transport_gram, z_in_y)
 
 A1 = parse_type("A1^1")
@@ -1043,8 +1044,8 @@ def test_verify_reads_only_the_pure_runs(monkeypatch):
         for d in range(dmax + 1):
             rep = verify(t, d, engine)
             assert rep.ok
-            basis_sizes += len(rep.basis)
-            runs |= {(name, *run) for y in rep.basis
+            basis_sizes += rep.basis_size
+            runs |= {(name, *run) for y in enumerate_basis(t, d)
                      for run in _runs(tuple(n for n, _ in y))}
     assert len(expanded) == len(set(expanded)) == len(runs)
     assert set(expanded) == set(certified) == runs
@@ -1146,7 +1147,7 @@ def test_verify_keeps_no_dense_gram_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.ok and len(rep.basis) == 315
+    assert rep.ok and rep.basis_size == 315
     assert peak < 3 * 2 ** 20  # 4.3-4.5 MB when verify kept M and N
 
 
@@ -1431,9 +1432,9 @@ def test_asymmetric_g_y_leaves_det_m_uncertified(d, det_m):
 
 
 def test_p_certificate_agrees_with_the_x_row_walk():
-    # verify certifies P from the shape order, (a) being a property of the
+    # P is unitriangular along refinement, (a) being a property of the
     # generators; the brute force expands every x-row and finds no entry
-    # off the unit upper triangle either.
+    # off the unit upper triangle of the basis order either.
     cases = [*((name, d) for name, dmax in ROSTER_DEGREES.items()
                for d in range(dmax + 1)),
              *((name, d) for name in ("D4^3", "A2^2") for d in range(13))]
@@ -1528,29 +1529,92 @@ def test_verify_reads_no_x_generator(monkeypatch):
 def test_verify_keeps_no_x_generator():
     # Nothing of the generators outlives verify: with a process-wide cache
     # of them, verify(A2^2, 24) left about 7 MB allocated, against 1.0 MB
-    # without.  The basis, which enumerate_basis caches, is built first.
+    # without.
     t = parse_type("A2^2")
-    enumerate_basis(t, 24)
     tracemalloc.start()
     try:
         rep = verify(t, 24)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert rep.ok and len(rep.basis) == 1575
+    assert rep.ok and rep.basis_size == 1575
     assert kept < 2 * 2 ** 20
 
 
 def test_verify_names_a_basis_out_of_shape_order(monkeypatch):
-    # (1^4) moved to the front: x_(4) holds y_(1^4), now above it.
+    # (b), the shape order, is a property of enumerate_basis, which the
+    # printing paths rely on: it holds at every roster degree.  verify
+    # reads no basis, as P is unitriangular along any linear extension of
+    # refinement, so the run walk (run_walk) checks (b) as verify did and
+    # names (1^4) moved to the front: x_(4) holds y_(1^4), now above it.
+    for name, dmax in ROSTER_DEGREES.items():
+        for d in range(dmax + 1):
+            run_walk(parse_type(name), d)
     basis = enumerate_basis(A1, 4)
     shuffled = basis[-1:] + basis[:-1]
-    monkeypatch.setattr(gram, "enumerate_basis", lambda t, d: shuffled)
-    rep = verify(A1, 4)
-    assert not rep.ok and rep.det_M is None and not rep.identity_ok
-    assert rep.failures == ["P is not upper unitriangular: basis[1] has "
-                            "shape (4,) after (1, 1, 1, 1)"]
+    for module in (oracles, gram):
+        monkeypatch.setattr(module, "enumerate_basis", lambda t, d: shuffled)
+    with pytest.raises(InternalCheckError) as exc:
+        run_walk(A1, 4)
+    assert str(exc.value) == ("P is not upper unitriangular: basis[1] has "
+                              "shape (4,) after (1, 1, 1, 1)")
     assert p_witness(A1, shuffled) == (1, 0)
+    assert verify(A1, 4).ok
+
+
+def test_basis_runs_match_the_run_walk():
+    # verify's runs in their order along the basis, their exponents e_run
+    # and first lambdas, read off dimension_series, and a(d), b(d) from
+    # ab_series, are the walk's over the basis and its partitions.
+    cases = [*((name, d) for name, dmax in ROSTER_DEGREES.items()
+               for d in range(dmax + 1)),
+             ("A2^2", 40), ("D4^3", 30), ("E6^1", 7)]
+    for name, d in cases:
+        t = parse_type(name)
+        dims = dimension_series(t, d)
+        runs, walk = gram._basis_runs(t, d, dims.coeffs), run_walk(t, d)
+        assert list(runs) == list(walk), (name, d)
+        assert {(n, m): (e * comb(len(index_set(t, n)) + m - 1, m), lam)
+                for (n, m), (e, lam) in runs.items()} == walk, (name, d)
+        assert (dims[d], *(s[d] for s in ab_series(t, d))) == (
+            len(enumerate_basis(t, d)), *exponent_totals(t, d)), (name, d)
+
+
+def test_verify_builds_no_basis(monkeypatch):
+    # With the basis and the partition walks failing, verify gives the same
+    # report at every roster degree, on one engine per type.
+    cases = [(name, d) for name, dmax in ROSTER_DEGREES.items()
+             for d in range(dmax + 1)]
+    want = [verify(parse_type(name), d).to_dict() for name, d in cases]
+
+    def failing(*args):
+        raise AssertionError("verify walked the basis or the partitions")
+
+    for name in ("enumerate_basis", "exponent_totals", "_gen_runs"):
+        for module in (gram, partitions):
+            monkeypatch.setattr(module, name, failing, raising=False)
+    engine = None
+    for (name, d), payload in zip(cases, want):
+        t = parse_type(name)
+        engine = engine if engine and engine.type == t else FormEngine(t)
+        assert verify(t, d, engine).to_dict() == payload, (name, d)
+    with pytest.raises(AssertionError, match="basis or the partitions"):
+        transition_matrices(A1, 2)  # the printing paths still walk them
+
+
+def test_verify_holds_no_basis():
+    # verify(D4^3, 30) (dim 18 968) peaked at 14.2 MB and kept 14.0 MB when
+    # it built the basis tuple, 12.0 MB of it, which enumerate_basis cached;
+    # reading its runs off dimension_series, it peaks at 0.35 MB.
+    t = parse_type("D4^3")
+    tracemalloc.start()
+    try:
+        rep = verify(t, 30)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.basis_size == 18968
+    assert peak < 4 * 2 ** 20 and kept < 2 ** 20
 
 
 def test_verify_catches_corrupted_gram():

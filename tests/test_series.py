@@ -17,10 +17,22 @@ def brute_divisors(n):
 def test_partition_series_values():
     P = partition_series(6)
     assert P.coeffs == [1, 1, 2, 3, 5, 7, 11]
-    # pentagonal recurrence vs direct enumeration
+    # the Euler product vs direct enumeration
     P = partition_series(25)
     for d in range(26):
         assert P[d] == len(enumerate_partitions(d))
+
+
+def test_dimension_series_is_the_power_product():
+    # dimension_series divides out prod_n (1 - q^n)^|I(n)| in place; the
+    # paper writes it P(q)^k P(q^r)^(ell-k), by power and substitute.
+    D = 30
+    P = partition_series(D)
+    for name in ROSTER + ("E7^1", "E8^1", "A7^2", "D6^2"):
+        t = parse_type(name)
+        want = P.power(t.k) * P.substitute(t.r).power(t.ell - t.k)
+        assert dimension_series(t, D) == want, name
+        assert dimension_series(t, 0) == TruncSeries.one(0)
 
 
 def test_divisor_series_values():

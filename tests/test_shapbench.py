@@ -23,8 +23,8 @@ def test_worker_trace_verdict_matches_verify():
     rep = verify(t, 2)
     assert rep.ok
     assert trace["verdicts"] == [{
-        "type": "A2^1", "d": 2, "basis_size": len(rep.basis),
+        "type": "A2^1", "d": 2, "basis_size": rep.basis_size,
         "predicted": rep.predicted_det, "det_M": rep.det_M,
         "det_N": rep.det_N, "identity_ok": rep.identity_ok,
         "symmetric": gram_matrices(t, 2)[0].is_symmetric()}]
-    assert trace["counts"][0]["dim"] == len(rep.basis)
+    assert trace["counts"][0]["dim"] == rep.basis_size
