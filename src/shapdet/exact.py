@@ -27,6 +27,15 @@ class InternalCheckError(RuntimeError):
     """
 
 
+def _power(x, e: int, one):
+    """x^e for an int e >= 0, by square-and-multiply from one."""
+    while e:
+        if e & 1:
+            one = one * x
+        x, e = x * x, e >> 1
+    return one
+
+
 class CycNumber:
     """Element ``a + b*zeta_3`` of the cyclotomic field Q(zeta_3).
 
@@ -102,14 +111,7 @@ class CycNumber:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = CycNumber(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, CycNumber(1))
 
     def __bool__(self):
         return bool(self.a) or bool(self.b)

@@ -23,7 +23,7 @@ tables: pure_s of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
 factors of y (ints wherever A^(n) is, as for every built-in type), and
 pure_q, the one source of Q.  The x-expansions are int coefficients over
 prod (n / d_i)!, which only the printing paths read, as the basis: verify
-takes phi from its exponential series on the rows of A^(n), its runs and
+checks phi integral once per type on the rows of A^(1..r), its runs and
 their exponents from dimension_series, and certifies the rest on the pure
 runs alone, each once per FormEngine.  The all-pairs memo recursion, the
 transport sum over phi, the walks over the x-generators for phi and over
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
-from math import factorial, gcd, perm, prod
+from math import factorial, gcd, prod
 from typing import Dict, List, Optional, Tuple
 
 from .exact import (ExactMatrix, InternalCheckError, _bareiss, _exact_div,
@@ -107,8 +107,8 @@ class FormEngine:
 
     pure_s (the pure blocks of S', kept) and pure_q (of Q, built afresh on
     each call) both walk one row table per part size n, the nonzero entries
-    of A^(n) from roots.a_matrix, level by level (_level), from which _phi
-    reads too; run certifies each run.
+    of A^(n) from roots.a_matrix, level by level (_level); _phi_integral
+    reads those of n <= r too, and run certifies each run.
     ``gram`` may replace the Cartan form that A^(n) is built from (the
     CLI's --root-data hook); d_i, mu and I(n) always come from the type."""
 
@@ -301,23 +301,21 @@ def gram_matrices(t: AffineType, d: int, engine: Optional[FormEngine] = None
     return ExactMatrix(M), ExactMatrix(N)
 
 
-def _phi(engine: FormEngine, d: int) -> Dict[Tuple[int, int, int], object]:
-    """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n).
-    The S-form pairs (y_k^(i))^r only with (y_k^(j))^r, to r! f_k^r, f_k =
-    (d_i / k) a^(k)_ij, so by the exp series of the x_n^(i) (verify),
-    phi_ij(n) = e_n = [s^n] exp(sum_k f_k s^k), over the k with i, j in I(k):
-    n e_n = sum_k k f_k e_(n-k), run as E_n = n! e_n in the a^(k)_ij's ring."""
-    t, d_, out = engine.type, engine._d, {}
+def _phi_integral(engine: FormEngine) -> bool:
+    """Whether every phi_ij(n) is an int, by a test on A^(1..r) alone that is
+    sufficient, not exact.  phi_ij = exp(sum_k a_k s^k / k) with a_k = d_i
+    a^(k)_ij, or 0 unless i, j in I(k) (verify), and a_k has period r in k:
+    where a_k = a_1 for every k that r does not divide, phi_ij = (1 - s)^-a_1
+    (1 - s^r)^-((a_r - a_1) / r), with int coefficients when a_1 and
+    (a_r - a_1) / r are ints."""
+    t, d = engine.type, engine._d
     for i, j in product(t.I, repeat=2):
-        f = [(k, d_[i] * a) for k in range(1, d + 1)
-             for c, a in engine._a_rows(k).get(i, ()) if c == j]
-        E = [1] + [0] * d
-        for n in range(1, d + 1):
-            if n % d_[i] == n % d_[j] == 0:  # i, j in I(n)
-                E[n] = sum(kf * E[n - k] * perm(n - 1, k - 1)
-                           for k, kf in f if k <= n)
-                out[n, i, j] = _field_div(E[n], factorial(n))
-    return out
+        a = [d[i] * dict(engine._a_rows(k).get(i, ())).get(j, 0)
+             for k in range(1, t.r + 1)]
+        if any(type(v) is not int for v in a) or a[:-1] != a[:1] * (
+                t.r - 1) or (a[-1] - a[0]) % t.r:
+            return False
+    return True
 
 
 def _factored(values, top: int, over=()) -> Counter:
@@ -416,8 +414,9 @@ def verify(t: AffineType, d: int,
     not need it.  dim, the runs n^m and their e_run come from
     dimension_series (_basis_runs), and a(d), b(d) from ab_series.
 
-    M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S with
-    n <= d is an int (_phi, from that exp series on the rows of A^(n)).
+    M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S is an
+    int, as _phi_integral finds once per type, with no degree, from the
+    closed form of that exp series on the rows of A^(1..r) alone.
     The x-basis is group-like, and for any A^(n), symmetric or not, the
     adjoint of multiplication by y_n^(i) is the derivation (d_i / n) sum_j
     a^(n)_ij d/dy_n^(j).  Moving the left factors across one at a time
@@ -426,9 +425,10 @@ def verify(t: AffineType, d: int,
     sum_C prod_(p,q) phi_(i_p j_q)(c_pq) over the non-negative integer
     matrices C with row sums n_p and column sums m_q, phi(0) = 1.  N is the
     same sum with the identity for A^(n), whose phi^K_ij(n) = [i = j]
-    [d_i | n] are ints, so N needs no check.  Only where some phi is not an
-    int does gram_matrices contract M and N, to name the first non-integer
-    entry.  This certifies the Z-form, not the theorem.  M mirrors the
+    [d_i | n] are ints, so N needs no check.  The test is sufficient, not
+    exact: where it fails (only on a replaced gram), gram_matrices contracts
+    M and N, to pass or name the first non-integer entry.  This certifies
+    the Z-form, not the theorem.  M mirrors the
     upper triangle of P G_y P^T and N = P K_y P^T, so M = P Q P^-1 N,
     det M = det G_y and det N = det K_y when G_y = Q K_y = G_y^T, i.e.
     when H = S'_y W equals W Q K'_y and is symmetric.  w and K' are
@@ -452,7 +452,7 @@ def verify(t: AffineType, d: int,
     report = GramReport(t, d, dims[d], a_d, b_d, predicted)
     engine = engine or FormEngine(t)
     try:
-        if any(type(v) is not int for v in _phi(engine, d).values()):
+        if not _phi_integral(engine):
             gram_matrices(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from .exact import _power
 from .roots import AffineType, parse_type
 
 
@@ -70,14 +71,7 @@ class TruncSeries:
     def power(self, e: int) -> "TruncSeries":
         if e < 0:
             raise ValueError("series exponent must be >= 0")
-        result = TruncSeries.one(self.max_degree)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, TruncSeries.one(self.max_degree))
 
     def substitute(self, r: int) -> "TruncSeries":
         """q -> q^r: the degree-d coefficient moves to degree r*d."""

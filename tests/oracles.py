@@ -9,11 +9,14 @@ all-pairs memo recursion, with its own rows of A^(n) from roots.a_matrix;
 gram.FormEngine runs the S-recursion on the pure blocks only, as level
 tables, and takes the K-diagonal in closed form.  phi gives the S-form on
 two single x-generators as the coefficients of an exponential series in
-the entries of A^(n), with no recursion, as gram._phi does from
-FormEngine's rows of A^(n); phi_walk pairs the two x-generators term by
-term through the pure blocks instead, and checks each generator for (a)
-of gram.verify before reading it.  transport_gram builds M and N from
-the phi pairings alone, with no P and no G_y.  bilinear extends the
+the entries of A^(n), degree by degree, with no recursion, and
+phi_closed_form as the closed form (1 - s)^-a_1 (1 - s^r)^-((a_r - a_1) /
+r) of that series, from which gram._phi_integral decides once per type,
+on FormEngine's rows of A^(1..r), that every phi is an int; phi_walk pairs
+the two x-generators term by term through the pure blocks instead, and
+checks each generator for (a) of gram.verify before reading it.
+transport_gram builds M and N from the phi pairings alone, with no P and
+no G_y.  bilinear extends the
 oracle's monomial-pair forms to polynomials, which the brute-force Gram
 assembly and the hand-value tests pair term by term.  p_witness expands
 every x-row to find P's first entry off the unit upper triangle, which
@@ -42,7 +45,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby, product
-from math import prod
+from math import factorial, prod
 from typing import Dict, List, Tuple
 
 from shapdet import gram
@@ -264,15 +267,43 @@ def phi(t: AffineType, i: int, j: int, D: int, gram=None) -> list:
     return f
 
 
+def phi_closed_form(t: AffineType, i: int, j: int, D: int, gram=None):
+    """[phi_ij(0), ..., phi_ij(D)] as the coefficients of (1 - s)^-a_1
+    (1 - s^r)^-c, c = (a_r - a_1) / r, with a_k = d_i a^(k)_ij (0 unless
+    i, j in I(k)) read from roots.a_matrix on ``gram``; None unless a_k =
+    a_1 for every k < r.  The exponent sum_k a_k s^k / k of phi's exp
+    series has period r in its a_k, so it is then a_1 sum_k s^k / k +
+    (a_r - a_1) sum_m s^(rm) / (rm) = -a_1 log(1 - s) - c log(1 - s^r).
+    [s^n] (1 - s)^-x = x (x + 1) ... (x + n - 1) / n! for any x in the
+    field, so this holds for Fraction and Q(zeta_3) values too."""
+    d, a = finite_root_data(t).d, []
+    for k in range(1, t.r + 1):
+        idx = index_set(t, k)
+        a.append(a_matrix(t, k, gram).rows[idx.index(i)][idx.index(j)] * d[i]
+                 if i in idx and j in idx else 0)
+    if any(v != a[0] for v in a[:-1]):
+        return None
+
+    def rising(x, n):  # [s^n] (1 - s)^-x
+        return _field_div(prod((x + k for k in range(n)), start=1),
+                          factorial(n))
+
+    c = _field_div(a[-1] - a[0], t.r)
+    return [sum((rising(a[0], n - t.r * m) * rising(c, m)
+                 for m in range(n // t.r + 1)), 0) for n in range(D + 1)]
+
+
 def phi_walk(engine, d: int) -> dict:
     """{(n, i, j): phi_ij(n) = (x_n^(i), x_n^(j))_S} for n <= d, i, j in I(n),
-    as gram._phi gives it, from the x-generators term by term: each x_n^(i)
-    that gram._x_generator builds is read once and checked for (a) of
-    gram.verify first, else InternalCheckError names the fault in P.  Its
-    terms y come from the runs (k, r) of the partitions of n / d_i, so w(y)
-    = prod k^r, and y pairs only with the color-j y' of its shape, to
-    S'(y, y') / w(y) = prod over the runs of S'_(K^r)[(K, i)^r][(K, j)^r]
-    (K = k d_i, each read once, from engine.pure_s) over w(y)."""
+    the values whose integrality gram._phi_integral decides from their
+    closed form (phi_closed_form), with no degree, here from the
+    x-generators term by term: each x_n^(i) that gram._x_generator builds
+    is read once and checked for (a) of gram.verify first, else
+    InternalCheckError names the fault in P.  Its terms y come from the
+    runs (k, r) of the partitions of n / d_i, so w(y) = prod k^r, and y
+    pairs only with the color-j y' of its shape, to S'(y, y') / w(y) = prod
+    over the runs of S'_(K^r)[(K, i)^r][(K, j)^r] (K = k d_i, each read
+    once, from engine.pure_s) over w(y)."""
     t, entry, out = engine.type, {}, {}  # entry: (K, r, i, j): S' entry
     for n in range(1, d + 1):
         gens = {}  # i: ({runs of y: (c_y / w(y), c_y)}, m!)

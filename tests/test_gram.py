@@ -23,14 +23,15 @@ from shapdet.gram import (FormEngine, gram_matrices, transition_matrices,
                           verify, x_in_y)
 from shapdet.partitions import (_runs, enumerate_basis, enumerate_partitions,
                                 exponent_totals, exponents)
-from shapdet.roots import ROSTER, finite_root_data, index_set, parse_type
+from shapdet.roots import (ROSTER, a_matrix, finite_root_data, index_set,
+                           parse_type)
 from shapdet.series import ab_series, dimension_series
 
 import oracles
 from oracles import (FormOracle, bilinear, identity, kron_lambda_blocks,
                      lambda_blocks, lambda_certificate, lambda_walk_report,
-                     p_witness, phi, phi_walk, q_block, run_walk, tiled_q,
-                     transport_gram, z_in_y)
+                     p_witness, phi, phi_closed_form, phi_walk, q_block,
+                     run_walk, tiled_q, transport_gram, z_in_y)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -199,25 +200,25 @@ def test_forms_bilinear_over_polynomials():
 
 
 def _phi_matches_oracle(t, D, fixture=None):
-    """verify's phi_ij(n) (gram._phi) and the oracle series phi both equal
-    (x_n^(i), x_n^(j))_S of the FormOracle, paired term by term over
-    x_in_y, for every i, j in I(n) and 1 <= n <= D, where gram._phi has its
-    keys; the series is 0 at every other n <= D.  Returns the number of
-    pairings compared."""
+    """The oracle series phi equals (x_n^(i), x_n^(j))_S of the FormOracle,
+    paired term by term over x_in_y, for every i, j in I(n) and
+    1 <= n <= D, and is 0 at every other n <= D; where verify's phi test
+    (gram._phi_integral) holds, every compared value is an int.  Returns
+    the number of pairings compared."""
     oracle, compared = FormOracle(t, fixture), 0
-    got = gram._phi(FormEngine(t, fixture), D)
+    integral = gram._phi_integral(FormEngine(t, fixture))
     for i, j in product(t.I, repeat=2):
         series = phi(t, i, j, D, fixture)
         for n in range(1, D + 1):
             idx = index_set(t, n)
             if i in idx and j in idx:
-                assert got[n, i, j] == series[n] == bilinear(
+                assert series[n] == bilinear(
                     oracle.form_s_mono, x_in_y(t, (n, i)),
                     x_in_y(t, (n, j))), (t, n, i, j)
+                assert _integral(series[n]) or not integral, (t, n, i, j)
                 compared += 1
             else:
                 assert not series[n], (t, n, i, j)
-    assert compared == len(got)
     return compared
 
 
@@ -315,20 +316,22 @@ def test_form_s_is_symmetric(data):
 
 def test_integer_pipeline_stays_integral(monkeypatch):
     # Where A^(n) is integral, which roots.a_matrix makes every built-in
-    # type, every phi value that certifies M and N integral, every
-    # level-table value, the bases and powers of every run's tallies of
-    # det S' / W and prod K' / W, every pure block, K'-diagonal value and
-    # weight that verify reads, and every coefficient and scale of the
-    # x-generators, which verify does not read, as the generator walk (the
-    # oracle phi_walk, which checks them for P) reads them on the same
-    # case, is an int.
-    seen = []  # per case: engine, phi, {kind: values handed over}, generators
-    _phi, x_generator, k_prime = gram._phi, gram._x_generator, gram._k_prime
+    # type, verify's phi test holds, which certifies M and N integral, and
+    # every phi value of the generator walk, every level-table value, the
+    # bases and powers of every run's tallies of det S' / W and prod K' / W,
+    # every pure block, K'-diagonal value and weight that verify reads, and
+    # every coefficient and scale of the x-generators, which verify does not
+    # read, as the generator walk (the oracle phi_walk, which checks them
+    # for P) reads them on the same case, is an int.
+    seen = []  # per case: engine, phi test verdict and then the walk's phi,
+    # {kind: values handed over}, generators
+    phi_integral = gram._phi_integral
+    x_generator, k_prime = gram._x_generator, gram._k_prime
     pure_s, weight, run = FormEngine.pure_s, FormEngine.weight, FormEngine.run
 
-    def recording_phi(engine, d):
+    def recording_phi_integral(engine):
         seen[-1][0] = engine
-        seen[-1][1] = _phi(engine, d)
+        seen[-1][1] = phi_integral(engine)
         return seen[-1][1]
 
     def recording_run(self, n, m):
@@ -356,7 +359,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         seen[-1][3].append((x, scale))
         return x, scale
 
-    monkeypatch.setattr(gram, "_phi", recording_phi)
+    monkeypatch.setattr(gram, "_phi_integral", recording_phi_integral)
     monkeypatch.setattr(FormEngine, "run", recording_run)
     monkeypatch.setattr(FormEngine, "pure_s", recording_pure_s)
     monkeypatch.setattr(gram, "_k_prime", recording_k_prime)
@@ -369,8 +372,9 @@ def test_integer_pipeline_stays_integral(monkeypatch):
                      []])
         assert verify(parse_type(name), d).ok
         assert not seen[-1][3]  # verify reads no x-generator
-        walk = phi_walk(FormEngine(parse_type(name)), d)
-        assert walk == seen[-1][1] and seen[-1][3]
+        assert seen[-1][1] is True  # no contraction
+        seen[-1][1] = phi_walk(FormEngine(parse_type(name)), d)
+        assert seen[-1][3]
     for (engine, phis, handed, gens), case in zip(seen, cases):
         assert all(handed.values())
         handed = [v for kind in handed.values() for v in kind]
@@ -611,43 +615,60 @@ def test_transport_oracle_matches_gram_matrices_at_roster_degrees():
 
 
 def test_verify_phi_matches_the_exp_series():
-    # verify's phi, from FormEngine's rows of A^(n), against the oracle's exp
-    # series in the entries of roots.a_matrix, on every ordered pair of I(n).
+    # The closed form behind verify's phi test, (1 - s)^-a_1 (1 -
+    # s^r)^-((a_r - a_1) / r), against the oracle's exp series in the
+    # entries of roots.a_matrix, coefficient by coefficient on every ordered
+    # pair of I, wherever a_k = a_1 for the k that r does not divide: on
+    # every pair of the roster types, and on the corrupted grams and the
+    # zeta_3 gram, with their Fraction and Q(zeta_3) values, all but the
+    # pairs of D4^3 whose a_1 != a_2.
     fixtures = [(parse_type(name), None, dmax)
                 for name, dmax in ROSTER_DEGREES.items()]
     fixtures += [(*_corrupted(name, gram_), 4) for name, gram_ in
                  CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]]
-    compared = 0
+    compared, kinds = 0, Counter()
     for t, fixture, d in fixtures:
-        got = gram._phi(FormEngine(t, fixture), d)
-        series = {(i, j): phi(t, i, j, d, fixture) for i in t.I for j in t.I}
-        assert got == {(n, i, j): series[i, j][n] for n in range(1, d + 1)
-                       for i in index_set(t, n) for j in index_set(t, n)}
-        compared += len(got)
-    assert compared == 447
+        for i, j in product(t.I, repeat=2):
+            closed = phi_closed_form(t, i, j, d, fixture)
+            kinds["built-in" if fixture is None else "fixture",
+                  "closed" if closed else "no closed form"] += 1
+            if closed is not None:
+                assert closed == phi(t, i, j, d, fixture), (t, i, j)
+                compared += d
+    assert compared == 536
+    assert kinds == {("built-in", "closed"): 127, ("fixture", "closed"): 23,
+                     ("fixture", "no closed form"): 2}
 
 
 def test_phi_matches_the_generator_walk():
-    # verify's phi against the oracle walk over the x-generators and the
-    # pure blocks, key by key and type included, zeros too: at every roster
-    # degree, at E7^1 and E8^1 d=6, at A2^2 and D4^3 d=30, and on the
-    # corrupted grams and the zeta_3 gram, with their Fraction and Q(zeta_3)
-    # values.
+    # The oracle walk over the x-generators and the pure blocks against the
+    # closed form behind verify's phi test (phi_closed_form), or the exp
+    # series (phi) where a_k != a_1 for some k that r does not divide, key
+    # by key, zeros too: at every roster degree, at E7^1 and E8^1 d=6, at
+    # A2^2 and D4^3 d=30, and on the corrupted grams and the zeta_3 gram,
+    # with their Fraction and Q(zeta_3) values.
     cases = [(parse_type(name), None, d) for name, dmax in
              ROSTER_DEGREES.items() for d in range(dmax + 1)]
     cases += [(parse_type(name), None, d) for name, d in
               (("E7^1", 6), ("E8^1", 6), ("A2^2", 30), ("D4^3", 30))]
     cases += [(*_corrupted(name, gram_), d) for name, gram_ in
               CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)] for d in range(5)]
-    compared, kinds = 0, Counter()
+    compared, kinds, sources = 0, Counter(), Counter()
     for t, fixture, d in cases:
-        got = gram._phi(FormEngine(t, fixture), d)
         want = phi_walk(FormEngine(t, fixture), d)
-        assert got == want and {k: type(v) for k, v in got.items()} == {
-            k: type(v) for k, v in want.items()}, (t, d)
-        compared += len(got)
-        kinds.update(type(v).__name__ for v in got.values())
-    assert compared == 1756
+        assert want.keys() == {(n, i, j) for n in range(1, d + 1)
+                               for i in index_set(t, n)
+                               for j in index_set(t, n)}, (t, d)
+        for i, j in product(t.I, repeat=2):
+            got = phi_closed_form(t, i, j, d, fixture)
+            sources["series" if got is None else "closed"] += 1
+            got = phi(t, i, j, d, fixture) if got is None else got
+            for n in range(1, d + 1):
+                if (n, i, j) in want:
+                    assert want[n, i, j] == got[n], (t, n, i, j)
+                    compared += 1
+        kinds.update(type(v).__name__ for v in want.values())
+    assert compared == 1756 and sources == {"closed": 804, "series": 10}
     assert kinds == {"int": 1706, "Fraction": 30, "CycNumber": 20}
 
 
@@ -722,9 +743,115 @@ def test_verify_skips_the_contraction_when_phi_is_integral(monkeypatch):
     cases = [(name, d) for name, dmax in ROSTER_DEGREES.items()
              for d in range(dmax + 1)]
     assert len(cases) == 61
-    for name, d in cases + [("E6^1", 4), ("A1^1", 12)]:
+    cases += [("E6^1", 4), ("A1^1", 12)] + [
+        (name, d) for name in ("E7^1", "E8^1", "A6^2", "A7^2", "D6^2", "D7^1")
+        for d in range(4)]
+    for name, d in cases:
         rep = verify(parse_type(name), d)
         assert rep.ok and rep.identity_ok and rep.det_M == rep.predicted_det
+
+
+BUILT_IN_TYPES = (["A%d^1" % n for n in range(1, 11)] +
+                  ["D%d^1" % n for n in range(4, 10)] +
+                  ["E6^1", "E7^1", "E8^1"] +
+                  ["A%d^2" % n for n in range(2, 13) if n % 2 == 0 or n >= 5] +
+                  ["D%d^2" % n for n in range(3, 9)] + ["E6^2", "D4^3"])
+
+
+def test_phi_integral_holds_on_every_built_in_type():
+    # verify's phi test holds on every admitted type up to these ranks, so
+    # no built-in case reaches the contraction.
+    assert len(BUILT_IN_TYPES) == 37
+    for name in BUILT_IN_TYPES:
+        assert gram._phi_integral(FormEngine(parse_type(name))), name
+
+
+def test_phi_integral_is_sound():
+    # Wherever verify's phi test holds, every phi is an int: the generator
+    # walk's values at n <= 12 (n <= 8 on E6^1 and n <= 6 on E7^1 and E8^1,
+    # whose (1^n) blocks grow fast), and the closed form's and the exp
+    # series' at n <= 12 on every pair, on the roster types, E7^1, E8^1, the
+    # corrupted grams and the zeta_3 gram; the test holds on the built-in
+    # types and on the two integral A2^1 grams.
+    cases = [(parse_type(name), None) for name in ROSTER + ("E7^1", "E8^1")]
+    cases += [_corrupted(name, gram_) for name, gram_ in
+              CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]]
+    walk_d, held, walked, series = {"E6^1": 8, "E7^1": 6, "E8^1": 6}, [], 0, 0
+    for t, fixture in cases:
+        if not gram._phi_integral(FormEngine(t, fixture)):
+            continue
+        held.append(t.name)
+        walk = phi_walk(FormEngine(t, fixture), walk_d.get(t.name, 12))
+        assert all(type(v) is int for v in walk.values()), t
+        walked += len(walk)
+        for i, j in product(t.I, repeat=2):
+            values = phi_closed_form(t, i, j, 12, fixture) + phi(
+                t, i, j, 12, fixture)
+            assert all(_integral(v) for v in values), (t, i, j)
+            series += len(values)
+    assert held == [*ROSTER, "E7^1", "E8^1", "A2^1", "A2^1"]
+    assert (walked, series) == (1920, 6448)
+
+
+# Every A^(n) of this D3^2 gram is integral, yet a_1 = 1 and a_2 = 2 on the
+# pair (2, 2), so phi_22 = (1 - s)^-1 (1 - s^2)^-1/2 has phi_22(2) = 3/2.
+D3_2_HALF_GRAM = [[2, -1, -1], [-1, Fraction(3, 2), Fraction(1, 2)],
+                  [-1, Fraction(1, 2), Fraction(3, 2)]]
+
+
+def test_phi_integral_needs_r_to_divide_a_r_minus_a_1():
+    t, bad = _corrupted("D3^2", D3_2_HALF_GRAM)
+    assert all(type(v) is int for n in range(1, 5)
+               for row in a_matrix(t, n, bad).rows for v in row)
+    assert not gram._phi_integral(FormEngine(t, bad))
+    assert phi_closed_form(t, 2, 2, 4, bad) == phi(t, 2, 2, 4, bad) == [
+        1, 1, Fraction(3, 2), Fraction(3, 2), Fraction(15, 8)]
+    assert verify(t, 2, FormEngine(t, bad)).failures == [
+        "non-integer Gram entry at D3^2 degree 2 (((2, 2),), ((2, 2),)): "
+        "expected an integer, got 3/2"]
+
+
+@pytest.mark.parametrize("a, holds", [
+    ((1, 1, 4), True), ((0, 0, 3), True), ((1, 1, 2), False),
+    ((1, 2, 1), False), ((1, 1, Fraction(4)), False)])
+def test_phi_integral_reads_the_closed_form_conditions(a, holds):
+    # Rows of A^(1..3) planted on the pair (1, 1) of D4^3, d_1 = 1: the test
+    # holds only where a_1 = a_2, a_1 and a_3 are ints and 3 | a_3 - a_1,
+    # and reads a Fraction as a non-int, whatever its value.
+    engine = FormEngine(parse_type("D4^3"))
+    engine._rows = {k: {1: ((1, v),)} for k, v in enumerate(a, 1)}
+    assert gram._phi_integral(engine) is holds
+
+
+def test_forcing_the_contraction_changes_no_report(monkeypatch):
+    # verify's phi test only spares the contraction: patched to fail, it
+    # sends every case to gram_matrices, which passes where M is integral
+    # and else names the first non-integer entry, so no report changes, at
+    # every roster degree and on the fixture grams at d <= 4.
+    cases = [(parse_type(name), None, d) for name, dmax in
+             ROSTER_DEGREES.items() for d in range(dmax + 1)]
+    cases += [(*_corrupted(name, gram_), d) for name, gram_ in
+              CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM),
+                                 ("D3^2", [[2, -2, -1], [-1, 2, 0],
+                                           [-1, 0, 2]]),
+                                 ("D3^2", D3_2_HALF_GRAM)] for d in range(5)]
+    want = [verify(t, d, FormEngine(t, fixture)).to_dict()
+            for t, fixture, d in cases]
+    contracted = []
+
+    def counting(*args):
+        contracted.append(args)
+        return gram_matrices(*args)
+
+    monkeypatch.setattr(gram, "gram_matrices", counting)
+    monkeypatch.setattr(gram, "_phi_integral", lambda engine: False)
+    got = [verify(t, d, FormEngine(t, fixture)).to_dict()
+           for t, fixture, d in cases]
+    assert got == want and len(contracted) == len(cases) == 106
+    # 15 of CORRUPTED_GRAMS, the zeta_3 gram at d = 1..4, the first D3^2
+    # gram at d = 2, 4 and the second at d = 2..4
+    assert sum(f.startswith("non-integer Gram entry")
+               for r in got for f in r["failures"]) == 24
 
 
 @pytest.mark.parametrize("name, gram, d, value", [
@@ -966,7 +1093,7 @@ def test_run_certificate_matches_the_lambda_walk_oracle(monkeypatch):
     kinds = Counter()  # (phi skipped, failure kind): cases
     for skip in (False, True):
         if skip:
-            monkeypatch.setattr(gram, "_phi", lambda engine, d: {})
+            monkeypatch.setattr(gram, "_phi_integral", lambda engine: True)
         for name, gram_ in CORRUPTED_GRAMS + [("D4^3", D4_3_ZETA3_GRAM)]:
             t, bad = _corrupted(name, gram_)
             for d in range(5):
