@@ -193,10 +193,6 @@ class ExactMatrix:
         self.nrows = len(data)
         self.ncols = width
 
-    @property
-    def is_square(self) -> bool:
-        return self.nrows == self.ncols
-
     def is_symmetric(self) -> bool:
         return self.rows == [list(col) for col in zip(*self.rows)]
 
@@ -227,18 +223,9 @@ class ExactMatrix:
 
 
 def det_exact(m: ExactMatrix) -> Scalar:
-    """Exact determinant by fraction-free elimination (_bareiss on a copy)."""
-    if not m.is_square:
-        raise ValueError("determinant of a non-square %dx%d matrix"
-                         % (m.nrows, m.ncols))
-    a = [row[:] for row in m.rows]
-    return _bareiss(a, all(type(x) is int for row in a for x in row))
+    """Exact determinant by Bareiss's fraction-free elimination on a copy.
 
-
-def _bareiss(a: List[List[Scalar]], ints: bool) -> Scalar:
-    """det of the square rows a, which it overwrites.
-
-    If ints (every entry an int), it never leaves the integers, with every
+    If every entry is an int, it never leaves the integers, with every
     division checked for a zero remainder; else the divisions are field
     divisions.  Row pivoting only; the value is independent of pivot
     choice.  A row whose multiplier a_ik is 0 only scales by pivot / prev,
@@ -247,6 +234,11 @@ def _bareiss(a: List[List[Scalar]], ints: bool) -> Scalar:
     ints, a_ij = a_kj = 0 is skipped and, where a_kj = 0 alone, a_ij pivot
     is divided by prev, still checked.
     """
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square %dx%d matrix"
+                         % (m.nrows, m.ncols))
+    a = [row[:] for row in m.rows]
+    ints = all(type(x) is int for row in a for x in row)
     n, div = len(a), _exact_div if ints else _field_div
     sign = 1
     prevs: List[Scalar] = [1]  # prevs[k]: the divisor of step k
@@ -300,7 +292,7 @@ def _bareiss(a: List[List[Scalar]], ints: bool) -> Scalar:
 
 def invert(m: ExactMatrix) -> ExactMatrix:
     """Exact inverse via Gauss-Jordan; raises ZeroDivisionError if singular."""
-    if not m.is_square:
+    if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square %dx%d matrix"
                          % (m.nrows, m.ncols))
     n = m.nrows

@@ -23,12 +23,13 @@ tables: pure_s of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
 factors of y (ints wherever A^(n) is, as for every built-in type), and
 pure_q, the one source of Q.  The x-expansions are int coefficients over
 prod (n / d_i)!, which only the printing paths read, as the basis: verify
-checks phi integral once per type on the rows of A^(1..r), its runs and
-their exponents from dimension_series, and certifies the rest on the pure
-runs alone, each once per FormEngine.  The all-pairs memo recursion, the
-transport sum over phi, the walks over the x-generators for phi and over
-the basis for the runs, the x-rows for P, the z-expansions by poly_mul
-products, the walk over the lambda-blocks and the full-matrix Bareiss and
+checks phi integral once per FormEngine on the rows of A^(1..r), takes its
+runs and their exponents from dimension_series, and certifies the rest on
+the pure runs alone, each once per FormEngine, det S' by elimination on
+primitive rows (_pure_det).  The all-pairs memo recursion, the transport
+sum over phi, the walks over the x-generators for phi and over the basis
+for the runs, the x-rows for P, the z-expansions by poly_mul products, the
+walk over the lambda-blocks, Bareiss on the full M (det_exact) and
 P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
@@ -43,8 +44,8 @@ from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, prod
 from typing import Dict, List, Optional, Tuple
 
-from .exact import (ExactMatrix, InternalCheckError, _bareiss, _exact_div,
-                    _field_div, as_integer)
+from .exact import (ExactMatrix, InternalCheckError, _exact_div, _field_div,
+                    as_integer, det_exact)
 from .partitions import (ColoredPartition, enumerate_basis,
                          multiplicities, _gen_runs, _runs)
 from .roots import AffineType, a_matrix, finite_root_data, index_set
@@ -107,8 +108,8 @@ class FormEngine:
 
     pure_s (the pure blocks of S', kept) and pure_q (of Q, built afresh on
     each call) both walk one row table per part size n, the nonzero entries
-    of A^(n) from roots.a_matrix, level by level (_level); _phi_integral
-    reads those of n <= r too, and run certifies each run.
+    of A^(n) from roots.a_matrix, level by level (_level); phi_integral is
+    the verdict of _phi_integral on those of n <= r, and run certifies runs.
     ``gram`` may replace the Cartan form that A^(n) is built from (the
     CLI's --root-data hook); d_i, mu and I(n) always come from the type."""
 
@@ -117,6 +118,7 @@ class FormEngine:
         self._d = finite_root_data(t).d
         self._rows: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
         self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
+        self.phi_integral = _phi_integral(self)
 
     def _a_rows(self, n: int) -> Dict[int, Tuple[Tuple[int, object], ...]]:
         """{i: ((j, a^(n)_ij), ...)}: the nonzero entries of A^(n) by row,
@@ -174,7 +176,7 @@ class FormEngine:
                     if off:
                         bad = y, off[0]
                         break
-            del h  # so that only S' stays alive while Bareiss runs
+            del h  # so that only S' stays alive while _pure_det runs
             # the primes of w, K' and, on the type's form, of det S'
             top = max(n * m, self.type.alpha, self.type.beta)
             det = _pure_det(S) if sym else None
@@ -333,13 +335,45 @@ def _factored(values, top: int, over=()) -> Counter:
 
 
 def _pure_det(S):
-    """det S by Bareiss on one copy, on an int S after dividing each row by
-    the gcd r_i of its entries: det S = prod r_i det H for the reduced H."""
+    """det S, on an int S by fraction-free elimination on primitive rows,
+    each kept as {column: entry}: at pivot a_kk, each row i with a_ik != 0
+    becomes (u row_i - v row_k) / c, g = gcd(a_kk, a_ik) signed so that u =
+    a_kk / g > 0, v = a_ik / g and c the gcd of the new row's entries, so
+    det S = sign prod a_kk prod c / prod u, a division that is checked.
+    Bareiss (det_exact) carries leading minors, 332 and 956 bits on E6
+    (1^4) and (1^5), where no primitive row exceeds 15 and 19 bits: the
+    rational LU of S'_(n^m) has symmetric powers of A^(n)'s small LU
+    factors for factors, sparser than S' (E8 (1^6): 38 760 nonzeros in the
+    pivot rows, 212 738 in S').  On a dense M Bareiss is faster, and
+    det_exact also takes a non-int S (only a replaced gram gives one)."""
     if not all(type(v) is int for row in S for v in row):
-        return _bareiss([row[:] for row in S], False)
-    r = [gcd(*row) or 1 for row in S]  # a zero row stays zero
-    return prod(r) * _bareiss([[v // g for v in row]
-                               for row, g in zip(S, r)], True)
+        return det_exact(ExactMatrix(S))
+    sign, num, den = 1, 1, 1
+    rows = [{j: x for j, x in enumerate(row) if x} for row in S]
+    for k in range(len(S)):
+        i = next((i for i, row in enumerate(rows) if row.get(k)), None)
+        if i is None:  # a zero column
+            return 0
+        sign *= (-1) ** i  # row i moves up past i rows
+        top = {j: y for j, y in rows.pop(i).items() if y}  # drop cancelled
+        p = top.pop(k)
+        num *= p
+        for row in rows:
+            a = row.pop(k, 0)
+            if a:
+                g = gcd(p, a) if p > 0 else -gcd(p, a)
+                u, v = p // g, a // g
+                if u > 1:  # in place: a new dict per row costs 10-25 %
+                    for j in row:
+                        row[j] *= u
+                for j, y in top.items():
+                    row[j] = row.get(j, 0) - v * y
+                c = gcd(*row.values())
+                if c > 1:  # else the row is primitive as it stands
+                    for j in row:
+                        row[j] //= c
+                num, den = num * c, den * u
+    return _exact_div(sign * num, den)
 
 
 def _basis_runs(t: AffineType, d: int, dims: List[int]) -> dict:
@@ -415,8 +449,8 @@ def verify(t: AffineType, d: int,
     dimension_series (_basis_runs), and a(d), b(d) from ab_series.
 
     M and N are integral once every phi_ij(n) = (x_n^(i), x_n^(j))_S is an
-    int, as _phi_integral finds once per type, with no degree, from the
-    closed form of that exp series on the rows of A^(1..r) alone.
+    int, as _phi_integral finds once per FormEngine (its phi_integral), with
+    no degree, from the closed form of that exp series on A^(1..r) alone.
     The x-basis is group-like, and for any A^(n), symmetric or not, the
     adjoint of multiplication by y_n^(i) is the derivation (d_i / n) sum_j
     a^(n)_ij d/dy_n^(j).  Moving the left factors across one at a time
@@ -444,15 +478,15 @@ def verify(t: AffineType, d: int,
     at their first monomials.  No basis, lambda-block or dense M, N, P or Q
     is built; failed checks are recorded in the report, not raised.
     ``engine``, a fresh FormEngine by default, serves the rows of A^(n),
-    the runs and their pure blocks of S' and Q (pure_s, pure_q), and keeps
-    all but Q for the next degree.
+    the phi verdict, the runs and their pure blocks of S' and Q (pure_s,
+    pure_q), and keeps all but Q for the next degree.
     """
     dims, (a_d, b_d) = dimension_series(t, d), (s[d] for s in ab_series(t, d))
     predicted = t.alpha ** a_d * t.beta ** b_d
     report = GramReport(t, d, dims[d], a_d, b_d, predicted)
     engine = engine or FormEngine(t)
     try:
-        if not _phi_integral(engine):
+        if not engine.phi_integral:
             gram_matrices(t, d, engine)
     except InternalCheckError as exc:
         report.failures.append(str(exc))

@@ -73,7 +73,7 @@ def sym_power(m: ExactMatrix, k: int) -> ExactMatrix:
     the same convention in which a product of z-generators expands into
     y-monomials, so these blocks are directly comparable with Q.
     """
-    if not m.is_square:
+    if m.nrows != m.ncols:
         raise ValueError("symmetric power of a non-square matrix")
     if k < 0:
         raise ValueError("symmetric power exponent must be >= 0")

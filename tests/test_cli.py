@@ -150,7 +150,7 @@ def test_gram_roster_builds_each_a_matrix_and_pure_det_once(capsys,
                                                            monkeypatch, extra):
     # gram --roster holds one FormEngine per type over its degrees, and
     # --matrices builds M, N, P and Q on the engine verify used: A^(n) is
-    # built once per (type, n), and Bareiss runs once per (type, run n^m).
+    # built once per (type, n), and _pure_det runs once per (type, run n^m).
     built, dets, tables = [], [], {}  # tables: id(S'): ((type, n, m), S')
     a_matrix, pure_det, pure_s = gram.a_matrix, gram._pure_det, \
         gram.FormEngine.pure_s
@@ -180,6 +180,22 @@ def test_gram_roster_builds_each_a_matrix_and_pure_det_once(capsys,
             for run in _runs(tuple(n for n, _ in y))}
     assert sorted(dets) == sorted(runs) and len(runs) == 99
     assert sorted(built) == sorted({(name, n) for name, n, _ in runs})
+
+
+def test_gram_roster_decides_phi_integral_once_per_type(capsys,
+                                                       monkeypatch):
+    # verify keeps the verdict of _phi_integral on the FormEngine, which
+    # gram --roster holds over each type's degrees: 12 calls for 61 cases.
+    calls, phi_integral = [], gram._phi_integral
+
+    def counting(engine):
+        calls.append(engine.type.name)
+        return phi_integral(engine)
+
+    monkeypatch.setattr(gram, "_phi_integral", counting)
+    code, payload = run_json(capsys, "gram", "--roster", "--check")
+    assert code == 0 and len(payload["result"]) == 61
+    assert calls == list(cli.ROSTER_DEGREES) and len(calls) == 12
 
 
 def test_gram_corrupted_fixture_exits_1(capsys, tmp_path):

@@ -1313,13 +1313,13 @@ def test_verify_d4_3_beyond_the_roster():
 
 def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
     t = parse_type("E6^1")
-    sizes, bareiss = [], gram._bareiss
+    sizes, pure_det = [], gram._pure_det
 
-    def counting(a, ints):
-        sizes.append(len(a))
-        return bareiss(a, ints)
+    def counting(S):
+        sizes.append(len(S))
+        return pure_det(S)
 
-    monkeypatch.setattr(gram, "_bareiss", counting)
+    monkeypatch.setattr(gram, "_pure_det", counting)
     assert verify(t, 3).ok
     basis = enumerate_basis(t, 3)
     shapes = [tuple(n for n, _ in y) for y in basis]
@@ -1328,20 +1328,21 @@ def test_verify_takes_determinants_of_lambda_blocks_only(monkeypatch):
     assert max(sizes) == largest
 
 
-def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
+def test_verify_takes_pure_det_on_pure_blocks_only(monkeypatch):
     # E6^1 d=4 has two 126-row lambda-blocks: the pure (1^4), and
-    # (2, 1, 1) = (2) x (1^2), which reaches Bareiss only as its factors.
-    # Bareiss gets each int pure block S' = W G that kron_lambda_blocks
-    # builds its blocks from, with the gcd r_i of each row divided out; no
-    # column of the row-reduced (1^4) block has content left.
+    # (2, 1, 1) = (2) x (1^2), which reaches _pure_det only as its factors.
+    # _pure_det gets each int pure block S' = W G that kron_lambda_blocks
+    # builds its blocks from, as it is: it makes each row primitive as it
+    # eliminates.  Dividing out the gcd r_i of each row of (1^4) leaves no
+    # column with content, and prod r_i det of the rest is det (1^4).
     t = parse_type("E6^1")
-    passed, bareiss = [], gram._bareiss
+    passed, pure_det = [], gram._pure_det
 
-    def recording(a, ints):
-        passed.append(ExactMatrix(a))  # a copy: Bareiss overwrites a
-        return bareiss(a, ints)
+    def recording(S):
+        passed.append(ExactMatrix(S))
+        return pure_det(S)
 
-    monkeypatch.setattr(gram, "_bareiss", recording)
+    monkeypatch.setattr(gram, "_pure_det", recording)
     assert verify(t, 4).ok
     blocks = {tuple(n for n, _ in ys[0]): ExactMatrix(g) for ys, g in
               kron_lambda_blocks(FormEngine(t), enumerate_basis(t, 4))}
@@ -1352,7 +1353,7 @@ def test_verify_takes_bareiss_on_pure_blocks_only(monkeypatch):
                                 for row, g in zip(pure, r)])
     assert all(gcd(*col) == 1 for col in zip(*content_free.rows))
     assert content_free != blocks[(1, 1, 1, 1)]
-    assert [m for m in passed if m.nrows == 126] == [content_free]
+    assert [m for m in passed if m.nrows == 126] == [blocks[(1, 1, 1, 1)]]
     assert prod(r) * det_exact(content_free) == det_exact(
         blocks[(1, 1, 1, 1)])
     assert blocks[(1, 1, 1, 1)] != blocks[(2, 1, 1)]
@@ -1406,12 +1407,85 @@ def test_pure_blocks_match_the_memo_recursion():
                    for v in row)
 
 
+def _int_matrix_cases(seed):
+    """(kind, S): seeded random int matrices, sparse and dense, and from
+    each a copy with a zero row, a singular one (row a set to 2 row b -
+    3 row c, with b and c other rows, maybe equal), one with negative
+    pivots on the diagonal and ones whose first nonzero leading entry is
+    one or two rows down (an odd and an even number of swaps)."""
+    rng = random.Random(seed)
+
+    def draw(n, zeros):
+        return [[0 if rng.random() < zeros else rng.randint(-9, 9)
+                 for _ in range(n)] for _ in range(n)]
+
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        S = draw(n, rng.choice([0, 0.5, 0.8]))
+        yield "random", S
+        neg = [row[:] for row in S]
+        for i in range(n):
+            neg[i][i] = -rng.randint(1, 9)
+        yield "negative pivots", neg
+        if n == 1:
+            continue
+        zero = [row[:] for row in S]
+        zero[rng.randrange(n)] = [0] * n
+        yield "zero row", zero
+        a = rng.randrange(n)
+        b, c = (rng.choice([i for i in range(n) if i != a]) for _ in "bc")
+        sing = [row[:] for row in S]
+        sing[a] = [2 * x - 3 * y for x, y in zip(S[b], S[c])]
+        yield "singular", sing
+        for k in range(1, min(n, 3)):
+            swap = draw(n, 0.3)
+            for row in swap[:k]:
+                row[0] = 0
+            swap[k][0] = rng.choice([-3, -1, 2, 5])
+            yield "swaps %d" % k, swap
+
+
 def test_content_free_det_matches_full_bareiss_at_roster_degrees():
-    for name, dmax in ROSTER_DEGREES.items():
+    # The int pure blocks at the roster degrees and of the E-types at
+    # m <= 4, up to E8 (1^4) with 330 rows (every A^(n) of E6^1, E7^1 and
+    # E8^1 is the Cartan matrix, so the runs n^m hold the blocks of 1^m).
+    sizes = []
+    for name, dmax in [*ROSTER_DEGREES.items(), ("E6^1", 4), ("E7^1", 4),
+                       ("E8^1", 4)]:
         engine = FormEngine(parse_type(name))
         for n, m in _runs_of(engine.type, dmax):
             S = engine.pure_s(n, m)[1]
             assert gram._pure_det(S) == det_exact(ExactMatrix(S))
+            sizes.append(len(S))
+    assert max(sizes) == 330
+    kinds = Counter()
+    for kind, S in _int_matrix_cases(29):
+        copy = [row[:] for row in S]
+        det = gram._pure_det(S)
+        assert S == copy and det == det_exact(ExactMatrix(S)), (kind, S)
+        kinds[kind, det == 0] += 1
+    assert kinds["zero row", False] == kinds["singular", False] == 0
+    assert kinds["zero row", True] == kinds["singular", True] == 36
+    assert all(kinds[kind, False] > 10 for kind in (
+        "random", "negative pivots", "swaps 1", "swaps 2"))
+    # a transposition and the two 3-cycles, so one and two rows down
+    assert [gram._pure_det(S) for S in (
+        [[0, 1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, 1, 0], [0, 0, 1], [-1, 0, 0]])] == [-1, 1, -1]
+
+
+def test_pure_det_checks_its_last_division(monkeypatch):
+    # With each new row's content doubled, the rows are floored and
+    # sign prod a_kk prod c / prod u is no longer an int on E6 (1^2).
+    S = FormEngine(parse_type("E6^1")).pure_s(1, 2)[1]
+    assert gram._pure_det(S) == det_exact(ExactMatrix(S))
+
+    def doubled(*args):  # a row's content, not g = gcd(a_kk, a_ik)
+        return gcd(*args) * (2 if len(args) > 2 else 1)
+
+    monkeypatch.setattr(gram, "gcd", doubled)
+    with pytest.raises(InternalCheckError, match="inexact division"):
+        gram._pure_det(S)
 
 
 def _blocks_match_oracles(t, d, fixture=None):
