@@ -16,21 +16,21 @@ the S-form factors exactly as M = P Q P^-1 N through the transition
 matrices to the y-basis: row a of P (of Q) is the y-expansion of the x-
 (z-) monomial basis[a], so enumerate_basis alone owns the order.
 
-Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices and Q
-are block-diagonal by the part-size shape lambda, each block the Kronecker
+Both forms pair y_n^(i) only with y_n^(j), so the y-Gram matrices and Q are
+block-diagonal by the part-size shape lambda, each block the Kronecker
 product of pure blocks on the runs n^m, which FormEngine builds as level
-tables: pure_s of S'(y, z) = (y, z) w(y), w(y) = prod n / d_i over the
-factors of y (ints wherever A^(n) is, as for every built-in type), and
-pure_q, the one source of Q.  The x-expansions are int coefficients over
-prod (n / d_i)!, which only the printing paths read, as the basis: verify
-checks phi integral once per FormEngine on the rows of A^(1..r), takes its
-runs and their exponents from dimension_series, and certifies the rest on
-the pure runs alone, each once per FormEngine, det S' by elimination on
-primitive rows (_pure_det).  The all-pairs memo recursion, the transport
-sum over phi, the walks over the x-generators for phi and over the basis
-for the runs, the x-rows for P, the z-expansions by poly_mul products, the
-walk over the lambda-blocks, Bareiss on the full M (det_exact) and
-P Q P^-1 N are the tests' oracles (tests/oracles.py).
+tables of sparse rows {column: entry}: pure_s of S'(y, z) = (y, z) w(y),
+w(y) = prod n / d_i over the factors of y (ints wherever A^(n) is, as for
+every built-in type), and pure_q, the one source of Q.  The x-expansions are
+int coefficients over prod (n / d_i)!, which only the printing paths read,
+as the basis: verify checks phi integral once per FormEngine on the rows of
+A^(1..r), takes its runs and their exponents from dimension_series, and
+certifies the rest on the pure runs alone, each once per FormEngine, det S'
+by elimination on primitive rows (_pure_det).  The all-pairs memo recursion,
+the transport sum over phi, the walks over the x-generators for phi and over
+the basis for the runs, the x-rows for P, the z-expansions by poly_mul
+products, the walk over the lambda-blocks, Bareiss on the full M (det_exact)
+and P Q P^-1 N are the tests' oracles (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -106,9 +106,9 @@ class FormEngine:
     """The A^(n) row tables, the S-form level tables and the run facts of
     one type, each built once, so one engine serves every degree.
 
-    pure_s (the pure blocks of S', kept) and pure_q (of Q, built afresh on
-    each call) both walk one row table per part size n, the nonzero entries
-    of A^(n) from roots.a_matrix, level by level (_level); phi_integral is
+    pure_s (the pure blocks of S', kept) and pure_q (of Q, streamed) walk
+    one row table per part size n, the nonzero entries of A^(n) from
+    roots.a_matrix, level by level in sparse rows (_level); phi_integral is
     the verdict of _phi_integral on those of n <= r, and run certifies runs.
     ``gram`` may replace the Cartan form that A^(n) is built from (the
     CLI's --root-data hook); d_i, mu and I(n) always come from the type."""
@@ -117,7 +117,7 @@ class FormEngine:
         self.type, self.gram, self._facts = t, gram, {}
         self._d = finite_root_data(t).d
         self._rows: Dict[int, Dict[int, Tuple[Tuple[int, object], ...]]] = {}
-        self._levels: Dict[int, List[Tuple[Dict[Monomial, int], list]]] = {}
+        self._levels: Dict[int, list] = {}  # n: [(index, S' rows, up)]
         self.phi_integral = _phi_integral(self)
 
     def _a_rows(self, n: int) -> Dict[int, Tuple[Tuple[int, object], ...]]:
@@ -130,56 +130,60 @@ class FormEngine:
         return self._rows[n]
 
     def pure_s(self, n: int, m: int):
-        """({y: row}, S'_(n^m)): the pure block of the run n^m on the weakly
-        increasing color tuples y of I(n), in basis order.  Level k of n is
-        built from level k - 1 by the S-recursion (_level),
-        S'(y, z) = sum_j a_ij mult_j(z) S'(y[1:], z - e_j)."""
-        levels = self._levels.setdefault(n, [({(): 0}, [[1]])])
+        """({y: row}, S'_(n^m)): the pure block of the run n^m, sparse rows
+        on the weakly increasing color tuples y of I(n), in basis order.
+        Level k of n is built once from level k - 1 by the S-recursion
+        (_level), S'(y, z) = sum_j a_ij mult_j(z) S'(y[1:], z - e_j), and
+        keeps its column map up[c][j] = (column, mult_j) of c + e_j."""
+        levels = self._levels.setdefault(n, [({(): 0}, [{0: 1}], None)])
         rows = self._a_rows(n)
         while len(levels) <= m:
-            index, prev = levels[-1]
+            index, prev, _ = levels[-1]
             at = {tuple((n, c) for c in cs): r for r, cs in enumerate(
                 combinations_with_replacement(rows, len(levels)))}
-            levels.append((at, _level(n, index, prev, at, rows, True)))
-        return levels[m]
+            up = [{j: (at[tuple(sorted(c + ((n, j),)))], c.count((n, j)) + 1)
+                   for j in rows} for c in index]
+            levels.append((at, [*_level(index, prev, at, up, rows, True)], up))
+        return levels[m][:2]
 
-    def pure_q(self, n: int, m: int) -> list:
-        """Q_(n^m): the rows of Q on the pure block of the run n^m, on
-        pure_s's index, built bottom-up (_level) and kept by no one: row y of
-        level k is row y[1:] of level k - 1 times z_(y[0]), where z_n^(i) is
-        sum_j a^(n)_ij (d_i / d_j) y_n^(j), the rows of D A^(n) D^-1."""
-        self.pure_s(n, m)  # the index of every level up to m
-        levels, d, table = self._levels[n], self._d, [[1]]
+    def pure_q(self, n: int, m: int):
+        """Q_(n^m), sparse as pure_s, on its index and column maps, built
+        bottom-up (_level) and kept by no one: level m is yielded row by row.
+        Row y of level k is row y[1:] of level k - 1 times z_(y[0]), where
+        z_n^(i) is sum_j a^(n)_ij (d_i / d_j) y_n^(j) (D A^(n) D^-1)."""
+        self.pure_s(n, m)  # the index and column map of every level up to m
+        levels, d, table = self._levels[n], self._d, [{0: 1}]
         z = {i: [(j, _field_div(v * d[i], d[j])) for j, v in row]
              for i, row in self._a_rows(n).items()}
-        for (index, _), (at, _) in zip(levels[:m], levels[1:m + 1]):
-            table = _level(n, index, table, at, z, False)
+        for (index, _, _), (at, _, up) in zip(levels[:m], levels[1:m + 1]):
+            table = _level(index, list(table), at, up, z, False)
         return table
 
     def run(self, n: int, m: int):
-        """(bad, M, N) of the run n^m, once, on its pure block S' and
-        H = S' W: bad is the first (y, z) in row-major order with H[y][z] !=
-        w(y) Q[y][z] K'(z, z) (pure_q, read a whole row at a time and then
-        dropped) or, if z < y, != H[z][y], else None; M and N are _factored
-        _pure_det(S') / W and prod K'(y, y) / W, W = prod w(y) over the
-        block, and M is None unless H is symmetric."""
+        """(bad, M, N) of the run n^m, once, on the rows of S' and of pure_q
+        as they stream, with no H = S' W, transpose or dense row built: bad
+        is the first (y, z) in row-major order with H[y][z] = S'[y][z] w(z)
+        != w(y) Q[y][z] K'(z, z) or, if z < y, != H[z][y], else None; M and
+        N are _factored _pure_det(S') / W and prod K'(y, y) / W, W = prod w(y)
+        over the block, and M is None unless H is symmetric."""
         if (n, m) not in self._facts:
             at, S = self.pure_s(n, m)
             ws, ks = [self.weight(y) for y in at], [_k_prime(y) for y in at]
-            h, bad = [[v * wz for v, wz in zip(row, ws)] for row in S], None
-            sym = h == [list(c) for c in zip(*h)]
-            for (y, r), h_row, q_row in zip(at.items(), h, self.pure_q(n, m)):
-                wqk = [ws[r] * q * k for q, k in zip(q_row, ks)]  # W Q K'
-                if h_row != wqk or not sym:
-                    off = [z for z, c in at.items() if h_row[c] != wqk[c] or
-                           c < r and h_row[c] != h[c][r]]
-                    if off:
-                        bad = y, off[0]
-                        break
-            del h  # so that only S' stays alive while _pure_det runs
+            ys, bad = list(at), None  # asym: (r, c < r) with H[r][c] off
+            asym = {(max(r, c), min(r, c)) for r, row in enumerate(S) for c, v
+                    in row.items() if v * ws[c] != S[c].get(r, 0) * ws[r]}
+            for r, (s_row, q_row) in enumerate(zip(S, self.pure_q(n, m))):
+                off, wr = [c for a, c in asym if a == r], ws[r]
+                if off or len(q_row) != len(s_row) or any(  # no zeros stored
+                        s_row.get(c, 0) * ws[c] != wr * q * ks[c]
+                        for c, q in q_row.items()):
+                    bad = ys[r], ys[min(off + [c for c in s_row.keys() | q_row
+                                               if s_row.get(c, 0) * ws[c] !=
+                                               wr * q_row.get(c, 0) * ks[c]])]
+                    break
             # the primes of w, K' and, on the type's form, of det S'
             top = max(n * m, self.type.alpha, self.type.beta)
-            det = _pure_det(S) if sym else None
+            det = None if asym else _pure_det(S)
             self._facts[n, m] = (bad, None if det is None else _factored(
                 [det], top, ws), _factored(ks, top, ws))
         return self._facts[n, m]
@@ -189,36 +193,31 @@ class FormEngine:
         return prod(n // self._d[i] for n, i in mono)
 
 
-def _level(n: int, index, prev, at, gens, derive: bool) -> list:
-    """The level at of the run n^m from the level below, (index, prev):
+def _level(index, prev, at, up, gens, derive: bool):
+    """Yield the sparse rows of level at from the level below, (index, prev):
     T(y, z) = sum_j g_ij f_j(z) T(y[1:], z - e_j) over the nonzero g_ij of
-    gens[i], i the color of y[0], walking the nonzero c = z - e_j of row y[1:]
-    to z = c + e_j; f_j(z) = mult_j(z) if derive (the S-recursion), else 1."""
-    up = [{j: (at[tuple(sorted(c + ((n, j),)))],  # column and f_j of c + e_j
-               c.count((n, j)) + 1 if derive else 1) for j in gens}
-          for c in index]
-    table = []
+    gens[i], i the color of y[0], from each stored c = z - e_j of row y[1:]
+    to up[c][j] = (z's column, mult_j(z)); f_j = mult_j if derive, else 1."""
     for y in at:
-        out, g_row = [0] * len(at), gens[y[0][1]]
-        for c, v in enumerate(prev[index[y[1:]]]):
-            if v:
-                for j, g in g_row:
-                    col, f = up[c][j]
-                    out[col] = out[col] + g * (f * v)
-        table.append(out)
-    return table
+        out, g_row = {}, gens[y[0][1]]
+        for c, v in prev[index[y[1:]]].items():
+            u = up[c]
+            for j, g in g_row:
+                col, f = u[j]
+                out[col] = out.get(col, 0) + g * (f * v if derive else v)
+        yield {c: v for c, v in out.items() if v}
 
 
 def _kron_row(engine: FormEngine, y: Monomial, table) -> list:
     """[(z, v)]: the nonzero entries of row y of the Kronecker product over
     the runs n^m of y, largest part slowest as in the basis order, of the
-    pure blocks table(n, m) on pure_s's index (of S' for G_y, of Q for Q)."""
+    sparse pure blocks table(n, m) on pure_s's index (of S' or of Q)."""
     out = [((), 1)]
     for n, run in groupby(y, key=lambda f: f[0]):
         at = engine.pure_s(n, len(run := tuple(run)))[0]
         row = table(n, len(run))[at[run]]
         out = [(z + u, v * row[c]) for z, v in out for u, c in at.items()
-               if row[c]]
+               if c in row]
     return out
 
 
@@ -235,7 +234,7 @@ def transition_matrices(t: AffineType, d: int,
     engine, basis = engine or FormEngine(t), enumerate_basis(t, d)
     index = {mono: pos for pos, mono in enumerate(basis)}
     P, Q = ([[0] * len(basis) for _ in basis] for _ in "PQ")
-    q_table = lru_cache(maxsize=None)(engine.pure_q)  # once per run
+    q_table = lru_cache(maxsize=None)(lambda n, m: [*engine.pure_q(n, m)])
     for a, (x, scale) in enumerate(_x_rows(t, basis)):
         for target, coeff in x.items():
             P[a][index[target]] = Fraction(coeff, scale)
@@ -335,21 +334,22 @@ def _factored(values, top: int, over=()) -> Counter:
 
 
 def _pure_det(S):
-    """det S, on an int S by fraction-free elimination on primitive rows,
-    each kept as {column: entry}: at pivot a_kk, each row i with a_ik != 0
-    becomes (u row_i - v row_k) / c, g = gcd(a_kk, a_ik) signed so that u =
-    a_kk / g > 0, v = a_ik / g and c the gcd of the new row's entries, so
-    det S = sign prod a_kk prod c / prod u, a division that is checked.
-    Bareiss (det_exact) carries leading minors, 332 and 956 bits on E6
-    (1^4) and (1^5), where no primitive row exceeds 15 and 19 bits: the
-    rational LU of S'_(n^m) has symmetric powers of A^(n)'s small LU
-    factors for factors, sparser than S' (E8 (1^6): 38 760 nonzeros in the
-    pivot rows, 212 738 in S').  On a dense M Bareiss is faster, and
-    det_exact also takes a non-int S (only a replaced gram gives one)."""
-    if not all(type(v) is int for row in S for v in row):
-        return det_exact(ExactMatrix(S))
+    """det S of the sparse rows S, as pure_s keeps them; on an int S by
+    fraction-free elimination on primitive rows, one dict copy per row: at
+    pivot a_kk, each row i with a_ik != 0 becomes (u row_i - v row_k) / c,
+    g = gcd(a_kk, a_ik) signed so that u = a_kk / g > 0, v = a_ik / g and c
+    the new row's content, so det S = sign prod a_kk prod c / prod u, a
+    checked division.  Bareiss (det_exact) carries leading minors, 332 and
+    956 bits on E6 (1^4) and (1^5), where no primitive row exceeds 15 and
+    19 bits: the rational LU of S'_(n^m) has symmetric powers of A^(n)'s
+    small LU factors for factors, sparser than S' (E8 (1^6): 38 760 nonzeros
+    in the pivot rows, 212 738 in S').  Bareiss is faster on a dense M, and
+    det_exact takes a non-int S (only a replaced gram gives one)."""
+    if not all(type(v) is int for row in S for v in row.values()):
+        return det_exact(ExactMatrix([[row.get(j, 0) for j in range(len(S))]
+                                      for row in S]))
     sign, num, den = 1, 1, 1
-    rows = [{j: x for j, x in enumerate(row) if x} for row in S]
+    rows = [dict(row) for row in S]
     for k in range(len(S)):
         i = next((i for i, row in enumerate(rows) if row.get(k)), None)
         if i is None:  # a zero column

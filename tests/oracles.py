@@ -1,5 +1,8 @@
 """Reference constructions the tests compare the package against.
 
+gram.FormEngine keeps its level tables as sparse rows {column: entry} with
+no zero stored; dense lays such rows out as the dense lists the oracles
+and the tests compare, and sparse is its inverse.
 gram.transition_matrices builds Q row by row from FormEngine.pure_q's level
 tables; z_in_y expands each z-monomial by poly_mul products instead, and
 tiled_q builds Q independently, from dense D A^(n) D^-1 matrices, as
@@ -57,6 +60,18 @@ from shapdet.roots import AffineType, a_matrix, finite_root_data, index_set
 from shapdet.series import TruncSeries
 
 Monomial = Tuple[int, int]  # (t-exponent, u-exponent)
+
+
+def dense(rows) -> list:
+    """The square dense lists of the sparse rows {column: entry} of a
+    FormEngine level table (pure_s, pure_q), 0 where no entry is stored."""
+    rows = list(rows)
+    return [[row.get(c, 0) for c in range(len(rows))] for row in rows]
+
+
+def sparse(rows) -> list:
+    """The sparse rows {column: entry}, with no zero stored, of dense rows."""
+    return [{c: v for c, v in enumerate(row) if v} for row in rows]
 
 
 def identity(n: int) -> ExactMatrix:
@@ -125,7 +140,7 @@ def z_in_y(engine, mono) -> dict:
     """{y: coefficient}: the y-expansion of the z-monomial mono, one
     gram.poly_mul product per factor, where z_n^(i) is
     sum_j a^(n)_ij (d_i / d_j) y_n^(j), read from the engine's rows of
-    A^(n); FormEngine.pure_q builds the same rows as dense level tables."""
+    A^(n); FormEngine.pure_q builds the same rows as sparse level tables."""
     poly, d = {(): 1}, engine._d
     for n, i in mono:
         poly = gram.poly_mul(poly, {((n, j),): _field_div(v * d[i], d[j])
@@ -328,8 +343,8 @@ def phi_walk(engine, d: int) -> dict:
                 for k, r in runs:
                     if (k, r, i, j) not in entry:
                         at, S = engine.pure_s(k, r)
-                        entry[k, r, i, j] = S[at[((k, i),) * r]][
-                            at[((k, j),) * r]]
+                        entry[k, r, i, j] = S[at[((k, i),) * r]].get(
+                            at[((k, j),) * r], 0)
                     v = v * entry[k, r, i, j]
                 total = total + v
             out[n, i, j] = _field_div(total, si * sj)
@@ -455,7 +470,7 @@ def kron_lambda_blocks(engine, basis):
     for shape, ys in groupby(basis, key=lambda y: tuple(n for n, _ in y)):
         kron_rows = [[1]]  # the empty shape: G_() = [[1]]
         for run in _runs(shape):
-            pure = engine.pure_s(*run)[1]
+            pure = dense(engine.pure_s(*run)[1])
             kron_rows = [[u * v if u and v else 0 for u in want for v in row]
                          for want in kron_rows for row in pure]
         yield list(ys), kron_rows

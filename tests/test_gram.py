@@ -28,10 +28,11 @@ from shapdet.roots import (ROSTER, a_matrix, finite_root_data, index_set,
 from shapdet.series import ab_series, dimension_series
 
 import oracles
-from oracles import (FormOracle, bilinear, identity, kron_lambda_blocks,
-                     lambda_blocks, lambda_certificate, lambda_walk_report,
-                     p_witness, phi, phi_closed_form, phi_walk, q_block,
-                     run_walk, tiled_q, transport_gram, z_in_y)
+from oracles import (FormOracle, bilinear, dense, identity,
+                     kron_lambda_blocks, lambda_blocks, lambda_certificate,
+                     lambda_walk_report, p_witness, phi, phi_closed_form,
+                     phi_walk, q_block, run_walk, sparse, tiled_q,
+                     transport_gram, z_in_y)
 
 A1 = parse_type("A1^1")
 ALL_TYPES = [parse_type(name) for name in ROSTER]
@@ -343,7 +344,7 @@ def test_integer_pipeline_stays_integral(monkeypatch):
 
     def recording_pure_s(self, n, m):
         rows, S = pure_s(self, n, m)
-        seen[-1][2]["pure"] += [v for row in S for v in row]
+        seen[-1][2]["pure"] += [v for row in dense(S) for v in row]
         return rows, S
 
     def recording_k_prime(y):
@@ -379,7 +380,8 @@ def test_integer_pipeline_stays_integral(monkeypatch):
         assert all(handed.values())
         handed = [v for kind in handed.values() for v in kind]
         values = [*(v for levels in engine._levels.values()
-                    for _, table in levels for row in table for v in row),
+                    for _, table, _ in levels for row in dense(table)
+                    for v in row),
                   *(c for x, scale in gens for c in (*x.values(), scale))]
         assert len(handed) > 20 and len(values) > case[2]
         assert len(phis) >= case[3]
@@ -468,7 +470,7 @@ def _pure_q_matches_z_expansions(engine, degrees):
                      for run in _runs(tuple(n for n, _ in y))}
     for run in runs:
         at = engine.pure_s(*run)[0]
-        for y, row in zip(at, engine.pure_q(*run)):
+        for y, row in zip(at, dense(engine.pure_q(*run))):
             terms = z_in_y(engine, y)
             assert terms.keys() <= at.keys()
             want = [terms.get(z, 0) for z in at]
@@ -522,6 +524,44 @@ def test_verify_keeps_no_q_table(monkeypatch):
             todo.extend([*obj.keys(), *obj.values()] if isinstance(obj, dict)
                         else obj)
     assert len(held) > 1000 and not held & {id(row) for row in rows}
+
+
+def test_pure_s_keeps_sparse_rows_and_builds_each_column_map_once(
+        monkeypatch):
+    # pure_s keeps every level as rows {column: entry} with no zero stored,
+    # E6^1 (1^4) as exactly its 3206 nonzeros of 126^2, and drops what
+    # cancels, as pure_q does: on A2^1 with the gram [[2, 2], [-2, 2]],
+    # entries of S' and of Q cancel on (1^2) and (1^4).  Over every degree of
+    # a roster type on one engine, each level's column map is built once,
+    # kept with the level and read as it is by every later _level call:
+    # pure_q builds none.
+    level, calls = gram._level, []
+
+    def recording(index, prev, at, up, gens, derive):
+        calls.append((derive, up))
+        return level(index, prev, at, up, gens, derive)
+
+    monkeypatch.setattr(gram, "_level", recording)
+    S = FormEngine(parse_type("E6^1")).pure_s(1, 4)[1]
+    assert len(S) == 126 and sum(map(len, S)) == 3206
+    engine = FormEngine(*_corrupted("A2^1", [[2, 2], [-2, 2]]))
+    assert all(v for m in range(1, 5) for rows in (
+        engine.pure_s(1, m)[1], engine.pure_q(1, m)) for row in rows
+        for v in row.values())
+    for name, dmax in ROSTER_DEGREES.items():
+        t = parse_type(name)
+        engine, calls[:] = FormEngine(t), []
+        for d in range(dmax + 1):
+            assert verify(t, d, engine).ok
+        levels = [level for levels in engine._levels.values()
+                  for level in levels]
+        assert all(v for _, rows, _ in levels for row in rows
+                   for v in row.values()), name
+        kept = {id(up) for _, _, up in levels if up is not None}
+        built = [id(up) for derive, up in calls if derive]
+        read = [id(up) for derive, up in calls if not derive]
+        assert len(built) == len(set(built)) == len(kept) > 0, name
+        assert set(built) == kept and read and set(read) <= kept, name
 
 
 def _brute_gram(t, d, fixture=None):
@@ -1034,9 +1074,9 @@ def _mutate_z_rows(monkeypatch):
 
     def mutated_q(self, n, m):
         ys = list(self.pure_s(n, m)[0])
-        return [[v * Fraction(self.weight(z), self.weight(y)) ** 2
-                 for y, v in zip(ys, row)]
-                for z, row in zip(ys, pure_q(self, n, m))]
+        return sparse([v * Fraction(self.weight(z), self.weight(y)) ** 2
+                       for y, v in zip(ys, row)]
+                      for z, row in zip(ys, dense(pure_q(self, n, m))))
 
     def mutated_z(engine, mono):
         return {y: v * Fraction(engine.weight(mono), engine.weight(y)) ** 2
@@ -1191,7 +1231,7 @@ def _run_case():
     shapes = list(dict.fromkeys(tuple(n for n, _ in y) for y in basis))
     runs = list(dict.fromkeys(run for shape in shapes for run in _runs(shape)))
     return t, shapes, runs, {run: engine.pure_s(*run) for run in runs}, {
-        run: engine.pure_q(*run) for run in runs}
+        run: dense(engine.pure_q(*run)) for run in runs}
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -1205,7 +1245,7 @@ def test_certificate_names_first_perturbed_entry(data):
     # term of Q off the block, which the z-expansions could hold, has no
     # place in pure_q's table.
     t, shapes, runs, pure, q_tables = _run_case()
-    blocks = {run: [row[:] for row in S] for run, (_, S) in pure.items()}
+    blocks = {run: dense(S) for run, (_, S) in pure.items()}
     qs = {run: [row[:] for row in Q] for run, Q in q_tables.items()}
     failing = {}  # run: {(r, c): column monomial}
     for _ in range(data.draw(st.integers(1, 3))):
@@ -1219,8 +1259,8 @@ def test_certificate_names_first_perturbed_entry(data):
         (blocks if target == "S" else qs)[run][r][c] += delta
         failing.setdefault(run, {})[r, c] = ys[c]
     engine = FormEngine(t)
-    engine.pure_s = lambda n, m: (pure[n, m][0], blocks[n, m])
-    engine.pure_q = lambda n, m: qs[n, m]
+    engine.pure_s = lambda n, m: (pure[n, m][0], sparse(blocks[n, m]))
+    engine.pure_q = lambda n, m: sparse(qs[n, m])
     rep = verify(t, 5, engine)
     run = next(run for run in runs if run in failing)
     ys = list(pure[run][0])
@@ -1339,7 +1379,7 @@ def test_verify_takes_pure_det_on_pure_blocks_only(monkeypatch):
     passed, pure_det = [], gram._pure_det
 
     def recording(S):
-        passed.append(ExactMatrix(S))
+        passed.append(ExactMatrix(dense(S)))
         return pure_det(S)
 
     monkeypatch.setattr(gram, "_pure_det", recording)
@@ -1380,6 +1420,7 @@ def _pure_blocks_match_memo(t, dmax, fixture=None):
     for n, m in _runs_of(t, dmax):
         ys = [y for y in enumerate_basis(t, n * m) if {k for k, _ in y} == {n}]
         rows, S = engine.pure_s(n, m)
+        S = dense(S)
         assert rows == {y: r for r, y in enumerate(ys)}
         assert S == [[oracle.form_s_mono(y, z) * oracle.weight(y) for z in ys]
                      for y in ys]
@@ -1455,21 +1496,22 @@ def test_content_free_det_matches_full_bareiss_at_roster_degrees():
         engine = FormEngine(parse_type(name))
         for n, m in _runs_of(engine.type, dmax):
             S = engine.pure_s(n, m)[1]
-            assert gram._pure_det(S) == det_exact(ExactMatrix(S))
+            assert gram._pure_det(S) == det_exact(ExactMatrix(dense(S)))
             sizes.append(len(S))
     assert max(sizes) == 330
     kinds = Counter()
     for kind, S in _int_matrix_cases(29):
-        copy = [row[:] for row in S]
-        det = gram._pure_det(S)
-        assert S == copy and det == det_exact(ExactMatrix(S)), (kind, S)
+        rows = sparse(S)
+        det = gram._pure_det(rows)
+        assert rows == sparse(S) and det == det_exact(ExactMatrix(S)), (
+            kind, S)
         kinds[kind, det == 0] += 1
     assert kinds["zero row", False] == kinds["singular", False] == 0
     assert kinds["zero row", True] == kinds["singular", True] == 36
     assert all(kinds[kind, False] > 10 for kind in (
         "random", "negative pivots", "swaps 1", "swaps 2"))
     # a transposition and the two 3-cycles, so one and two rows down
-    assert [gram._pure_det(S) for S in (
+    assert [gram._pure_det(sparse(S)) for S in (
         [[0, 1], [1, 0]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
         [[0, 1, 0], [0, 0, 1], [-1, 0, 0]])] == [-1, 1, -1]
 
@@ -1478,7 +1520,7 @@ def test_pure_det_checks_its_last_division(monkeypatch):
     # With each new row's content doubled, the rows are floored and
     # sign prod a_kk prod c / prod u is no longer an int on E6 (1^2).
     S = FormEngine(parse_type("E6^1")).pure_s(1, 2)[1]
-    assert gram._pure_det(S) == det_exact(ExactMatrix(S))
+    assert gram._pure_det(S) == det_exact(ExactMatrix(dense(S)))
 
     def doubled(*args):  # a row's content, not g = gcd(a_kk, a_ik)
         return gcd(*args) * (2 if len(args) > 2 else 1)
@@ -1486,6 +1528,56 @@ def test_pure_det_checks_its_last_division(monkeypatch):
     monkeypatch.setattr(gram, "gcd", doubled)
     with pytest.raises(InternalCheckError, match="inexact division"):
         gram._pure_det(S)
+
+
+def test_pure_det_on_sparse_rows_matches_bareiss():
+    # _pure_det takes the sparse rows {column: entry} that pure_s keeps and
+    # leaves them as they were.  On seeded random int matrices, and copies
+    # with a zero row or column, singular ones, negative pivots and a first
+    # pivot up to five rows down, and on signed permutation matrices, it
+    # equals det_exact on the dense matrix.
+    rng, kinds = random.Random(30), Counter()
+
+    def cases():
+        for _ in range(60):
+            n = rng.randint(2, 9)
+            S = [[0 if rng.random() < rng.choice([0, 0.5, 0.8])
+                  else rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            yield "random", S
+            yield "zero row", S[:1] + [[0] * n] + S[2:]
+            c = rng.randrange(n)
+            yield "zero column", [[0 if j == c else v for j, v in
+                                   enumerate(row)] for row in S]
+            yield "singular", S[:-1] + [[2 * x - 3 * y for x, y in
+                                         zip(S[0], S[(n - 1) // 2])]]
+            yield "negative pivots", [[-rng.randint(1, 9) if i == j else v
+                                       for j, v in enumerate(row)]
+                                      for i, row in enumerate(S)]
+            k = rng.randint(1, min(n - 1, 5))
+            deep = [[0] + row[1:] if i < k else row
+                    for i, row in enumerate(S)]
+            deep[k][0] = rng.choice([-4, -1, 3, 7])
+            yield "pivot %s down" % ("one row" if k == 1 else "rows"), deep
+            perm = rng.sample(range(n), n)
+            yield "signed permutation", [[rng.choice([-1, 1]) * (j == perm[i])
+                                          for j in range(n)]
+                                         for i in range(n)]
+
+    for kind, S in cases():
+        rows = sparse(S)
+        det = gram._pure_det(rows)
+        assert rows == sparse(S) and det == det_exact(ExactMatrix(S)), (
+            kind, S)
+        kinds[kind, det if det in (-1, 0, 1) else "other"] += 1
+    for kind in ("zero row", "zero column", "singular"):
+        assert kinds[kind, 0] == 60
+    assert kinds["signed permutation", 1] + kinds[
+        "signed permutation", -1] == 60
+    assert kinds["signed permutation", 1] > 10 < kinds[
+        "signed permutation", -1]
+    assert all(kinds[kind, "other"] > 10 for kind in (
+        "random", "negative pivots", "pivot one row down",
+        "pivot rows down"))
 
 
 def _blocks_match_oracles(t, d, fixture=None):
@@ -1584,8 +1676,8 @@ def test_certificate_det_of_a_permuted_product(case):
         return [[weight(y) * v for v in row] for y, row in zip(monos, G)]
 
     pure = {(members[0][0][0], len(members[0])):
-            ({y: r for r, y in enumerate(members)}, weighted(members, G))
-            for members, G in factors}
+            ({y: r for r, y in enumerate(members)},
+             sparse(weighted(members, G))) for members, G in factors}
     z_rows = [{z: v for z, v in zip(ys, row) if v} for row in g]
     index = {y: a for a, y in enumerate(ys)}
     engine = SimpleNamespace(pure_s=lambda n, m: pure[n, m], weight=weight)
@@ -1605,7 +1697,7 @@ def test_verify_names_a_wrong_pure_block_entry(monkeypatch):
 
     def planted(self, n, m):
         rows, S = pure_s(self, n, m)
-        return rows, [[S[0][0] + 1]] if (n, m) == (1, 1) else S
+        return rows, sparse([[S[0][0] + 1]]) if (n, m) == (1, 1) else S
 
     monkeypatch.setattr(FormEngine, "pure_s", planted)
     rep = verify(A1, 3)
